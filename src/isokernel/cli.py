@@ -4,9 +4,6 @@ Subcommands: fit-map, transform, train, eval-online, eval-batch, sweep,
 inspect. Options may come from a config file of ``key = value`` lines
 (``--config``); explicit flags win over the file. Exit codes: 0 success,
 1 usage error, 2 data error, 3 numeric error.
-
-The environment variable ISOKERNEL_THREADS caps worker parallelism for
-cross-validation folds and sweep cells.
 """
 
 import argparse
@@ -210,19 +207,18 @@ def _cmd_train(args):
         raise UsageError("train requires a single --psi value")
     ds = load_libsvm(args.data)
     psi = config.psi_grid[0]
-    stream = shuffle(ds, config.seed)
-    run = evalmod._make_run(config, psi, (config.seed, 229))
-    run.fit(stream)
-    run.train_pass(run.encode(stream), stream.labels())
+    _, model = evalmod.fit_learner(
+        shuffle(ds, config.seed), psi, config, (config.seed, 229)
+    )
     hyper = config.resolved()
     hyper["psi"] = psi
-    save_checkpoint(args.out, config.learner, run.model, hyper)
+    save_checkpoint(args.out, config.learner, model, hyper)
     _emit(
         {
             "command": "train",
             "learner": config.learner,
             "psi": psi,
-            "updates": run.model.updates,
+            "updates": model.updates,
             "points": len(ds),
             "config": hyper,
             "out": args.out,

@@ -9,6 +9,7 @@ across readers; slicing operations reuse the underlying point objects.
 
 import gzip
 import io
+import json
 
 import numpy as np
 
@@ -212,6 +213,64 @@ def dot(a, b):
         else:
             j += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# persistence: ragged sparse rows and versioned npz files
+
+
+def pack_ragged(vectors):
+    """Sparse vectors as flat arrays: concatenated ``cat_indices`` and
+    ``cat_values``, with vector i at ``offsets[i]:offsets[i + 1]``."""
+    offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(v) for v in vectors])
+    return {
+        "cat_indices": np.concatenate(
+            [v.indices for v in vectors] or [np.empty(0, dtype=np.int32)]
+        ),
+        "cat_values": np.concatenate(
+            [v.values for v in vectors] or [np.empty(0)]
+        ),
+        "offsets": offsets,
+    }
+
+
+def unpack_ragged(arrays, dim):
+    """The vectors packed by ``pack_ragged``, each declared at ``dim``."""
+    offsets = arrays["offsets"]
+    return [
+        SparseVector(
+            arrays["cat_indices"][lo:hi], arrays["cat_values"][lo:hi], dim
+        )
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
+
+
+def strip_prefix(prefix, arrays):
+    """The entries of ``arrays`` whose key starts with ``prefix``, without it."""
+    return {
+        key[len(prefix) :]: arr
+        for key, arr in arrays.items()
+        if key.startswith(prefix)
+    }
+
+
+def save_npz(path, version, meta, arrays):
+    """Write ``arrays`` and a JSON ``meta`` header led by ``format_version``."""
+    header = json.dumps({"format_version": version, **meta})
+    np.savez_compressed(path, meta=header, **arrays)
+
+
+def load_npz(path, version, what):
+    """(meta, arrays) of a file written by ``save_npz`` at ``version``."""
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        if meta["format_version"] != version:
+            raise ParameterError(
+                f"unsupported {what} format {meta['format_version']}"
+            )
+        arrays = {key: data[key] for key in data.files if key != "meta"}
+    return meta, arrays
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ compared under one seed consume the same shuffled stream.
 
 import csv
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -107,128 +105,44 @@ class Metrics:
 
 
 # ---------------------------------------------------------------------------
-# learner pipelines
+# learner pipeline
 
 
-class _IKRun:
-    def __init__(self, config, psi, scheme, seed):
-        self.config = config
-        self.psi = psi
-        self.scheme = scheme
-        self.seed = seed
-        self.mapper = None
-        self.model = None
-        self.encoded_points = 0
+def fit_learner(train, psi, config, seed):
+    """Fit ``config.learner`` on ``train`` and train it with one pass.
 
-    def fit(self, train):
-        self.mapper = Mapper.fit(
-            train, self.psi, self.config.t, self.scheme, self.seed
-        )
-        self.model = IKOGDModel(self.config.t, self.psi, mapper=self.mapper)
-
-    def encode(self, ds):
-        self.encoded_points += len(ds)
-        return self.mapper.map_many(ds)
-
-    def encode_ops_total(self):
-        return self.mapper.assign_ops
-
-    def train_pass(self, encoded, labels):
-        eta = self.config.eta
-        for f, c in zip(encoded, labels):
-            self.model.step(f, int(c), eta)
-
-    def predict(self, encoded):
-        return self.model.predict_many(encoded)
-
-
-class _OGDRun:
-    def __init__(self, config, psi, seed):
-        self.config = config
-        self.psi = psi
-        self.seed = seed
-        self.model = None
-        self.encoded_points = 0
-
-    def fit(self, train):
-        self.model = DualModel(Laplacian(self.psi, train.dim))
-
-    def encode(self, ds):
-        self.encoded_points += len(ds)
-        return [p.x for p in ds]
-
-    def encode_ops_total(self):
-        return 0
-
-    def train_pass(self, encoded, labels):
-        eta = self.config.eta
-        for x, c in zip(encoded, labels):
-            self.model.step(x, int(c), eta)
-
-    def predict(self, encoded):
-        return self.model.predict_many(encoded)
-
-
-class _NOGDRun:
-    def __init__(self, config, psi, seed):
-        self.config = config
-        self.psi = psi
-        self.seed = seed
-        self.nystrom = None
-        self.model = None
-        self.encoded_points = 0
-
-    def fit(self, train):
-        kernel = Laplacian(self.psi, train.dim)
-        self.nystrom = fit_nystrom(
-            train, self.config.b, self.config.r, kernel, self.seed
-        )
-        self.model = NOGDModel(self.nystrom.effective_r, nystrom=self.nystrom)
-
-    def encode(self, ds):
-        self.encoded_points += len(ds)
-        return self.nystrom.map_many(ds)
-
-    def encode_ops_total(self):
-        return self.nystrom.kernel_evals
-
-    def train_pass(self, encoded, labels):
-        eta = self.config.eta
-        for xhat, c in zip(encoded, labels):
-            self.model.step(xhat, int(c), eta)
-
-    def predict(self, encoded):
-        return self.model.predict_many(encoded)
-
-
-def _make_run(config, psi, seed):
-    if config.learner == "ik-ogd-iforest":
-        return _IKRun(config, psi, "iforest", seed)
-    if config.learner == "ik-ogd-anne":
-        return _IKRun(config, psi, "anne", seed)
+    Returns ``(encode, model)``. ``encode`` turns a Dataset into what
+    ``model.step`` and ``model.predict_many`` take: indexed features for
+    IK-OGD, landmark features for NOGD, the raw sparse points for dual OGD.
+    The model holds its fitted encoder, so a checkpoint of it stands alone.
+    """
     if config.learner == "ogd":
-        return _OGDRun(config, psi, seed)
-    return _NOGDRun(config, psi, seed)
+        encode, model = _raw_points, DualModel(Laplacian(psi, train.dim))
+    elif config.learner == "nogd":
+        kernel = Laplacian(psi, train.dim)
+        nystrom = fit_nystrom(train, config.b, config.r, kernel, seed)
+        encode = nystrom.map_many
+        model = NOGDModel(nystrom.effective_r, nystrom=nystrom)
+    else:
+        scheme = config.learner[len("ik-ogd-") :]
+        mapper = Mapper.fit(train, psi, config.t, scheme, seed)
+        encode = mapper.map_many
+        model = IKOGDModel(config.t, psi, mapper=mapper)
+    _train_pass(model, encode(train), train.labels(), config.eta)
+    return encode, model
+
+
+def _raw_points(ds):
+    return [p.x for p in ds]
+
+
+def _train_pass(model, encoded, labels, eta):
+    for x, c in zip(encoded, labels):
+        model.step(x, int(c), eta)
 
 
 def _needs_psi_sample(learner):
     return learner.startswith("ik-ogd")
-
-
-def _workers():
-    raw = os.environ.get("ISOKERNEL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_maybe_parallel(fn, items):
-    workers = _workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +172,34 @@ def apply_minmax(ds, lo, span):
 # protocols
 
 
-def _accuracy(scores, labels):
+def _n_correct(scores, labels):
+    """How many scores predict their label."""
     preds = np.fromiter(
         (predict_label(s) for s in scores), dtype=np.int64, count=len(scores)
     )
-    return float(np.mean(preds == np.asarray(labels)))
+    return int(np.sum(preds == np.asarray(labels)))
+
+
+def _metrics(config, model, encoded_points, **fields):
+    """Metrics of a finished run: ``fields`` plus the model's counters."""
+    encoder = model.encoder
+    return Metrics(
+        learner=config.learner,
+        config=config.resolved(),
+        updates=model.updates,
+        last_predict_ops=model.last_predict_ops,
+        total_predict_ops=model.total_ops,
+        encode_ops_per_point=(
+            0 if encoder is None else encoder.encode_ops // encoded_points
+        ),
+        **fields,
+    )
 
 
 def _fold_accuracy(fold_train, fold_val, psi, config, seed):
-    run = _make_run(config, psi, seed)
-    run.fit(fold_train)
-    run.train_pass(run.encode(fold_train), fold_train.labels())
-    scores = run.predict(run.encode(fold_val))
-    return _accuracy(scores, fold_val.labels())
+    encode, model = fit_learner(fold_train, psi, config, seed)
+    scores = model.predict_many(encode(fold_val))
+    return _n_correct(scores, fold_val.labels()) / len(fold_val)
 
 
 def cv_select_psi(train, config):
@@ -307,21 +236,12 @@ def cv_select_psi(train, config):
     if not usable:
         raise ConfigError("every grid psi exceeds the fold-train size")
 
-    cells = [
-        (psi, i, ft, fv) for psi in usable for i, (ft, fv) in enumerate(folds)
-    ]
-    accs = _map_maybe_parallel(
-        lambda cell: _fold_accuracy(
-            cell[2], cell[3], cell[0], config, (config.seed, 227, cell[1])
-        ),
-        cells,
-    )
-    mean_acc = {}
-    for (psi, _, _, _), acc in zip(cells, accs):
-        mean_acc.setdefault(psi, []).append(acc)
     best_psi, best_acc = None, -1.0
     for psi in usable:  # ascending: ties keep the smallest psi
-        acc = float(np.mean(mean_acc[psi]))
+        acc = float(np.mean([
+            _fold_accuracy(ft, fv, psi, config, (config.seed, 227, i))
+            for i, (ft, fv) in enumerate(folds)
+        ]))
         if acc > best_acc:
             best_psi, best_acc = psi, acc
     return best_psi
@@ -352,55 +272,47 @@ def run_online(dataset, config):
 
     t_train = time.perf_counter()
     psi = cv_select_psi(head, config)
-    run = _make_run(config, psi, (config.seed, 229))
-    run.fit(head)
-    run.train_pass(run.encode(head), head.labels())
+    encode, model = fit_learner(head, psi, config, (config.seed, 229))
     train_time = time.perf_counter() - t_train
 
-    metrics = Metrics(
-        learner=config.learner,
-        dataset=dataset.name,
-        protocol="online",
-        psi=psi,
-        config=config.resolved(),
-        degenerate=len(tail) < config.block_size,
-    )
     test_time = 0.0
     seen = correct = 0
+    block_accuracy, cumulative_accuracy = [], []
     labels = tail.labels()
     for lo_i in range(0, len(tail), config.block_size):
         hi_i = min(lo_i + config.block_size, len(tail))
-        block = tail.subset(np.arange(lo_i, hi_i))
         block_labels = labels[lo_i:hi_i]
-        encoded = run.encode(block)
 
         t0 = time.perf_counter()
-        scores = run.predict(encoded)
+        encoded = encode(tail.subset(np.arange(lo_i, hi_i)))
+        scores = model.predict_many(encoded)
         test_time += time.perf_counter() - t0
-        preds = np.fromiter(
-            (predict_label(s) for s in scores), dtype=np.int64, count=len(block)
-        )
-        block_correct = int(np.sum(preds == block_labels))
-        seen += len(block)
+        block_correct = _n_correct(scores, block_labels)
+        seen += len(block_labels)
         correct += block_correct
-        metrics.block_accuracy.append(block_correct / len(block))
-        metrics.cumulative_accuracy.append(correct / seen)
+        block_accuracy.append(block_correct / len(block_labels))
+        cumulative_accuracy.append(correct / seen)
 
         t0 = time.perf_counter()
-        run.train_pass(encoded, block_labels)
+        _train_pass(model, encoded, block_labels, config.eta)
         train_time += time.perf_counter() - t0
 
-    metrics.n_predictions = seen
-    metrics.n_correct = correct
-    metrics.final_accuracy = correct / seen if seen else None
-    metrics.updates = run.model.updates
-    metrics.last_predict_ops = run.model.last_predict_ops
-    metrics.total_predict_ops = run.model.total_ops
-    if run.encoded_points:
-        metrics.encode_ops_per_point = run.encode_ops_total() // run.encoded_points
-    metrics.train_time = train_time
-    metrics.test_time = test_time
-    return metrics
+    return _metrics(
+        config,
+        model,
+        len(ds),
+        dataset=dataset.name,
+        protocol="online",
+        psi=psi,
+        block_accuracy=block_accuracy,
+        cumulative_accuracy=cumulative_accuracy,
+        final_accuracy=correct / seen,
+        n_predictions=seen,
+        n_correct=correct,
+        train_time=train_time,
+        test_time=test_time,
+        degenerate=len(tail) < config.block_size,
+    )
 
 
 def run_batch(train, test, config):
@@ -421,37 +333,24 @@ def run_batch(train, test, config):
     t0 = time.perf_counter()
     psi = cv_select_psi(train, config)
     stream = shuffle(train, config.seed)
-    run = _make_run(config, psi, (config.seed, 229))
-    run.fit(stream)
-    run.train_pass(run.encode(stream), stream.labels())
+    encode, model = fit_learner(stream, psi, config, (config.seed, 229))
     train_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scores = run.predict(run.encode(test))
+    scores = model.predict_many(encode(test))
     test_time = time.perf_counter() - t0
-    labels = test.labels()
-    preds = np.fromiter(
-        (predict_label(s) for s in scores), dtype=np.int64, count=len(test)
-    )
-    correct = int(np.sum(preds == labels))
+    correct = _n_correct(scores, test.labels())
 
-    return Metrics(
-        learner=config.learner,
+    return _metrics(
+        config,
+        model,
+        len(stream) + len(test),
         dataset=f"{train.name}->{test.name}",
         protocol="batch",
         psi=psi,
-        config=config.resolved(),
         final_accuracy=correct / len(test),
         n_predictions=len(test),
         n_correct=correct,
-        updates=run.model.updates,
-        last_predict_ops=run.model.last_predict_ops,
-        total_predict_ops=run.model.total_ops,
-        encode_ops_per_point=(
-            run.encode_ops_total() // run.encoded_points
-            if run.encoded_points
-            else 0
-        ),
         train_time=train_time,
         test_time=test_time,
     )
@@ -476,7 +375,7 @@ def sweep(axis, values, config, train, test):
             cfg = replace(config, psi_grid=(int(value),))
         return run_batch(train, test, cfg)
 
-    return _map_maybe_parallel(one, list(values))
+    return [one(value) for value in values]
 
 
 # ---------------------------------------------------------------------------

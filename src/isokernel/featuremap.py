@@ -12,10 +12,9 @@ Weight matrices for primal learners are plain (t, psi) float arrays; the
 indexed form makes <w, feature> a sum of t entries of w, independent of psi.
 """
 
-import json
-
 import numpy as np
 
+from .dataset import load_npz, save_npz, strip_prefix
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .partition import SCHEMES, sample_psi
 
@@ -44,7 +43,7 @@ class Mapper:
         self.scheme = scheme
         self.seed = seed
         self.dim = dim
-        self.assign_ops = 0  # partitioning assignments performed so far
+        self.encode_ops = 0  # partitioning assignments performed so far
 
     @classmethod
     def fit(cls, dataset, psi, t, scheme, seed):
@@ -75,10 +74,10 @@ class Mapper:
     def map_point(self, x):
         """Indexed feature of x: entry i is the cell id under partitioning i."""
         out = np.array([p.assign(x) for p in self.parts], dtype=np.int32)
-        self.assign_ops += out.size
+        self.encode_ops += out.size
         return out
 
-    def map_many(self, dataset, keep_dense=True):
+    def map_many(self, dataset):
         """Indexed features for a whole dataset as an (n, t) int32 matrix.
 
         Equivalent to stacking ``map_point`` over all points, but assigns
@@ -87,55 +86,48 @@ class Mapper:
         X = dataset.dense()
         out = np.empty((X.shape[0], self.t), dtype=np.int32)
         for i, part in enumerate(self.parts):
-            if part.scheme == "anne":
-                out[:, i] = part.assign_many(X, keep_dense=keep_dense)
-            else:
-                out[:, i] = part.assign_many(X)
-        self.assign_ops += out.size
+            out[:, i] = part.assign_many(X)
+        self.encode_ops += out.size
         return out
 
     def cell_counts(self):
         """Number of occupied cells per partitioning."""
         return [p.n_cells for p in self.parts]
 
-    def save(self, path):
-        """Persist to ``path`` (npz) for bit-identical reload."""
-        payload = {}
+    def state(self):
+        """(meta, arrays) from which ``from_state`` rebuilds this map."""
+        arrays = {}
         for i, part in enumerate(self.parts):
             for key, arr in part.state().items():
-                payload[f"part{i}_{key}"] = arr
+                arrays[f"part{i}_{key}"] = arr
         meta = {
-            "format_version": FORMAT_VERSION,
             "scheme": self.scheme,
             "t": self.t,
             "psi": self.psi,
             "seed": self.seed,
             "dim": self.dim,
         }
-        np.savez_compressed(path, meta=json.dumps(meta), **payload)
+        return meta, arrays
 
     @classmethod
-    def load(cls, path):
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta["format_version"] != FORMAT_VERSION:
-                raise ParameterError(
-                    f"unsupported map format {meta['format_version']}"
-                )
-            part_cls = SCHEMES[meta["scheme"]]
-            parts = []
-            for i in range(meta["t"]):
-                prefix = f"part{i}_"
-                state = {
-                    key[len(prefix) :]: data[key]
-                    for key in data.files
-                    if key.startswith(prefix)
-                }
-                parts.append(part_cls.from_state(state))
+    def from_state(cls, meta, arrays):
+        part_cls = SCHEMES[meta["scheme"]]
+        parts = [
+            part_cls.from_state(strip_prefix(f"part{i}_", arrays))
+            for i in range(meta["t"])
+        ]
         return cls(
             parts, meta["psi"], meta["t"], meta["scheme"], meta["seed"],
             meta["dim"],
         )
+
+    def save(self, path):
+        """Persist to ``path`` (npz) for bit-identical reload."""
+        save_npz(path, FORMAT_VERSION, *self.state())
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_state(*load_npz(path, FORMAT_VERSION, "map"))
 
 
 def kernel(fa, fb):

@@ -19,19 +19,12 @@ _BLOCK_ELEMS = 16_000_000
 
 def laplacian(x, y, psi, dim):
     """exp(-lambda * l1(x, y)) with lambda = log(psi)/dim."""
-    if psi < 2:
-        raise ParameterError(f"psi must be >= 2, got {psi}")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    lam = math.log(psi) / dim
-    return math.exp(-lam * l1_distance(x, y))
+    return Laplacian(psi, dim)(x, y)
 
 
 def gaussian(x, y, gamma):
     """exp(-gamma * ||x - y||^2)."""
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
-    return math.exp(-gamma * sq_distance(x, y))
+    return Gaussian(gamma, max(x.dim, y.dim))(x, y)
 
 
 class Laplacian:

@@ -11,17 +11,29 @@ support set), the primal models count weight reads (constant per
 prediction).
 """
 
-import json
-
 import numpy as np
 
-from .dataset import SparseVector
+from .dataset import (
+    SparseVector,
+    load_npz,
+    pack_ragged,
+    save_npz,
+    strip_prefix,
+    unpack_ragged,
+)
 from .errors import ParameterError, ProvenanceError, ShapeError
-from .featuremap import Mapper, OpCounter, accumulate, efficient_dot, new_weights
+from .featuremap import (
+    Mapper,
+    OpCounter,
+    accumulate,
+    efficient_dot,
+    kernel,
+    new_weights,
+)
 from .kernels import make_kernel
 from .nystrom import NystromMap
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def predict_label(score):
@@ -49,7 +61,7 @@ class FeatureMatchKernel:
     def __call__(self, fa, fb):
         if fa.size != self.t or fb.size != self.t:
             raise ProvenanceError("feature length does not match kernel t")
-        return float(np.count_nonzero(fa == fb)) / self.t
+        return kernel(fa, fb)
 
     def point_to_row(self, f):
         return np.asarray(f, dtype=np.int32)
@@ -64,7 +76,43 @@ class FeatureMatchKernel:
         return out / self.t
 
 
-class DualModel:
+class _Model:
+    """Counters every model keeps, and persistence for a model whose whole
+    state is its weight array ``w``.
+
+    ``last_predict_ops`` and ``total_ops`` count kernel evaluations (dual)
+    or weight reads (primal). ``encoder`` is the fitted map that turns raw
+    points into the model's features, or None when it learns on raw points.
+    """
+
+    encoder = None
+
+    def __init__(self):
+        self.updates = 0
+        self.predictions = 0
+        self.last_predict_ops = 0
+        self.total_ops = 0
+
+    def _count(self, points, ops):
+        """Record ``points`` predictions costing ``ops`` operations each."""
+        self.predictions += points
+        self.last_predict_ops = ops
+        self.total_ops += ops * points
+
+    def state(self):
+        """(meta, arrays) from which ``from_state`` rebuilds the model."""
+        return {"updates": self.updates}, {"w": self.w}
+
+    @classmethod
+    def from_state(cls, meta, arrays, encoder):
+        # primal models take the shape of w, then their encoder
+        model = cls(*arrays["w"].shape, encoder)
+        model.w = arrays["w"]
+        model.updates = meta["updates"]
+        return model
+
+
+class DualModel(_Model):
     """Support-vector model with f(x) = sum_i alpha_i c_i k(x_i, x).
 
     The support set grows without budget; prediction cost is one kernel
@@ -73,16 +121,13 @@ class DualModel:
     """
 
     def __init__(self, kernel_fn):
+        super().__init__()
         self.kernel = kernel_fn
         self.svs = []  # (point, c, alpha) in arrival order
         self._rows = None
         self._coeffs = np.empty(0)  # alpha_i * c_i, precombined
         self._l1 = np.empty(0)  # ||row||_1, kept for sparse scoring paths
         self._use_sparse = hasattr(kernel_fn, "sparse_row_scores")
-        self.updates = 0
-        self.predictions = 0
-        self.last_predict_ops = 0
-        self.total_ops = 0
 
     def __len__(self):
         return len(self.svs)
@@ -109,9 +154,7 @@ class DualModel:
     def predict(self, x):
         """Score of one point; costs len(self) kernel evaluations."""
         s = len(self.svs)
-        self.predictions += 1
-        self.last_predict_ops = s
-        self.total_ops += s
+        self._count(1, s)
         if s == 0:
             return 0.0
         if self._use_sparse and isinstance(x, SparseVector):
@@ -127,9 +170,7 @@ class DualModel:
     def predict_many(self, points):
         """Scores for many points against the frozen support set."""
         s = len(self.svs)
-        self.predictions += len(points)
-        self.last_predict_ops = s
-        self.total_ops += s * len(points)
+        self._count(len(points), s)
         if s == 0:
             return np.zeros(len(points))
         if self._use_sparse and all(
@@ -153,8 +194,28 @@ class DualModel:
             self._append(x, c, eta)
         return score
 
+    def state(self):
+        meta = {
+            "kernel": self.kernel.params(),
+            "dim": self.kernel.dim,
+            "updates": self.updates,
+        }
+        arrays = pack_ragged([p for p, _, _ in self.svs])
+        arrays["cs"] = np.array([c for _, c, _ in self.svs])
+        arrays["alphas"] = np.array([a for _, _, a in self.svs])
+        return meta, arrays
 
-class IKOGDModel:
+    @classmethod
+    def from_state(cls, meta, arrays, encoder=None):
+        model = cls(make_kernel(meta["kernel"]))
+        points = unpack_ragged(arrays, meta["dim"])
+        for point, c, alpha in zip(points, arrays["cs"], arrays["alphas"]):
+            model._append(point, int(c), float(alpha))
+        model.updates = meta["updates"]
+        return model
+
+
+class IKOGDModel(_Model):
     """Primal model over indexed features: f = <w, Phi> / t.
 
     The weight update on violation adds eta*c at the t cells the feature
@@ -163,15 +224,16 @@ class IKOGDModel:
     """
 
     def __init__(self, t, psi, mapper=None, record_updates=False):
+        super().__init__()
         self.t = t
         self.psi = psi
         self.mapper = mapper
         self.w = new_weights(t, psi)
-        self.updates = 0
-        self.predictions = 0
-        self.last_predict_ops = 0
-        self.total_ops = 0
         self.update_log = [] if record_updates else None
+
+    @property
+    def encoder(self):
+        return self.mapper
 
     def _check(self, f):
         if f.size != self.t:
@@ -183,9 +245,7 @@ class IKOGDModel:
         self._check(f)
         counter = OpCounter()
         score = efficient_dot(self.w, f, counter) / self.t
-        self.predictions += 1
-        self.last_predict_ops = counter.count
-        self.total_ops += counter.count
+        self._count(1, counter.count)
         return score
 
     def predict_many(self, F):
@@ -195,9 +255,7 @@ class IKOGDModel:
             raise ProvenanceError(
                 f"feature length {F.shape[1]} does not match model t={self.t}"
             )
-        self.predictions += F.shape[0]
-        self.last_predict_ops = self.t
-        self.total_ops += self.t * F.shape[0]
+        self._count(F.shape[0], self.t)
         return self.w[np.arange(self.t), F].sum(axis=1) / self.t
 
     def step(self, f, c, eta):
@@ -210,17 +268,18 @@ class IKOGDModel:
         return score
 
 
-class NOGDModel:
+class NOGDModel(_Model):
     """Linear model over dense approximate features: f = <w, xhat>."""
 
     def __init__(self, r, nystrom=None):
+        super().__init__()
         self.r = r
         self.nystrom = nystrom
         self.w = np.zeros(r)
-        self.updates = 0
-        self.predictions = 0
-        self.last_predict_ops = 0
-        self.total_ops = 0
+
+    @property
+    def encoder(self):
+        return self.nystrom
 
     def _check(self, xhat):
         if xhat.shape != (self.r,):
@@ -230,9 +289,7 @@ class NOGDModel:
 
     def predict(self, xhat):
         self._check(xhat)
-        self.predictions += 1
-        self.last_predict_ops = self.r
-        self.total_ops += self.r
+        self._count(1, self.r)
         return float(self.w @ xhat)
 
     def predict_many(self, Xhat):
@@ -241,9 +298,7 @@ class NOGDModel:
             raise ShapeError(
                 f"feature width {Xhat.shape[1]} does not match model r={self.r}"
             )
-        self.predictions += Xhat.shape[0]
-        self.last_predict_ops = self.r
-        self.total_ops += self.r * Xhat.shape[0]
+        self._count(Xhat.shape[0], self.r)
         return Xhat @ self.w
 
     def step(self, xhat, c, eta):
@@ -257,132 +312,55 @@ class NOGDModel:
 # ---------------------------------------------------------------------------
 # checkpointing
 
+# checkpoint kind -> (model class, encoder class or None for raw points)
+_KINDS = {
+    "ogd": (DualModel, None),
+    "ik-ogd-iforest": (IKOGDModel, Mapper),
+    "ik-ogd-anne": (IKOGDModel, Mapper),
+    "nogd": (NOGDModel, NystromMap),
+}
+
+
+def _classes(kind):
+    if kind not in _KINDS:
+        raise ParameterError(f"unknown learner kind {kind!r}")
+    return _KINDS[kind]
+
 
 def save_checkpoint(path, kind, model, hyper):
     """Write a self-contained model checkpoint (npz).
 
-    ``kind`` is one of ogd | ik-ogd-iforest | ik-ogd-anne | nogd. The fitted
-    transformer (mapper or landmark map) travels inside the checkpoint.
+    ``kind`` is one of ogd | ik-ogd-iforest | ik-ogd-anne | nogd. The
+    checkpoint is the state of the model's encoder (its feature map or
+    landmark map; ogd has none), with arrays under ``encoder_``, plus the
+    model's own state, with arrays under ``model_``.
     """
+    _classes(kind)
+    encoder_meta, encoder_arrays = (
+        (None, {}) if model.encoder is None else model.encoder.state()
+    )
+    model_meta, model_arrays = model.state()
+    arrays = {f"encoder_{key}": arr for key, arr in encoder_arrays.items()}
+    arrays.update({f"model_{key}": arr for key, arr in model_arrays.items()})
     meta = {
-        "format_version": FORMAT_VERSION,
         "kind": kind,
         "hyper": hyper,
-        "updates": model.updates,
+        "encoder": encoder_meta,
+        "model": model_meta,
     }
-    payload = {}
-    if kind.startswith("ik-ogd"):
-        payload["w"] = model.w
-        for i, part in enumerate(model.mapper.parts):
-            for key, arr in part.state().items():
-                payload[f"mapper_part{i}_{key}"] = arr
-        meta["mapper"] = {
-            "scheme": model.mapper.scheme,
-            "t": model.mapper.t,
-            "psi": model.mapper.psi,
-            "seed": model.mapper.seed,
-            "dim": model.mapper.dim,
-        }
-    elif kind == "nogd":
-        payload["w"] = model.w
-        nm = model.nystrom
-        offsets = np.zeros(len(nm.landmarks) + 1, dtype=np.int64)
-        for i, z in enumerate(nm.landmarks):
-            offsets[i + 1] = offsets[i] + len(z)
-        payload["proj"] = nm.proj
-        payload["lm_indices"] = np.concatenate(
-            [z.indices for z in nm.landmarks] or [np.empty(0, dtype=np.int32)]
-        )
-        payload["lm_values"] = np.concatenate(
-            [z.values for z in nm.landmarks] or [np.empty(0)]
-        )
-        payload["lm_offsets"] = offsets
-        meta["nystrom"] = {
-            "kernel": nm.kernel.params(),
-            "b": nm.b,
-            "r": nm.r,
-            "seed": nm.seed,
-            "dim": max(z.dim for z in nm.landmarks),
-        }
-    elif kind == "ogd":
-        s = len(model.svs)
-        offsets = np.zeros(s + 1, dtype=np.int64)
-        for i, (p, _, _) in enumerate(model.svs):
-            offsets[i + 1] = offsets[i] + len(p)
-        payload["sv_indices"] = np.concatenate(
-            [p.indices for p, _, _ in model.svs]
-            or [np.empty(0, dtype=np.int32)]
-        )
-        payload["sv_values"] = np.concatenate(
-            [p.values for p, _, _ in model.svs] or [np.empty(0)]
-        )
-        payload["sv_offsets"] = offsets
-        payload["cs"] = np.array([c for _, c, _ in model.svs])
-        payload["alphas"] = np.array([a for _, _, a in model.svs])
-        meta["kernel"] = model.kernel.params()
-        meta["dim"] = model.kernel.dim
-    else:
-        raise ParameterError(f"unknown learner kind {kind!r}")
-    np.savez_compressed(path, meta=json.dumps(meta), **payload)
+    save_npz(path, FORMAT_VERSION, meta, arrays)
 
 
 def load_checkpoint(path):
     """Rebuild (kind, model, hyper) from a checkpoint written above."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["format_version"] != FORMAT_VERSION:
-            raise ParameterError(
-                f"unsupported checkpoint format {meta['format_version']}"
-            )
-        kind = meta["kind"]
-        if kind.startswith("ik-ogd"):
-            mm = meta["mapper"]
-            from .partition import SCHEMES
-
-            parts = []
-            for i in range(mm["t"]):
-                prefix = f"mapper_part{i}_"
-                state = {
-                    key[len(prefix) :]: data[key]
-                    for key in data.files
-                    if key.startswith(prefix)
-                }
-                parts.append(SCHEMES[mm["scheme"]].from_state(state))
-            mapper = Mapper(
-                parts, mm["psi"], mm["t"], mm["scheme"], mm["seed"], mm["dim"]
-            )
-            model = IKOGDModel(mm["t"], mm["psi"], mapper=mapper)
-            model.w = data["w"].copy()
-        elif kind == "nogd":
-            nm = meta["nystrom"]
-            offsets = data["lm_offsets"]
-            landmarks = [
-                SparseVector(
-                    data["lm_indices"][offsets[i] : offsets[i + 1]],
-                    data["lm_values"][offsets[i] : offsets[i + 1]],
-                    nm["dim"],
-                )
-                for i in range(len(offsets) - 1)
-            ]
-            nmap = NystromMap(
-                landmarks, make_kernel(nm["kernel"]), data["proj"],
-                nm["b"], nm["r"], nm["seed"],
-            )
-            model = NOGDModel(nmap.effective_r, nystrom=nmap)
-            model.w = data["w"].copy()
-        elif kind == "ogd":
-            model = DualModel(make_kernel(meta["kernel"]))
-            offsets = data["sv_offsets"]
-            for i in range(len(offsets) - 1):
-                point = SparseVector(
-                    data["sv_indices"][offsets[i] : offsets[i + 1]],
-                    data["sv_values"][offsets[i] : offsets[i + 1]],
-                    meta["dim"],
-                )
-                model._append(
-                    point, int(data["cs"][i]), float(data["alphas"][i])
-                )
-        else:
-            raise ParameterError(f"unknown learner kind {kind!r}")
-        model.updates = meta["updates"]
-    return kind, model, meta["hyper"]
+    meta, arrays = load_npz(path, FORMAT_VERSION, "checkpoint")
+    model_cls, encoder_cls = _classes(meta["kind"])
+    encoder = None
+    if encoder_cls is not None:
+        encoder = encoder_cls.from_state(
+            meta["encoder"], strip_prefix("encoder_", arrays)
+        )
+    model = model_cls.from_state(
+        meta["model"], strip_prefix("model_", arrays), encoder
+    )
+    return meta["kind"], model, meta["hyper"]

@@ -7,11 +7,9 @@ at or below ``EIGEN_FLOOR`` are dropped (shrinking the effective rank) since
 the inverse square root explodes on them.
 """
 
-import json
-
 import numpy as np
 
-from .dataset import SparseVector
+from .dataset import load_npz, pack_ragged, save_npz, unpack_ragged
 from .errors import (
     ContractError,
     DegenerateKernelError,
@@ -69,7 +67,12 @@ class NystromMap:
         self.b = b
         self.r = r  # requested rank; proj may have fewer rows
         self.seed = seed
-        self.kernel_evals = 0  # landmark kernel evaluations while mapping
+        self.encode_ops = 0  # landmark kernel evaluations while mapping
+
+    @property
+    def kernel_evals(self):
+        """Landmark kernel evaluations spent mapping so far."""
+        return self.encode_ops
 
     @property
     def effective_r(self):
@@ -78,64 +81,40 @@ class NystromMap:
     def map_point(self, x):
         """Dense feature vector of length effective_r."""
         kvec = np.array([self.kernel(x, z) for z in self.landmarks])
-        self.kernel_evals += kvec.size
+        self.encode_ops += kvec.size
         return self.proj @ kvec
 
     def map_many(self, points):
         """Feature matrix (n, effective_r) for a list or Dataset of points."""
         xs = [p.x if hasattr(p, "x") else p for p in points]
         K = _kernel_matrix(self.kernel, xs, self.landmarks)
-        self.kernel_evals += K.size
+        self.encode_ops += K.size
         return K @ self.proj.T
 
-    def save(self, path):
-        state_offsets = np.zeros(len(self.landmarks) + 1, dtype=np.int64)
-        for i, z in enumerate(self.landmarks):
-            state_offsets[i + 1] = state_offsets[i] + len(z)
+    def state(self):
+        """(meta, arrays) from which ``from_state`` rebuilds this map."""
         meta = {
-            "format_version": FORMAT_VERSION,
             "kernel": self.kernel.params(),
             "b": self.b,
             "r": self.r,
             "seed": self.seed,
             "dim": max(z.dim for z in self.landmarks),
         }
-        np.savez_compressed(
-            path,
-            meta=json.dumps(meta),
-            proj=self.proj,
-            cat_indices=np.concatenate(
-                [z.indices for z in self.landmarks]
-                or [np.empty(0, dtype=np.int32)]
-            ),
-            cat_values=np.concatenate(
-                [z.values for z in self.landmarks] or [np.empty(0)]
-            ),
-            offsets=state_offsets,
+        return meta, {"proj": self.proj, **pack_ragged(self.landmarks)}
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        return cls(
+            unpack_ragged(arrays, meta["dim"]), make_kernel(meta["kernel"]),
+            arrays["proj"], meta["b"], meta["r"], meta["seed"],
         )
+
+    def save(self, path):
+        save_npz(path, FORMAT_VERSION, *self.state())
 
     @classmethod
     def load(cls, path):
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta["format_version"] != FORMAT_VERSION:
-                raise ParameterError(
-                    f"unsupported map format {meta['format_version']}"
-                )
-            offsets = data["offsets"]
-            landmarks = [
-                SparseVector(
-                    data["cat_indices"][offsets[i] : offsets[i + 1]],
-                    data["cat_values"][offsets[i] : offsets[i + 1]],
-                    meta["dim"],
-                )
-                for i in range(len(offsets) - 1)
-            ]
-            proj = data["proj"]
-        return cls(
-            landmarks, make_kernel(meta["kernel"]), proj, meta["b"],
-            meta["r"], meta["seed"],
-        )
+        return cls.from_state(*load_npz(path, FORMAT_VERSION, "map"))
 
 
 def fit_nystrom(dataset, b, r, kernel_fn, seed):

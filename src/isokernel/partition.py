@@ -16,7 +16,7 @@ Built partitionings are immutable and safe for concurrent assignment.
 import numpy as np
 
 from .errors import SampleError
-from .dataset import SparseVector
+from .dataset import pack_ragged, unpack_ragged
 
 # elements per nearest-center score block; bounds peak memory in assign_many
 _SCORE_BLOCK = 32_000_000
@@ -200,15 +200,23 @@ class VoronoiPartition:
         return x.sq_norm() - 2.0 * (Z @ xd) + self.sq_norms
 
     def assign(self, x):
-        return int(np.argmin(self.cell_distances(x)))
+        """Nearest center of one point, scored exactly as ``assign_many``
+        scores a row, so both break ties alike."""
+        Z = self.dense_centers()
+        xd = np.zeros(self.dim)
+        inside = x.indices <= self.dim
+        xd[x.indices[inside] - 1] = x.values[inside]
+        scores = -2.0 * (Z @ xd)
+        scores += self.sq_norms
+        return int(np.argmin(scores))
 
-    def assign_many(self, X, keep_dense=True):
+    def assign_many(self, X):
         """Cell ids for every row of a dense matrix X.
 
         The per-row ||x||^2 term is constant within a row and dropped; it
-        cannot change the argmin. Rows are processed in chunks to bound the
-        score-matrix footprint. ``keep_dense=False`` releases the dense
-        center matrix afterwards (useful for very large maps).
+        cannot change the argmin, but adding it would round away the last
+        bits that separate nearly equidistant centers. Rows are processed in
+        chunks to bound the score-matrix footprint.
         """
         Z = self.dense_centers()
         if X.shape[1] > self.dim:
@@ -223,39 +231,17 @@ class VoronoiPartition:
             scores = -2.0 * (X[lo:hi] @ Z.T)
             scores += self.sq_norms
             out[lo:hi] = np.argmin(scores, axis=1)
-        if not keep_dense:
-            self._dense = None
         return out
 
     def state(self):
-        offsets = np.zeros(len(self.centers) + 1, dtype=np.int64)
-        for i, c in enumerate(self.centers):
-            offsets[i + 1] = offsets[i] + len(c)
         return {
-            "cat_indices": np.concatenate(
-                [c.indices for c in self.centers]
-                or [np.empty(0, dtype=np.int32)]
-            ),
-            "cat_values": np.concatenate(
-                [c.values for c in self.centers] or [np.empty(0)]
-            ),
-            "offsets": offsets,
+            **pack_ragged(self.centers),
             "dim": np.array([self.dim], dtype=np.int64),
         }
 
     @classmethod
     def from_state(cls, state):
-        offsets = state["offsets"]
-        dim = int(state["dim"][0])
-        centers = [
-            SparseVector(
-                state["cat_indices"][offsets[i] : offsets[i + 1]],
-                state["cat_values"][offsets[i] : offsets[i + 1]],
-                dim,
-            )
-            for i in range(len(offsets) - 1)
-        ]
-        return cls(centers)
+        return cls(unpack_ragged(state, int(state["dim"][0])))
 
 
 SCHEMES = {"iforest": ITree, "anne": VoronoiPartition}

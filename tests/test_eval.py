@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -343,11 +344,33 @@ class TestEmission:
         assert loaded["config"]["b"] == 30
 
 
-class TestParallelism:
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        ds = make_two_gaussians(160, 4, 3.0, seed=25)
-        cfg = ProtocolConfig(learner="ik-ogd-anne", psi_grid=(4, 8), t=20)
-        serial = cv_select_psi(ds, cfg)
-        monkeypatch.setenv("ISOKERNEL_THREADS", "4")
-        parallel = cv_select_psi(ds, cfg)
-        assert serial == parallel
+class TestTiming:
+    DELAY = 0.05
+
+    def _slow_encoder(self, monkeypatch):
+        real = Mapper.map_many
+
+        def slow(mapper, dataset):
+            time.sleep(self.DELAY)
+            return real(mapper, dataset)
+
+        monkeypatch.setattr(Mapper, "map_many", slow)
+
+    def test_online_test_time_covers_encoding(self, monkeypatch):
+        ds = make_two_gaussians(400, 4, 3.0, seed=25)
+        cfg = ProtocolConfig(
+            learner="ik-ogd-anne", psi_grid=(8,), t=10, train_size=100,
+            block_size=100,
+        )
+        self._slow_encoder(monkeypatch)
+        metrics = run_online(ds, cfg)
+        blocks = len(metrics.block_accuracy)
+        assert blocks == 3
+        assert metrics.test_time >= blocks * self.DELAY
+
+    def test_batch_test_time_covers_encoding(self, monkeypatch):
+        train = make_two_gaussians(100, 4, 3.0, seed=26)
+        test = make_two_gaussians(50, 4, 3.0, seed=27)
+        cfg = ProtocolConfig(learner="ik-ogd-anne", psi_grid=(8,), t=10)
+        self._slow_encoder(monkeypatch)
+        assert run_batch(train, test, cfg).test_time >= self.DELAY

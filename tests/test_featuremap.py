@@ -1,5 +1,7 @@
 """Feature map geometry, kernel estimation, and indexed dot products."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,28 @@ class TestPersistence:
         for _ in range(50):
             x = rand_sparse(rng, 6)
             assert np.array_equal(mapper.map_point(x), clone.map_point(x))
+
+    @pytest.mark.parametrize(
+        "scheme, part_keys",
+        [
+            ("iforest", {"feature", "threshold", "left", "right", "leaf_id"}),
+            ("anne", {"cat_indices", "cat_values", "offsets", "dim"}),
+        ],
+    )
+    def test_file_layout(self, tmp_path, scheme, part_keys):
+        # maps saved by earlier releases must keep loading
+        ds, mapper = fit_small(scheme=scheme, t=3)
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        with np.load(path) as data:
+            files = set(data.files)
+            meta = json.loads(str(data["meta"]))
+        assert files == {"meta"} | {
+            f"part{i}_{key}" for i in range(3) for key in part_keys
+        }
+        assert set(meta) == {"format_version", "scheme", "t", "psi", "seed",
+                             "dim"}
+        assert meta["format_version"] == 1
 
     def test_features_csv_row_count(self, tmp_path):
         ds, mapper = fit_small(n=17)

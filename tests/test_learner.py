@@ -1,10 +1,12 @@
 """Online learners: margin rule, primal-dual agreement, cost counters."""
 
+import json
+
 import numpy as np
 import pytest
 
 from isokernel.dataset import SparseVector
-from isokernel.errors import ProvenanceError, ShapeError
+from isokernel.errors import ParameterError, ProvenanceError, ShapeError
 from isokernel.featuremap import (
     Mapper,
     accumulate,
@@ -14,6 +16,7 @@ from isokernel.featuremap import (
 )
 from isokernel.kernels import Laplacian
 from isokernel.learner import (
+    FORMAT_VERSION,
     DualModel,
     FeatureMatchKernel,
     IKOGDModel,
@@ -277,6 +280,19 @@ class TestCheckpoints:
         assert len(clone) == len(m)
         x = rand_sparse(rng, 5)
         assert clone.predict(x) == pytest.approx(m.predict(x), abs=1e-12)
+
+    def test_older_format_rejected(self, tmp_path):
+        m = DualModel(Laplacian(psi=16, dim=3))
+        path = tmp_path / "ogd.npz"
+        save_checkpoint(path, "ogd", m, {})
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        assert meta["format_version"] == FORMAT_VERSION == 2
+        meta["format_version"] = 1
+        np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+        with pytest.raises(ParameterError, match="format 1"):
+            load_checkpoint(path)
 
     def test_nogd_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -1,5 +1,7 @@
 """Eigendecomposition contract and the landmark feature map."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,22 @@ class TestNystromMap:
         for _ in range(20):
             x = rand_sparse(rng, 4)
             assert np.allclose(clone.map_point(x), nm.map_point(x), atol=0)
+
+    def test_file_layout(self, tmp_path):
+        # landmark maps saved by earlier releases must keep loading
+        rng = np.random.default_rng(12)
+        ds = rand_dataset(rng, 30, 4)
+        nm = fit_nystrom(ds, b=12, r=4, kernel_fn=Laplacian(32, 4), seed=3)
+        path = tmp_path / "nm.npz"
+        nm.save(path)
+        with np.load(path) as data:
+            files = set(data.files)
+            meta = json.loads(str(data["meta"]))
+        assert files == {"meta", "proj", "cat_indices", "cat_values",
+                         "offsets"}
+        assert set(meta) == {"format_version", "kernel", "b", "r", "seed",
+                             "dim"}
+        assert meta["format_version"] == 1
 
     def test_eigen_floor_value(self):
         assert EIGEN_FLOOR == 1e-10

@@ -203,6 +203,29 @@ class TestVoronoi:
         point = np.array([part.assign(q) for q in queries])
         assert np.array_equal(batch, point)
 
+    def test_batch_assign_matches_pointwise_on_disjoint_supports(self):
+        # A query sharing no column with any centre is ||x||^2 + ||z||^2
+        # from each. Unit-norm centres differ in ||z||^2 only by rounding,
+        # so the nearest one is decided by ulps that adding ||x||^2 in one
+        # path but not the other would erase.
+        rng = np.random.default_rng(3)
+
+        def unit(cols):
+            v = rng.standard_normal(cols.size)
+            return SparseVector(cols + 1, v / np.linalg.norm(v), 40)
+
+        centers = [
+            unit(np.sort(rng.choice(20, 3, replace=False))) for _ in range(8)
+        ]
+        queries = [
+            unit(np.sort(rng.choice(20, 3, replace=False)) + 20)
+            for _ in range(20)
+        ]
+        part = VoronoiPartition.build(centers)
+        batch = part.assign_many(np.stack([q.densify() for q in queries]))
+        point = np.array([part.assign(q) for q in queries])
+        assert np.array_equal(batch, point)
+
     def test_totality(self):
         rng = np.random.default_rng(39)
         centers = [rand_sparse(rng, 4) for _ in range(8)]
