@@ -24,7 +24,6 @@ from .dataset import (
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .featuremap import (
     Mapper,
-    OpCounter,
     accumulate,
     efficient_dot,
     kernel,
@@ -243,9 +242,8 @@ class IKOGDModel(_Model):
 
     def predict(self, f):
         self._check(f)
-        counter = OpCounter()
-        score = efficient_dot(self.w, f, counter) / self.t
-        self._count(1, counter.count)
+        score = efficient_dot(self.w, f) / self.t
+        self._count(1, self.t)
         return score
 
     def predict_many(self, F):
