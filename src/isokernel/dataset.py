@@ -10,6 +10,7 @@ across readers; slicing operations reuse the underlying point objects.
 import gzip
 import io
 import json
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -261,16 +262,20 @@ def save_npz(path, version, meta, arrays):
     np.savez_compressed(path, meta=header, **arrays)
 
 
-def load_npz(path, version, what):
-    """(meta, arrays) of a file written by ``save_npz`` at ``version``."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["format_version"] != version:
-            raise ParameterError(
-                f"unsupported {what} format {meta['format_version']}"
-            )
-        arrays = {key: data[key] for key in data.files if key != "meta"}
-    return meta, arrays
+def load_npz(path, version, what, decode):
+    """``decode(meta, arrays)`` of a file written by ``save_npz`` at
+    ``version``; an unreadable file or bad meta or arrays raise LoadError."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta["format_version"] != version:
+                raise ParameterError(
+                    f"unsupported {what} format {meta['format_version']}"
+                )
+            arrays = {key: data[key] for key in data.files if key != "meta"}
+        return decode(meta, arrays)
+    except (KeyError, IndexError, TypeError, ValueError, BadZipFile) as exc:
+        raise LoadError(f"cannot read {what} file {path}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

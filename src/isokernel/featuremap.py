@@ -16,9 +16,11 @@ import numpy as np
 
 from .dataset import load_npz, save_npz, strip_prefix
 from .errors import ParameterError, ProvenanceError, ShapeError
-from .partition import SCHEMES, sample_psi
+from .partition import SCHEMES, ITree, sample_psi
 
 FORMAT_VERSION = 1
+# elements in one encoding block's (row, tree) pairs or (row, center) scores
+_BLOCK = 1 << 14
 
 
 class OpCounter:
@@ -44,6 +46,7 @@ class Mapper:
         self.seed = seed
         self.dim = dim
         self.encode_ops = 0  # partitioning assignments performed so far
+        self._forest = ITree.join(parts) if scheme == "iforest" else None
 
     @classmethod
     def fit(cls, dataset, psi, t, scheme, seed):
@@ -73,20 +76,27 @@ class Mapper:
 
     def map_point(self, x):
         """Indexed feature of x: entry i is the cell id under partitioning i."""
-        out = np.array([p.assign(x) for p in self.parts], dtype=np.int32)
-        self.encode_ops += out.size
-        return out
+        return self._encode(x.densify()[None])[0]
 
     def map_many(self, dataset):
-        """Indexed features for a whole dataset as an (n, t) int32 matrix.
+        """Indexed features for a whole dataset as an (n, t) int32 matrix,
+        equal to stacking ``map_point`` over all points."""
+        return self._encode(dataset.dense())
 
-        Equivalent to stacking ``map_point`` over all points, but assigns
-        through each partitioning with one vectorized pass.
-        """
-        X = dataset.dense()
+    def _encode(self, X):
+        """Cell ids of the rows of dense X, in blocks of at most ``_BLOCK``
+        (row, tree) pairs or (row, center) scores, or of one row when a row
+        has more."""
         out = np.empty((X.shape[0], self.t), dtype=np.int32)
-        for i, part in enumerate(self.parts):
-            out[:, i] = part.assign_many(X)
+        step = max(1, _BLOCK // (self.t if self._forest else self.psi))
+        for lo in range(0, X.shape[0], step):
+            block = X[lo : lo + step]
+            if self._forest:
+                forest, roots = self._forest
+                out[lo : lo + step] = forest.leaf_id[forest.descend(block, roots)]
+            else:
+                for i, part in enumerate(self.parts):
+                    out[lo : lo + step, i] = part.assign_many(block)
         self.encode_ops += out.size
         return out
 
@@ -127,7 +137,7 @@ class Mapper:
 
     @classmethod
     def load(cls, path):
-        return cls.from_state(*load_npz(path, FORMAT_VERSION, "map"))
+        return load_npz(path, FORMAT_VERSION, "map", cls.from_state)
 
 
 def kernel(fa, fb):

@@ -351,7 +351,10 @@ def save_checkpoint(path, kind, model, hyper):
 
 def load_checkpoint(path):
     """Rebuild (kind, model, hyper) from a checkpoint written above."""
-    meta, arrays = load_npz(path, FORMAT_VERSION, "checkpoint")
+    return load_npz(path, FORMAT_VERSION, "checkpoint", _decode_checkpoint)
+
+
+def _decode_checkpoint(meta, arrays):
     model_cls, encoder_cls = _classes(meta["kind"])
     encoder = None
     if encoder_cls is not None:

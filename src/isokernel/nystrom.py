@@ -79,10 +79,8 @@ class NystromMap:
         return self.proj.shape[0]
 
     def map_point(self, x):
-        """Dense feature vector of length effective_r."""
-        kvec = np.array([self.kernel(x, z) for z in self.landmarks])
-        self.encode_ops += kvec.size
-        return self.proj @ kvec
+        """Dense feature vector of length effective_r: ``map_many([x])``."""
+        return self.map_many([x])[0]
 
     def map_many(self, points):
         """Feature matrix (n, effective_r) for a list or Dataset of points."""
@@ -114,7 +112,7 @@ class NystromMap:
 
     @classmethod
     def load(cls, path):
-        return cls.from_state(*load_npz(path, FORMAT_VERSION, "map"))
+        return load_npz(path, FORMAT_VERSION, "map", cls.from_state)
 
 
 def fit_nystrom(dataset, b, r, kernel_fn, seed):

@@ -18,9 +18,6 @@ import numpy as np
 from .errors import SampleError
 from .dataset import pack_ragged, unpack_ragged
 
-# elements per nearest-center score block; bounds peak memory in assign_many
-_SCORE_BLOCK = 32_000_000
-
 
 def sample_psi(dataset, psi, rng):
     """Draw psi distinct points uniformly without replacement.
@@ -62,6 +59,7 @@ class ITree:
         self.right = np.asarray(right, dtype=np.int32)
         self.leaf_id = np.asarray(leaf_id, dtype=np.int32)
         self.n_cells = int(self.leaf_id.max()) + 1
+        self.width = int(self.feature.max()) + 1  # columns the splits read
 
     @classmethod
     def build(cls, sample, rng):
@@ -119,28 +117,43 @@ class ITree:
             stack.append((left_slot, rows[go_left]))
         return cls(feature, threshold, left, right, leaf_id)
 
+    @classmethod
+    def join(cls, trees):
+        """All ``trees`` as one flat forest, and the node index of each root.
+        Child links are shifted by their tree's root; leaf ids are not."""
+        roots = np.cumsum([0] + [tree.feature.size for tree in trees[:-1]])
+        columns = zip(*[
+            (tree.feature, tree.threshold, tree.left + root,
+             tree.right + root, tree.leaf_id)
+            for tree, root in zip(trees, roots)
+        ])
+        return cls(*map(np.concatenate, columns)), roots
+
+    def descend(self, X, roots):
+        """Leaf node of every (row of dense X, tree rooted at ``roots``) pair,
+        as an (n, len(roots)) array; columns X lacks read as 0. All pairs go
+        down a level at a time, and a pair leaves the active set at a leaf."""
+        if X.shape[1] < self.width:
+            X = np.pad(X, ((0, 0), (0, self.width - X.shape[1])))
+        k = len(roots)
+        node = np.tile(np.asarray(roots, dtype=np.int32), X.shape[0])
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            nd = node[live]
+            node[live] = np.where(
+                X[live // k, self.feature[nd]] < self.threshold[nd],
+                self.left[nd], self.right[nd],
+            )
+            live = live[self.feature[node[live]] >= 0]
+        return node.reshape(X.shape[0], k)
+
     def assign(self, x):
-        """Cell id of a single SparseVector (deterministic descent)."""
-        node = 0
-        while self.feature[node] >= 0:
-            if x.get(int(self.feature[node]) + 1) < self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return int(self.leaf_id[node])
+        """Cell id of a single SparseVector: ``assign_many`` of one row."""
+        return int(self.assign_many(x.densify()[None])[0])
 
     def assign_many(self, X):
         """Cell ids for every row of a dense matrix X."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        pending = np.flatnonzero(self.feature[node] >= 0)
-        while pending.size:
-            nd = node[pending]
-            vals = X[pending, self.feature[nd]]
-            node[pending] = np.where(
-                vals < self.threshold[nd], self.left[nd], self.right[nd]
-            )
-            pending = pending[self.feature[node[pending]] >= 0]
-        return self.leaf_id[node].copy()
+        return self.leaf_id[self.descend(X, [0])[:, 0]]
 
     def state(self):
         return {
@@ -193,45 +206,28 @@ class VoronoiPartition:
 
     def cell_distances(self, x):
         """Three-term squared distances from x to every center."""
-        Z = self.dense_centers()
-        xd = np.zeros(self.dim)
-        inside = x.indices <= self.dim
-        xd[x.indices[inside] - 1] = x.values[inside]
-        return x.sq_norm() - 2.0 * (Z @ xd) + self.sq_norms
+        return x.sq_norm() + self._scores(x.densify()[None])[0]
 
     def assign(self, x):
-        """Nearest center of one point, scored exactly as ``assign_many``
-        scores a row, so both break ties alike."""
-        Z = self.dense_centers()
-        xd = np.zeros(self.dim)
-        inside = x.indices <= self.dim
-        xd[x.indices[inside] - 1] = x.values[inside]
-        scores = -2.0 * (Z @ xd)
-        scores += self.sq_norms
-        return int(np.argmin(scores))
+        """Nearest center of one point: ``assign_many`` of one row."""
+        return int(self.assign_many(x.densify()[None])[0])
 
     def assign_many(self, X):
-        """Cell ids for every row of a dense matrix X.
+        """Cell ids for every row of a dense matrix X."""
+        return np.argmin(self._scores(X), axis=1).astype(np.int32)
 
-        The per-row ||x||^2 term is constant within a row and dropped; it
-        cannot change the argmin, but adding it would round away the last
-        bits that separate nearly equidistant centers. Rows are processed in
-        chunks to bound the score-matrix footprint.
-        """
+    def _scores(self, X):
+        """||z||^2 - 2<x, z> for every row x of X and center z: the squared
+        distance less ||x||^2, which cannot change a row's argmin but, if
+        added, would round away the bits that separate near ties."""
         Z = self.dense_centers()
         if X.shape[1] > self.dim:
             X = X[:, : self.dim]
         elif X.shape[1] < self.dim:
             Z = Z[:, : X.shape[1]]
-        n = X.shape[0]
-        out = np.empty(n, dtype=np.int32)
-        step = max(1, _SCORE_BLOCK // max(1, self.n_cells))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            scores = -2.0 * (X[lo:hi] @ Z.T)
-            scores += self.sq_norms
-            out[lo:hi] = np.argmin(scores, axis=1)
-        return out
+        scores = -2.0 * (X @ Z.T)
+        scores += self.sq_norms
+        return scores
 
     def state(self):
         return {

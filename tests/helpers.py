@@ -34,3 +34,27 @@ def uniform_dataset(rng, n, dim, name="uniform"):
             LabeledPoint(SparseVector(nz + 1, row[nz], dim), 1)
         )
     return Dataset(points, dim=dim, name=name)
+
+
+def damage_npz(path, drop=None, meta=None):
+    """Rewrite the npz at ``path`` without array ``drop``, or with ``meta``
+    as its header."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files if key != drop}
+    if meta is not None:
+        arrays["meta"] = meta
+    np.savez_compressed(path, **arrays)
+
+
+def unreadable_files(tmp_path):
+    """Paths of files that are not npz: LIBSVM text, a bare .npy array and
+    a truncated npz."""
+    text = tmp_path / "text.npz"
+    text.write_text("+1 1:0.5\n")
+    bare = tmp_path / "bare.npy"
+    np.save(bare, np.arange(3))
+    whole = tmp_path / "whole.npz"
+    np.savez_compressed(whole, meta="{}", a=np.arange(100))
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes(whole.read_bytes()[:40])
+    return [text, bare, cut]

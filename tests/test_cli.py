@@ -11,6 +11,8 @@ from isokernel.errors import NumericError
 from isokernel.eval import make_two_gaussians
 from isokernel.learner import load_checkpoint
 
+from helpers import damage_npz, unreadable_files
+
 
 @pytest.fixture
 def data_files(tmp_path):
@@ -200,6 +202,18 @@ class TestExitCodes:
             "eval-batch", "--train", str(bad), "--test", test,
             "--learner", "ogd", "--psi", "8",
         ]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_unreadable_map_is_a_data_error(self, tmp_path, data_files, capsys):
+        train, _ = data_files
+        map_path = str(tmp_path / "m.npz")
+        assert run_cli([
+            "fit-map", "--data", train, "--out", map_path, "--psi", "8",
+            "--t", "3", "--scheme", "anne", "--seed", "1",
+        ]) == 0
+        damage_npz(map_path, drop="part1_offsets")
+        for path in [map_path, *unreadable_files(tmp_path)]:
+            assert run_cli(["inspect", "--map", str(path)]) == 2
         assert "data error" in capsys.readouterr().err
 
     def test_numeric_errors(self, data_files, monkeypatch, capsys):

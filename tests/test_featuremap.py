@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from isokernel.errors import ParameterError, ProvenanceError, ShapeError
+import isokernel.featuremap as featuremap
+from isokernel.errors import (
+    LoadError,
+    ParameterError,
+    ProvenanceError,
+    ShapeError,
+)
 from isokernel.featuremap import (
     Mapper,
     OpCounter,
@@ -18,7 +24,9 @@ from isokernel.featuremap import (
     write_features_csv,
 )
 
-from helpers import rand_dataset, rand_sparse
+from isokernel.partition import ITree, VoronoiPartition
+
+from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
 
 
 def fit_small(rng_seed=0, n=200, dim=6, psi=8, t=32, scheme="anne"):
@@ -276,6 +284,33 @@ class TestPersistence:
                              "dim"}
         assert meta["format_version"] == 1
 
+    @pytest.mark.parametrize(
+        "scheme, key", [("iforest", "part1_left"), ("anne", "part1_offsets")]
+    )
+    def test_missing_array_is_a_load_error(self, tmp_path, scheme, key):
+        _, mapper = fit_small(scheme=scheme, t=3)
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        damage_npz(path, drop=key)
+        with pytest.raises(LoadError, match="map file"):
+            Mapper.load(path)
+
+    @pytest.mark.parametrize(
+        "meta", ["{not json", "[1]", '{"format_version": 1, "t": 3}']
+    )
+    def test_bad_meta_is_a_load_error(self, tmp_path, meta):
+        _, mapper = fit_small(t=3)
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        damage_npz(path, meta=meta)
+        with pytest.raises(LoadError):
+            Mapper.load(path)
+
+    def test_unreadable_file_is_a_load_error(self, tmp_path):
+        for path in unreadable_files(tmp_path):
+            with pytest.raises(LoadError):
+                Mapper.load(path)
+
     def test_features_csv_row_count(self, tmp_path):
         ds, mapper = fit_small(n=17)
         F = mapper.map_many(ds)
@@ -284,3 +319,38 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 17
         assert all(len(line.split(",")) == mapper.t for line in lines)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "scheme, t, psi",
+        [("iforest", 3, 5), ("iforest", 12, 5), ("anne", 3, 5),
+         ("anne", 3, 12)],
+    )
+    def test_tiny_blocks_encode_alike_within_the_bound(
+        self, monkeypatch, scheme, t, psi
+    ):
+        ds, mapper = fit_small(n=60, scheme=scheme, t=t, psi=psi)
+        expected = mapper.map_many(ds)
+        sizes = []  # (row, tree) pairs or (row, center) scores per call
+        descend = ITree.descend
+        assign_many = VoronoiPartition.assign_many
+
+        def spy_descend(self, X, roots):
+            sizes.append(X.shape[0] * len(roots))
+            return descend(self, X, roots)
+
+        def spy_assign_many(self, X):
+            sizes.append(X.shape[0] * self.n_cells)
+            return assign_many(self, X)
+
+        monkeypatch.setattr(ITree, "descend", spy_descend)
+        monkeypatch.setattr(VoronoiPartition, "assign_many", spy_assign_many)
+        monkeypatch.setattr(featuremap, "_BLOCK", 7)
+        assert np.array_equal(mapper.map_many(ds), expected)
+        # every row is encoded once per forest, or once per partitioning,
+        # in calls no larger than a block, or than one row when it is wider
+        assert sum(sizes) == len(ds) * t * (1 if scheme == "iforest" else psi)
+        assert max(sizes) <= max(7, t if scheme == "iforest" else psi)
+        for p, row in zip(ds, expected):
+            assert np.array_equal(mapper.map_point(p.x), row)

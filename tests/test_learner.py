@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from isokernel.dataset import SparseVector
-from isokernel.errors import ParameterError, ProvenanceError, ShapeError
+from isokernel.errors import (
+    LoadError,
+    ParameterError,
+    ProvenanceError,
+    ShapeError,
+)
 from isokernel.featuremap import (
     Mapper,
     accumulate,
@@ -27,7 +32,7 @@ from isokernel.learner import (
     save_checkpoint,
 )
 
-from helpers import rand_dataset, rand_sparse
+from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
 
 
 class TestPredictLabel:
@@ -293,6 +298,27 @@ class TestCheckpoints:
         np.savez_compressed(path, meta=json.dumps(meta), **arrays)
         with pytest.raises(ParameterError, match="format 1"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "drop, meta",
+        [("model_w", None), ("encoder_part0_feature", None),
+         (None, '{"format_version": 2}')],
+    )
+    def test_damaged_checkpoint_is_a_load_error(self, tmp_path, drop, meta):
+        rng = np.random.default_rng(12)
+        mapper = Mapper.fit(rand_dataset(rng, 30, 4), psi=4, t=3,
+                            scheme="iforest", seed=1)
+        path = tmp_path / "ik.npz"
+        save_checkpoint(path, "ik-ogd-iforest",
+                        IKOGDModel(mapper.t, mapper.psi, mapper=mapper), {})
+        damage_npz(path, drop=drop, meta=meta)
+        with pytest.raises(LoadError, match="checkpoint file"):
+            load_checkpoint(path)
+
+    def test_unreadable_file_is_a_load_error(self, tmp_path):
+        for path in unreadable_files(tmp_path):
+            with pytest.raises(LoadError):
+                load_checkpoint(path)
 
     def test_nogd_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -8,13 +8,14 @@ import pytest
 from isokernel.errors import (
     ContractError,
     DegenerateKernelError,
+    LoadError,
     ParameterError,
     SampleError,
 )
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.nystrom import EIGEN_FLOOR, NystromMap, fit_nystrom, sym_eigen
 
-from helpers import rand_dataset
+from helpers import damage_npz, rand_dataset, unreadable_files
 
 
 class DeltaKernel:
@@ -205,6 +206,22 @@ class TestNystromMap:
         assert set(meta) == {"format_version", "kernel", "b", "r", "seed",
                              "dim"}
         assert meta["format_version"] == 1
+
+    @pytest.mark.parametrize("key", ["offsets", "proj"])
+    def test_missing_array_is_a_load_error(self, tmp_path, key):
+        rng = np.random.default_rng(13)
+        ds = rand_dataset(rng, 20, 4)
+        nm = fit_nystrom(ds, b=8, r=3, kernel_fn=Laplacian(8, 4), seed=4)
+        path = tmp_path / "nm.npz"
+        nm.save(path)
+        damage_npz(path, drop=key)
+        with pytest.raises(LoadError, match="map file"):
+            NystromMap.load(path)
+
+    def test_unreadable_file_is_a_load_error(self, tmp_path):
+        for path in unreadable_files(tmp_path):
+            with pytest.raises(LoadError):
+                NystromMap.load(path)
 
     def test_eigen_floor_value(self):
         assert EIGEN_FLOOR == 1e-10

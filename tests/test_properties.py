@@ -1,9 +1,10 @@
 """Property tests for the contracts every refactor must keep.
 
 Save -> load is bit-identical for feature maps, landmark maps and all four
-checkpoint kinds; ``map_point`` equals the matching ``map_many`` row; the
-indexed kernel is symmetric, lies on the grid {0, 1/t, ..., 1} and has
-k(x, x) = 1.
+checkpoint kinds; ``map_point`` equals the matching ``map_many`` row, and
+column i of ``map_many`` equals partitioning i's ``assign``, whatever dim
+the points are declared at; the indexed kernel is symmetric, lies on the
+grid {0, 1/t, ..., 1} and has k(x, x) = 1.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order.
@@ -36,8 +37,8 @@ bounded = settings(max_examples=25, deadline=None)
 
 
 @st.composite
-def datasets(draw, min_size=2, max_size=20):
-    dim = draw(st.integers(1, 5))
+def datasets(draw, min_size=2, max_size=20, dims=st.integers(1, 5)):
+    dim = draw(dims)
     n = draw(st.integers(min_size, max_size))
     rows = draw(st.lists(
         st.lists(VALUES, min_size=dim, max_size=dim), min_size=n, max_size=n
@@ -59,6 +60,24 @@ def fitted_maps(draw):
     t = draw(st.integers(1, 8))
     mapper = Mapper.fit(ds, psi, t, draw(SCHEMES), draw(st.integers(0, 2**16)))
     return ds, mapper
+
+
+@st.composite
+def maps_and_queries(draw):
+    """(Mapper, [training set, queries]). The training rows repeat a few
+    distinct points, so some samples hold one point and their tree is a
+    single leaf; the queries are declared at a dim below, at or above the
+    map's."""
+    pool = draw(datasets(min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2,
+                          max_size=20))
+    train = Dataset([pool[i] for i in picks], dim=pool.dim)
+    psi = draw(st.integers(1, len(train)))
+    t = draw(st.integers(1, 8))
+    mapper = Mapper.fit(train, psi, t, draw(SCHEMES),
+                        draw(st.integers(0, 2**16)))
+    queries = draw(datasets(min_size=1, dims=st.integers(1, pool.dim + 2)))
+    return mapper, [train, queries]
 
 
 def round_trip(save, load):
@@ -170,6 +189,17 @@ class TestEncoding:
         batch = mapper.map_many(ds)
         for p, row in zip(ds, batch):
             assert np.array_equal(mapper.map_point(p.x), row)
+
+    @bounded
+    @given(maps_and_queries())
+    def test_map_many_column_equals_single_point_assign(self, case):
+        mapper, sets = case
+        for ds in sets:
+            batch = mapper.map_many(ds)
+            for i, part in enumerate(mapper.parts):
+                assert batch[:, i].tolist() == [part.assign(p.x) for p in ds]
+            for p, row in zip(ds, batch):
+                assert np.array_equal(mapper.map_point(p.x), row)
 
     @bounded
     @given(fitted_maps(), st.data())
