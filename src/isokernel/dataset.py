@@ -10,6 +10,7 @@ across readers; slicing operations reuse the underlying point objects.
 import gzip
 import io
 import json
+import math
 from zipfile import BadZipFile
 
 import numpy as np
@@ -22,7 +23,7 @@ class SparseVector:
 
     Attributes:
         indices: int32 array of 1-based attribute ids, strictly increasing.
-        values: float64 array, same length, no entry exactly 0.
+        values: float64 array, same length, finite, no entry exactly 0.
         dim: declared dimensionality d (>= max index).
     """
 
@@ -34,12 +35,14 @@ class SparseVector:
         if indices.shape != values.shape or indices.ndim != 1:
             raise FormatError("indices and values must be 1-d and equal length")
         if indices.size:
-            if indices[0] < 1 or np.any(np.diff(indices) <= 0):
+            if indices[0] < 1 or (indices[1:] <= indices[:-1]).any():
                 raise FormatError("indices must be strictly increasing and >= 1")
             if dim < int(indices[-1]):
                 raise FormatError(f"dim {dim} smaller than max index {indices[-1]}")
-            if np.any(values == 0.0):
+            if (values == 0.0).any():
                 raise FormatError("stored values must be nonzero")
+            if not np.isfinite(values).all():
+                raise FormatError("stored values must be finite")
         self.indices = indices
         self.values = values
         self.dim = int(dim)
@@ -283,7 +286,9 @@ def load_npz(path, version, what, decode):
 
 
 def _parse_raw_line(line, lineno=None):
-    """Parse one LIBSVM line into (raw_label, indices, values, max_index)."""
+    """Parse one LIBSVM line into (raw_label, indices, values, max_index),
+    with the indices and values as the int32 and float64 arrays a
+    SparseVector stores, so a file's lines are held only once."""
     tokens = line.split()
     if not tokens:
         raise ParseError("empty line", lineno)
@@ -291,6 +296,8 @@ def _parse_raw_line(line, lineno=None):
         raw_label = float(tokens[0])
     except ValueError:
         raise ParseError(f"label {tokens[0]!r} is not a number", lineno) from None
+    if not math.isfinite(raw_label):
+        raise ParseError(f"label {tokens[0]!r} is not finite", lineno)
     indices = []
     values = []
     last_index = 0
@@ -303,6 +310,8 @@ def _parse_raw_line(line, lineno=None):
             value = float(val_s)
         except ValueError:
             raise ParseError(f"malformed feature token {tok!r}", lineno) from None
+        if not math.isfinite(value):
+            raise ParseError(f"feature value {tok!r} is not finite", lineno)
         if index < 1:
             raise FormatError(f"feature index {index} must be >= 1", lineno)
         if index <= last_index:
@@ -313,7 +322,12 @@ def _parse_raw_line(line, lineno=None):
         if value != 0.0:  # explicit zero == absent
             indices.append(index)
             values.append(value)
-    return raw_label, indices, values, last_index
+    return (
+        raw_label,
+        np.array(indices, dtype=np.int32),
+        np.array(values, dtype=np.float64),
+        last_index,
+    )
 
 
 def parse_libsvm_line(line, dim_hint=None, lineno=None):

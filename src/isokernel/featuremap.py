@@ -10,17 +10,29 @@ k(x, x) = 1.
 
 Weight matrices for primal learners are plain (t, psi) float arrays; the
 indexed form makes <w, feature> a sum of t entries of w, independent of psi.
+
+Encoding reads points as sparse rows and never builds an n x d matrix. The
+partitionings are joined once per map (``ITree.join``: one flat forest;
+``VoronoiPartition.join``: groups of stacked centres), and each joined form
+reads only its own sorted columns. Rows go through each joined form in
+blocks, densified onto those columns alone; a block holds at most
+``_BLOCK`` elements of the widest array it creates, whether (row, tree)
+pairs, (row, centre) scores or (row, column) entries, or one row when a
+row has more.
 """
 
 import numpy as np
 
 from .dataset import load_npz, save_npz, strip_prefix
 from .errors import ParameterError, ProvenanceError, ShapeError
-from .partition import SCHEMES, ITree, sample_psi
+from .partition import SCHEMES, ITree, VoronoiPartition, sample_psi
 
 FORMAT_VERSION = 1
-# elements in one encoding block's (row, tree) pairs or (row, center) scores
-_BLOCK = 1 << 14
+# elements in the widest array of one encoding block: its (row, tree)
+# pairs, (row, centre) scores or densified (row, column) entries
+_BLOCK = 1 << 17
+_NO_INDICES = np.empty(0, dtype=np.int32)
+_NO_VALUES = np.empty(0)
 
 
 class OpCounter:
@@ -46,7 +58,10 @@ class Mapper:
         self.seed = seed
         self.dim = dim
         self.encode_ops = 0  # partitioning assignments performed so far
-        self._forest = ITree.join(parts) if scheme == "iforest" else None
+        if scheme == "iforest":
+            self._forest, self._stacks = ITree.join(parts), []
+        else:
+            self._forest, self._stacks = None, VoronoiPartition.join(parts)
 
     @classmethod
     def fit(cls, dataset, psi, t, scheme, seed):
@@ -76,27 +91,31 @@ class Mapper:
 
     def map_point(self, x):
         """Indexed feature of x: entry i is the cell id under partitioning i."""
-        return self._encode(x.densify()[None])[0]
+        return self._encode([x])[0]
 
     def map_many(self, dataset):
         """Indexed features for a whole dataset as an (n, t) int32 matrix,
         equal to stacking ``map_point`` over all points."""
-        return self._encode(dataset.dense())
+        return self._encode([p.x for p in dataset])
 
-    def _encode(self, X):
-        """Cell ids of the rows of dense X, in blocks of at most ``_BLOCK``
-        (row, tree) pairs or (row, center) scores, or of one row when a row
-        has more."""
-        out = np.empty((X.shape[0], self.t), dtype=np.int32)
-        step = max(1, _BLOCK // (self.t if self._forest else self.psi))
-        for lo in range(0, X.shape[0], step):
-            block = X[lo : lo + step]
-            if self._forest:
-                forest, roots = self._forest
-                out[lo : lo + step] = forest.leaf_id[forest.descend(block, roots)]
-            else:
-                for i, part in enumerate(self.parts):
-                    out[lo : lo + step, i] = part.assign_many(block)
+    def _encode(self, xs):
+        """Cell ids of the SparseVectors ``xs``, block by block."""
+        rows = (
+            np.repeat(np.arange(len(xs)), [x.indices.size for x in xs]),
+            np.concatenate([_NO_INDICES, *(x.indices for x in xs)]) - 1,
+            np.concatenate([_NO_VALUES, *(x.values for x in xs)]),
+        )
+        out = np.empty((len(xs), self.t), dtype=np.int32)
+        if self._forest:
+            forest, roots, cols = self._forest
+            for lo, X in _blocks(rows, len(xs), cols, self.t):
+                out[lo : lo + len(X)] = forest.leaf_id[forest.descend(X, roots)]
+        for stack in self._stacks:
+            width = stack.Z.shape[0]
+            for lo, X in _blocks(rows, len(xs), stack.cols, width):
+                out[lo : lo + len(X), stack.first : stack.first + stack.k] = (
+                    stack.assign_many(X)
+                )
         self.encode_ops += out.size
         return out
 
@@ -138,6 +157,24 @@ class Mapper:
     @classmethod
     def load(cls, path):
         return load_npz(path, FORMAT_VERSION, "map", cls.from_state)
+
+
+def _blocks(rows, n, cols, width):
+    """Dense blocks ``(lo, X)`` of ``n`` packed sparse rows ``(row, column,
+    value)``, densified onto the sorted columns ``cols``: X holds rows lo..
+    at ``cols``' positions. A block has at most ``_BLOCK`` elements of X or
+    of a ``width``-wide array per row, or one row when a row has more."""
+    row, col, val = rows
+    at = np.searchsorted(cols, col)
+    hit = np.append(cols, -1)[at] == col
+    if not hit.all():
+        row, at, val = row[hit], at[hit], val[hit]
+    step = max(1, _BLOCK // max(width, cols.size))
+    for lo in range(0, n, step):
+        a, b = np.searchsorted(row, (lo, lo + step))
+        X = np.zeros((min(step, n - lo), cols.size))
+        X[row[a:b] - lo, at[a:b]] = val[a:b]
+        yield lo, X
 
 
 def kernel(fa, fb):

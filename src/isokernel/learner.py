@@ -22,13 +22,7 @@ from .dataset import (
     unpack_ragged,
 )
 from .errors import ParameterError, ProvenanceError, ShapeError
-from .featuremap import (
-    Mapper,
-    accumulate,
-    efficient_dot,
-    kernel,
-    new_weights,
-)
+from .featuremap import Mapper, kernel, new_weights
 from .kernels import make_kernel
 from .nystrom import NystromMap
 
@@ -228,6 +222,7 @@ class IKOGDModel(_Model):
         self.psi = psi
         self.mapper = mapper
         self.w = new_weights(t, psi)
+        self._rows = np.arange(t)  # row i of w holds partitioning i's cells
         self.update_log = [] if record_updates else None
 
     @property
@@ -242,7 +237,7 @@ class IKOGDModel(_Model):
 
     def predict(self, f):
         self._check(f)
-        score = efficient_dot(self.w, f) / self.t
+        score = float(self.w[self._rows, f].sum()) / self.t
         self._count(1, self.t)
         return score
 
@@ -254,12 +249,12 @@ class IKOGDModel(_Model):
                 f"feature length {F.shape[1]} does not match model t={self.t}"
             )
         self._count(F.shape[0], self.t)
-        return self.w[np.arange(self.t), F].sum(axis=1) / self.t
+        return self.w[self._rows, F].sum(axis=1) / self.t
 
     def step(self, f, c, eta):
         score = self.predict(f)
         if margin_violated(score, c):
-            accumulate(self.w, f, eta * c)
+            self.w[self._rows, f] += eta * c
             self.updates += 1
             if self.update_log is not None:
                 self.update_log.append((f.copy(), eta * c))

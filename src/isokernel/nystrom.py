@@ -45,10 +45,13 @@ def sym_eigen(M):
 
 
 def _kernel_matrix(kernel_fn, points_a, points_b):
-    """Gram matrix between two point lists via the kernel's batch path."""
+    """Gram matrix between two point lists via the kernel's batch path, on
+    both lists densified at their common dim (which may exceed the
+    kernel's: a point wider than the fitted data keeps all its entries)."""
     if hasattr(kernel_fn, "matrix") and hasattr(kernel_fn, "point_to_row"):
-        A = np.stack([kernel_fn.point_to_row(p) for p in points_a])
-        B = np.stack([kernel_fn.point_to_row(p) for p in points_b])
+        dim = max(p.dim for p in (*points_a, *points_b))
+        A = np.stack([p.densify(dim) for p in points_a])
+        B = np.stack([p.densify(dim) for p in points_b])
         return kernel_fn.matrix(A, B)
     out = np.empty((len(points_a), len(points_b)))
     for i, a in enumerate(points_a):

@@ -11,12 +11,29 @@ stable id in [0, n_cells). Two constructions are provided:
   lowest center index).
 
 Built partitionings are immutable and safe for concurrent assignment.
+
+A fitted map encodes through joined forms built once from its
+partitionings, each reading a dense block of rows restricted to the sorted
+columns it uses:
+
+* ``ITree.join`` — all trees as one flat forest whose split attributes are
+  renumbered onto the columns some split reads.
+* ``VoronoiPartition.join`` — runs of consecutive partitionings as
+  ``CentreStack`` groups: one dense ``(k*psi, len(cols))`` centre matrix on
+  the union ``cols`` of the group's centre supports, scored with one
+  product and one argmin over ``(rows, k, psi)``. Dense data forms a single
+  group; sparse high-dimensional data, whose partitionings share few
+  columns, forms about one group per partitioning.
 """
 
 import numpy as np
 
 from .errors import SampleError
 from .dataset import pack_ragged, unpack_ragged
+
+# a group of centres stacked on the union of their supports may hold at
+# most this many times the entries of its members on their own supports
+STACK_WASTE = 1.5
 
 
 def sample_psi(dataset, psi, rng):
@@ -31,6 +48,15 @@ def sample_psi(dataset, psi, rng):
         raise SampleError(f"cannot sample {psi} points from {n}")
     idx = rng.choice(n, size=psi, replace=False)
     return [dataset[int(i)].x for i in idx]
+
+
+def _distinct(a):
+    """Sorted distinct entries of a 1-d array; ``np.unique`` without the
+    hash pass that makes it ten times slower on small integer arrays."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
 
 
 def _densify_sample(points):
@@ -119,15 +145,21 @@ class ITree:
 
     @classmethod
     def join(cls, trees):
-        """All ``trees`` as one flat forest, and the node index of each root.
-        Child links are shifted by their tree's root; leaf ids are not."""
+        """All ``trees`` as one flat forest, the node index of each root, and
+        the sorted columns ``cols`` its splits read. Child links are shifted
+        by their tree's root, leaf ids are not, and split attributes become
+        positions in ``cols``: the forest descends rows densified onto
+        ``cols`` alone."""
         roots = np.cumsum([0] + [tree.feature.size for tree in trees[:-1]])
-        columns = zip(*[
+        feature, threshold, left, right, leaf_id = map(np.concatenate, zip(*[
             (tree.feature, tree.threshold, tree.left + root,
              tree.right + root, tree.leaf_id)
             for tree, root in zip(trees, roots)
-        ])
-        return cls(*map(np.concatenate, columns)), roots
+        ]))
+        split = feature >= 0
+        cols = _distinct(feature[split])
+        feature[split] = np.searchsorted(cols, feature[split])
+        return cls(feature, threshold, left, right, leaf_id), roots, cols
 
     def descend(self, X, roots):
         """Leaf node of every (row of dense X, tree rooted at ``roots``) pair,
@@ -197,7 +229,9 @@ class VoronoiPartition:
         return cls(sample)
 
     def dense_centers(self):
-        """Centers as a dense (psi, dim) matrix; built once, then cached."""
+        """Centers as a dense (psi, dim) matrix; built once, then cached.
+        Only this partitioning's own ``assign`` path reads it: a map
+        scores the stacks that ``join`` builds."""
         if self._dense is None:
             self._dense = _densify_sample(
                 [c.with_dim(self.dim) for c in self.centers]
@@ -217,17 +251,51 @@ class VoronoiPartition:
         return np.argmin(self._scores(X), axis=1).astype(np.int32)
 
     def _scores(self, X):
-        """||z||^2 - 2<x, z> for every row x of X and center z: the squared
-        distance less ||x||^2, which cannot change a row's argmin but, if
-        added, would round away the bits that separate near ties."""
+        """``_scores`` of the rows of X against this partitioning's centers."""
         Z = self.dense_centers()
         if X.shape[1] > self.dim:
             X = X[:, : self.dim]
         elif X.shape[1] < self.dim:
             Z = Z[:, : X.shape[1]]
-        scores = -2.0 * (X @ Z.T)
-        scores += self.sq_norms
-        return scores
+        return _scores(X, Z, self.sq_norms)
+
+    @classmethod
+    def join(cls, parts):
+        """``parts`` (of equal psi) as ``CentreStack`` groups of consecutive
+        partitionings, in order. A group grows while its dense centre
+        matrix on the union of its members' supports holds at most
+        ``STACK_WASTE`` times the entries of the members' own support
+        matrices."""
+        packed = [part.state() for part in parts]
+        supports = [_distinct(p["cat_indices"] - 1) for p in packed]
+        starts = [0]
+        seen = np.zeros(max(1, *(part.dim for part in parts)), dtype=bool)
+        union = own = 0
+        for i, support in enumerate(supports):
+            fresh = support.size - np.count_nonzero(seen[support])
+            k = i - starts[-1] + 1
+            wasteful = k * (union + fresh) > STACK_WASTE * (own + support.size)
+            if k > 1 and wasteful:
+                starts.append(i)
+                seen[:] = False
+                union = own = 0
+                fresh = support.size
+            seen[support] = True
+            union += fresh
+            own += support.size
+        psi = parts[0].n_cells
+        stacks = []
+        for a, b in zip(starts, starts[1:] + [len(parts)]):
+            cols = _distinct(np.concatenate(supports[a:b]))
+            Z = np.zeros(((b - a) * psi, cols.size))
+            for j, p in enumerate(packed[a:b]):
+                rows = np.repeat(np.arange(j * psi, (j + 1) * psi),
+                                 np.diff(p["offsets"]))
+                at = np.searchsorted(cols, p["cat_indices"] - 1)
+                Z[rows, at] = p["cat_values"]
+            sq = np.concatenate([part.sq_norms for part in parts[a:b]])
+            stacks.append(CentreStack(a, b - a, cols, Z, sq))
+        return stacks
 
     def state(self):
         return {
@@ -238,6 +306,36 @@ class VoronoiPartition:
     @classmethod
     def from_state(cls, state):
         return cls(unpack_ragged(state, int(state["dim"][0])))
+
+
+class CentreStack:
+    """The centres of ``k`` consecutive Voronoi partitionings, from
+    partitioning ``first`` on, as the rows of one dense ``(k*psi,
+    len(cols))`` matrix ``Z`` over the sorted columns ``cols`` they use,
+    with their squared norms ``sq``."""
+
+    def __init__(self, first, k, cols, Z, sq):
+        self.first = first
+        self.k = k
+        self.cols = cols
+        self.Z = Z
+        self.sq = sq
+
+    def assign_many(self, X):
+        """(rows, k) cell ids of the rows of dense X over ``cols``."""
+        scores = _scores(X, self.Z, self.sq)
+        return scores.reshape(X.shape[0], self.k, -1).argmin(axis=2)
+
+
+def _scores(X, Z, sq):
+    """||z||^2 - 2<x, z> for every row x of X and row z of Z, whose squared
+    norms are ``sq``: the squared distance less ||x||^2, which cannot
+    change a row's argmin but, if added, would round away the bits that
+    separate near ties."""
+    scores = X @ Z.T
+    scores *= -2.0
+    scores += sq
+    return scores
 
 
 SCHEMES = {"iforest": ITree, "anne": VoronoiPartition}

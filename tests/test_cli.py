@@ -204,6 +204,21 @@ class TestExitCodes:
         ]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_input_is_a_data_error(
+        self, tmp_path, data_files, capsys, token
+    ):
+        _, test = data_files
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text(f"+1 1:0.5 2:1\n-1 1:{token} 2:1\n")
+        for scheme in ("iforest", "anne"):
+            assert run_cli([
+                "fit-map", "--data", str(bad), "--out",
+                str(tmp_path / "m.npz"), "--psi", "2", "--t", "3",
+                "--scheme", scheme, "--seed", "1",
+            ]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_unreadable_map_is_a_data_error(self, tmp_path, data_files, capsys):
         train, _ = data_files
         map_path = str(tmp_path / "m.npz")

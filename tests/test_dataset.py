@@ -64,6 +64,13 @@ class TestParseLine:
         with pytest.raises(ParseError):
             parse_libsvm_line("notalabel 1:2")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_reports_line(self, token):
+        with pytest.raises(ParseError, match="line 4"):
+            parse_libsvm_line(f"+1 1:0.5 2:{token}", lineno=4)
+        with pytest.raises(ParseError, match="line 4"):
+            parse_libsvm_line(f"{token} 1:0.5", lineno=4)
+
     def test_non_increasing_index_rejected(self):
         with pytest.raises(FormatError):
             parse_libsvm_line("+1 3:1 3:2")
@@ -101,6 +108,9 @@ class TestSparseVector:
             SparseVector([1], [0.0], 5)
         with pytest.raises(FormatError):
             SparseVector([9], [1.0], 5)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(FormatError, match="finite"):
+                SparseVector([1, 3], [1.0, bad], 5)
 
     def test_get_and_densify(self):
         v = SparseVector([2, 5], [1.5, -2.0], 6)
@@ -218,6 +228,13 @@ class TestLabelPolicy:
         path = tmp_path / "d.txt"
         path.write_text("+1 1:1\n+1 bad\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_libsvm(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_value_is_a_parse_error(self, tmp_path, token):
+        path = tmp_path / "d.txt"
+        path.write_text(f"+1 1:1\n-1 1:2\n+1 1:{token}\n")
+        with pytest.raises(ParseError, match="line 3"):
             load_libsvm(path)
 
 

@@ -1,11 +1,13 @@
 """Feature map geometry, kernel estimation, and indexed dot products."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import isokernel.featuremap as featuremap
+from isokernel.dataset import Dataset, LabeledPoint, SparseVector
 from isokernel.errors import (
     LoadError,
     ParameterError,
@@ -24,7 +26,7 @@ from isokernel.featuremap import (
     write_features_csv,
 )
 
-from isokernel.partition import ITree, VoronoiPartition
+from isokernel.partition import CentreStack, ITree
 
 from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
 
@@ -332,25 +334,52 @@ class TestBlocks:
     ):
         ds, mapper = fit_small(n=60, scheme=scheme, t=t, psi=psi)
         expected = mapper.map_many(ds)
-        sizes = []  # (row, tree) pairs or (row, center) scores per call
+        calls = []  # per call: rows, and elements per row of each array
         descend = ITree.descend
-        assign_many = VoronoiPartition.assign_many
+        assign_many = CentreStack.assign_many
 
         def spy_descend(self, X, roots):
-            sizes.append(X.shape[0] * len(roots))
+            calls.append((X.shape[0], len(roots), X.shape[1]))
             return descend(self, X, roots)
 
         def spy_assign_many(self, X):
-            sizes.append(X.shape[0] * self.n_cells)
+            calls.append((X.shape[0], self.Z.shape[0], X.shape[1]))
             return assign_many(self, X)
 
         monkeypatch.setattr(ITree, "descend", spy_descend)
-        monkeypatch.setattr(VoronoiPartition, "assign_many", spy_assign_many)
+        monkeypatch.setattr(CentreStack, "assign_many", spy_assign_many)
         monkeypatch.setattr(featuremap, "_BLOCK", 7)
         assert np.array_equal(mapper.map_many(ds), expected)
-        # every row is encoded once per forest, or once per partitioning,
-        # in calls no larger than a block, or than one row when it is wider
-        assert sum(sizes) == len(ds) * t * (1 if scheme == "iforest" else psi)
-        assert max(sizes) <= max(7, t if scheme == "iforest" else psi)
+        # every row is encoded once per partitioning, in calls whose
+        # (row, tree) pairs, (row, centre) scores and (row, column) entries
+        # each fit in a block, or of one row when a row has more
+        cells = sum(rows * per_row for rows, per_row, _ in calls)
+        assert cells == len(ds) * t * (1 if scheme == "iforest" else psi)
+        for rows, per_row, columns in calls:
+            assert rows == 1 or rows * max(per_row, columns) <= 7
         for p, row in zip(ds, expected):
             assert np.array_equal(mapper.map_point(p.x), row)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_map_many_peak_is_independent_of_dim(self, scheme):
+        # 500 rows of 10 nonzeros at d=50000: 60 kB of sparse input, where
+        # one dense n x d copy alone would be 200 MB
+        rng = np.random.default_rng(5)
+        d = 50_000
+        ds = Dataset([
+            LabeledPoint(SparseVector(
+                np.sort(rng.choice(d, 10, replace=False)) + 1,
+                rng.uniform(0.5, 1.5, 10), d), 1)
+            for _ in range(500)
+        ], dim=d)
+        mapper = Mapper.fit(ds, psi=16, t=5, scheme=scheme, seed=6)
+        tracemalloc.start()
+        try:
+            F = mapper.map_many(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.shape == (500, 5)
+        assert peak < 4 << 20

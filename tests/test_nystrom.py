@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from isokernel.dataset import SparseVector
 from isokernel.errors import (
     ContractError,
     DegenerateKernelError,
@@ -167,6 +168,20 @@ class TestNystromMap:
             xhat = nm.map_point(rand_sparse(rng, 4, density=1.0, scale=scale))
             assert xhat.shape == (nm.effective_r,)
             assert np.all(np.isfinite(xhat))
+
+    @pytest.mark.parametrize(
+        "kern", [Laplacian(8, 4), Gaussian(0.4, 4)], ids=lambda k: k.name
+    )
+    def test_points_wider_than_the_fit_get_true_kernel_values(self, kern):
+        rng = np.random.default_rng(12)
+        ds = rand_dataset(rng, 25, 4, density=0.8)
+        nm = fit_nystrom(ds, b=10, r=4, kernel_fn=kern, seed=3)
+        wide = [SparseVector([1, 6], [0.5, 1.0], 6),
+                SparseVector([2, 9], [-1.0, 2.0], 9)]
+        for x, row in zip(wide, nm.map_many(wide)):
+            K = np.array([kern(x, z) for z in nm.landmarks])
+            assert np.allclose(row, nm.proj @ K, rtol=1e-12, atol=1e-12)
+            assert np.allclose(nm.map_point(x), row, rtol=1e-12, atol=1e-12)
 
     def test_map_many_matches_map_point(self):
         rng = np.random.default_rng(9)

@@ -5,7 +5,12 @@ import pytest
 
 from isokernel.dataset import Dataset, LabeledPoint, SparseVector, sq_distance
 from isokernel.errors import SampleError
-from isokernel.partition import ITree, VoronoiPartition, sample_psi
+from isokernel.partition import (
+    STACK_WASTE,
+    ITree,
+    VoronoiPartition,
+    sample_psi,
+)
 
 from helpers import rand_dataset, rand_sparse
 
@@ -149,6 +154,81 @@ class TestITree:
         clone = ITree.from_state(tree.state())
         for key, arr in tree.state().items():
             assert np.array_equal(arr, clone.state()[key])
+
+
+class TestJoin:
+    def test_forest_reads_only_its_split_columns(self):
+        rng = np.random.default_rng(61)
+        trees = [
+            ITree.build([rand_sparse(rng, 40, density=0.1) for _ in range(6)],
+                        np.random.default_rng((62, i)))
+            for i in range(5)
+        ]
+        forest, roots, cols = ITree.join(trees)
+        splits = np.concatenate([tree.feature for tree in trees])
+        assert cols.tolist() == sorted(set(splits[splits >= 0].tolist()))
+        queries = [rand_sparse(rng, 40, density=0.5) for _ in range(50)]
+        X = np.stack([q.densify(40) for q in queries])
+        cells = forest.leaf_id[forest.descend(X[:, cols], roots)]
+        for i, tree in enumerate(trees):
+            assert np.array_equal(cells[:, i], tree.assign_many(X))
+
+    def test_dense_centres_form_one_stack(self):
+        rng = np.random.default_rng(71)
+        parts = [
+            VoronoiPartition.build(
+                [rand_sparse(rng, 6, density=0.9) for _ in range(8)])
+            for _ in range(7)
+        ]
+        (stack,) = VoronoiPartition.join(parts)
+        assert (stack.first, stack.k, stack.Z.shape) == (0, 7, (56, 6))
+
+    def test_disjoint_supports_form_one_stack_each(self):
+        # partitioning i has its centres on columns 10i .. 10i+9 only
+        rng = np.random.default_rng(81)
+
+        def centre(i):
+            cols = np.sort(rng.choice(10, 3, replace=False)) + 10 * i
+            return SparseVector(cols + 1, rng.uniform(1, 2, 3), 60)
+
+        parts = [
+            VoronoiPartition.build([centre(i) for _ in range(4)])
+            for i in range(6)
+        ]
+        stacks = VoronoiPartition.join(parts)
+        assert [(s.first, s.k) for s in stacks] == [(i, 1) for i in range(6)]
+        for s, part in zip(stacks, parts):
+            support = np.unique(np.concatenate(
+                [c.indices for c in part.centers])) - 1
+            assert s.cols.tolist() == support.tolist()
+            assert s.Z.shape[0] * s.cols.size <= STACK_WASTE * (
+                part.n_cells * support.size)
+
+    def test_stacks_assign_like_each_partitioning(self):
+        # three dense partitionings on columns 1..10, then three whose
+        # centres sit on columns 10i+1 .. 10i+10 only
+        rng = np.random.default_rng(91)
+
+        def centre(i):
+            cols = np.sort(rng.choice(10, 3 if i else 9, replace=False))
+            values = rng.normal(size=cols.size)
+            return SparseVector(cols + 10 * i + 1, values, 60)
+
+        parts = [
+            VoronoiPartition.build([centre(i) for _ in range(5)])
+            for i in (0, 0, 0, 1, 2, 3)
+        ]
+        stacks = VoronoiPartition.join(parts)
+        assert len(stacks) > 1
+        assert [s.first for s in stacks] == sorted(s.first for s in stacks)
+        assert sum(s.k for s in stacks) == len(parts)
+        queries = [rand_sparse(rng, 60, density=0.4) for _ in range(40)]
+        X = np.stack([q.densify(60) for q in queries])
+        for s in stacks:
+            cells = s.assign_many(X[:, s.cols])
+            for j in range(s.k):
+                part = parts[s.first + j]
+                assert np.array_equal(cells[:, j], part.assign_many(X))
 
 
 class TestVoronoi:

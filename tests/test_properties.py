@@ -3,7 +3,9 @@
 Save -> load is bit-identical for feature maps, landmark maps and all four
 checkpoint kinds; ``map_point`` equals the matching ``map_many`` row, and
 column i of ``map_many`` equals partitioning i's ``assign``, whatever dim
-the points are declared at; the indexed kernel is symmetric, lies on the
+the points are declared at, on dense low-dimensional data and on sparse
+high-dimensional data (whose anne partitionings join into several stacks
+of centres); the indexed kernel is symmetric, lies on the
 grid {0, 1/t, ..., 1} and has k(x, x) = 1.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
@@ -53,6 +55,22 @@ def datasets(draw, min_size=2, max_size=20, dims=st.integers(1, 5)):
 
 
 @st.composite
+def sparse_datasets(draw, min_size=1, max_size=12, dims=st.integers(30, 3000)):
+    """Points of one to three nonzeros at a high dim, so that distinct
+    points rarely share a column."""
+    dim = draw(dims)
+    n = draw(st.integers(min_size, max_size))
+    points = []
+    for _ in range(n):
+        entries = draw(st.dictionaries(
+            st.integers(1, dim), VALUES.filter(bool), min_size=1, max_size=3))
+        idx = sorted(entries)
+        x = SparseVector(idx, [entries[i] for i in idx], dim)
+        points.append(LabeledPoint(x, draw(st.sampled_from([-1, 1]))))
+    return Dataset(points, dim=dim)
+
+
+@st.composite
 def fitted_maps(draw):
     """(dataset, Mapper fitted on it)."""
     ds = draw(datasets())
@@ -66,17 +84,27 @@ def fitted_maps(draw):
 def maps_and_queries(draw):
     """(Mapper, [training set, queries]). The training rows repeat a few
     distinct points, so some samples hold one point and their tree is a
-    single leaf; the queries are declared at a dim below, at or above the
-    map's."""
-    pool = draw(datasets(min_size=1, max_size=4))
+    single leaf. Half the draws are sparse at a high dim, with samples of at
+    most 3 points, whose anne partitionings mostly read disjoint columns and
+    so join into several stacks. The queries are declared at a dim below, at
+    or above the map's."""
+    sparse = draw(st.booleans())
+    if sparse:
+        pool = draw(sparse_datasets())
+    else:
+        pool = draw(datasets(min_size=1, max_size=4))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2,
                           max_size=20))
     train = Dataset([pool[i] for i in picks], dim=pool.dim)
-    psi = draw(st.integers(1, len(train)))
+    psi = draw(st.integers(1, min(len(train), 3) if sparse else len(train)))
     t = draw(st.integers(1, 8))
     mapper = Mapper.fit(train, psi, t, draw(SCHEMES),
                         draw(st.integers(0, 2**16)))
-    queries = draw(datasets(min_size=1, dims=st.integers(1, pool.dim + 2)))
+    query_dims = st.integers(1, pool.dim + 2)
+    if sparse:
+        queries = draw(sparse_datasets(dims=query_dims))
+    else:
+        queries = draw(datasets(min_size=1, dims=query_dims))
     return mapper, [train, queries]
 
 
