@@ -17,6 +17,22 @@ from .errors import ParameterError
 _BLOCK_ELEMS = 16_000_000
 
 
+def _store_entries(x, Z):
+    """The columns of a column-major store Z that a sparse query x reads,
+    as a ``(nnz, rows)`` copy, with x's values there and x's values past
+    Z's width, which meet only zeros.
+
+    ``x.indices`` are 1-based columns of Z; they ascend, as a
+    ``SparseVector``'s do, or else all lie within Z's width.
+    """
+    idx, values = x.indices, x.values
+    beyond = values[:0]
+    if idx.size and idx[-1] > Z.shape[1]:
+        n = np.searchsorted(idx, Z.shape[1], side="right")
+        idx, values, beyond = idx[:n], values[:n], values[n:]
+    return Z.T[idx - 1], values, beyond
+
+
 def laplacian(x, y, psi, dim):
     """exp(-lambda * l1(x, y)) with lambda = log(psi)/dim."""
     return Laplacian(psi, dim)(x, y)
@@ -28,7 +44,9 @@ def gaussian(x, y, gamma):
 
 
 class Laplacian:
-    """Laplacian kernel over dense rows, with vectorized batch paths."""
+    """Laplacian kernel: a scalar form on sparse points, a scorer of a
+    sparse point against a column-major store of rows, and dense-row
+    reference paths (``point_to_row``, ``row_scores``, ``matrix``)."""
 
     name = "laplacian"
 
@@ -56,18 +74,28 @@ class Laplacian:
         np.abs(diff, out=diff)
         return np.exp(-self.lam * diff.sum(axis=1))
 
-    def sparse_row_scores(self, x, Z, z_l1):
-        """row_scores for a sparse query, touching only its support columns.
+    def row_norm(self, values):
+        """||z||_1 of a stored row with nonzero ``values``: the ``norms``
+        entry that ``sparse_row_scores`` takes for it."""
+        return float(np.abs(values).sum())
 
-        l1(x, z) = ||z||_1 + sum_{j in supp(x)} (|x_j - z_j| - |z_j|), so
-        only nnz(x) columns of Z are read instead of all dim of them.
+    def sparse_row_scores(self, x, Z, norms):
+        """k(x, z) for every row z of a column-major store Z, whose
+        ``row_norm`` values are ``norms``, reading only x's own columns:
+        l1(x, z) = ||z||_1 + sum_{j in supp x} (|x_j - z_j| - |z_j|).
+        See ``_store_entries`` for how x's entries meet Z's columns.
         """
-        inside = x.indices <= Z.shape[1]
-        cols = Z[:, x.indices[inside] - 1]
-        d1 = z_l1 + (
-            np.abs(cols - x.values[inside]) - np.abs(cols)
-        ).sum(axis=1)
-        return np.exp(-self.lam * d1)
+        cols, values, beyond = _store_entries(x, Z)
+        abs_z = np.abs(cols)
+        cols -= values[:, None]
+        np.abs(cols, out=cols)
+        cols -= abs_z
+        d1 = cols.sum(axis=0)
+        d1 += norms
+        if beyond.size:
+            d1 += np.abs(beyond).sum()
+        d1 *= -self.lam
+        return np.exp(d1, out=d1)
 
     def matrix(self, X, Z):
         """Kernel matrix between dense row sets X (n x d) and Z (m x d)."""
@@ -82,7 +110,7 @@ class Laplacian:
 
 
 class Gaussian:
-    """Gaussian (RBF) kernel over dense rows, with vectorized batch paths."""
+    """Gaussian (RBF) kernel, with the same paths as ``Laplacian``."""
 
     name = "gaussian"
 
@@ -100,6 +128,25 @@ class Gaussian:
 
     def point_to_row(self, x):
         return x.densify(self.dim)
+
+    def row_norm(self, values):
+        """||z||^2 of a stored row with nonzero ``values``: the ``norms``
+        entry that ``sparse_row_scores`` takes for it."""
+        return float(values @ values)
+
+    def sparse_row_scores(self, x, Z, norms):
+        """k(x, z) for every row z of a column-major store Z, whose
+        ``row_norm`` values are ``norms``, reading only x's own columns:
+        ||x - z||^2 = ||z||^2 + ||x||^2 - 2 sum_{j in supp x} x_j z_j,
+        clamped at 0. See ``_store_entries``."""
+        cols, values, _ = _store_entries(x, Z)
+        sq = values @ cols
+        sq *= -2.0
+        sq += norms
+        sq += x.values @ x.values
+        np.maximum(sq, 0.0, out=sq)
+        sq *= -self.gamma
+        return np.exp(sq, out=sq)
 
     def row_scores(self, row, Z):
         sq = (Z * Z).sum(axis=1) - 2.0 * (Z @ row) + row @ row

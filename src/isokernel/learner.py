@@ -56,17 +56,15 @@ class FeatureMatchKernel:
             raise ProvenanceError("feature length does not match kernel t")
         return kernel(fa, fb)
 
-    def point_to_row(self, f):
-        return np.asarray(f, dtype=np.int32)
+    def row_norm(self, f):
+        return 0.0
 
-    def row_scores(self, row, F):
-        return np.count_nonzero(F == row, axis=1) / self.t
-
-    def matrix(self, A, B):
-        out = np.empty((A.shape[0], B.shape[0]))
-        for i in range(A.shape[0]):
-            out[i] = np.count_nonzero(B == A[i], axis=1)
-        return out / self.t
+    def sparse_row_scores(self, f, F, norms):
+        """k(f, g) for every stored feature g, a row of the column-major
+        store F; ``norms`` is unused."""
+        if f.size != self.t or F.shape[1] != self.t:
+            raise ProvenanceError("feature length does not match kernel t")
+        return np.count_nonzero(F.T == f[:, None], axis=0) / self.t
 
 
 class _Model:
@@ -105,44 +103,58 @@ class _Model:
         return model
 
 
+def _entries(x):
+    """0-based columns and values of a point: a sparse vector's own
+    entries, or every position of a feature array."""
+    if isinstance(x, SparseVector):
+        return x.indices - 1, x.values
+    return np.arange(x.size), x
+
+
 class DualModel(_Model):
     """Support-vector model with f(x) = sum_i alpha_i c_i k(x_i, x).
 
     The support set grows without budget; prediction cost is one kernel
-    evaluation per stored vector. Rows of the stored vectors are kept in a
-    dense buffer so the kernel's vectorized scoring path can be used.
+    evaluation per stored vector. The stored vectors are the rows of a
+    column-major store, grown by doubling and widened to the widest one,
+    which the kernel's ``sparse_row_scores`` reads on each query's own
+    columns only.
     """
 
     def __init__(self, kernel_fn):
         super().__init__()
         self.kernel = kernel_fn
         self.svs = []  # (point, c, alpha) in arrival order
-        self._rows = None
+        self._rows = np.zeros((0, 0), order="F")
         self._coeffs = np.empty(0)  # alpha_i * c_i, precombined
-        self._l1 = np.empty(0)  # ||row||_1, kept for sparse scoring paths
-        self._use_sparse = hasattr(kernel_fn, "sparse_row_scores")
+        self._norms = np.empty(0)  # kernel.row_norm of each stored row
 
     def __len__(self):
         return len(self.svs)
 
     def _append(self, point, c, alpha):
-        row = self.kernel.point_to_row(point)
+        cols, values = _entries(point)
         n = len(self.svs)
-        if self._rows is None:
-            cap = 256
-            self._rows = np.zeros((cap,) + row.shape, dtype=row.dtype)
-            self._coeffs = np.zeros(cap)
-            self._l1 = np.zeros(cap)
-        elif n == self._rows.shape[0]:
-            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
-            self._coeffs = np.concatenate([self._coeffs, np.zeros_like(self._coeffs)])
-            self._l1 = np.concatenate([self._l1, np.zeros_like(self._l1)])
-        self._rows[n] = row
+        cap, width = self._rows.shape
+        wide = int(cols[-1]) + 1 if cols.size else 0
+        if n == cap or wide > width:
+            cap = max(256, 2 * cap) if n == cap else cap
+            rows = np.zeros((cap, max(width, wide)), order="F")
+            rows[:n, :width] = self._rows[:n]
+            self._rows = rows
+            self._coeffs = np.resize(self._coeffs, cap)
+            self._norms = np.resize(self._norms, cap)
+        self._rows[n, cols] = values
         self._coeffs[n] = alpha * c
-        if self._use_sparse:
-            self._l1[n] = np.abs(row).sum()
+        self._norms[n] = self.kernel.row_norm(values)
         self.svs.append((point, c, alpha))
         self.updates += 1
+
+    def _scores(self, x, s):
+        """k(x, sv) for the first ``s`` support vectors."""
+        return self.kernel.sparse_row_scores(
+            x, self._rows[:s], self._norms[:s]
+        )
 
     def predict(self, x):
         """Score of one point; costs len(self) kernel evaluations."""
@@ -150,15 +162,7 @@ class DualModel(_Model):
         self._count(1, s)
         if s == 0:
             return 0.0
-        if self._use_sparse and isinstance(x, SparseVector):
-            scores = self.kernel.sparse_row_scores(
-                x, self._rows[:s], self._l1[:s]
-            )
-        else:
-            scores = self.kernel.row_scores(
-                self.kernel.point_to_row(x), self._rows[:s]
-            )
-        return float(self._coeffs[:s] @ scores)
+        return float(self._coeffs[:s] @ self._scores(x, s))
 
     def predict_many(self, points):
         """Scores for many points against the frozen support set."""
@@ -166,19 +170,8 @@ class DualModel(_Model):
         self._count(len(points), s)
         if s == 0:
             return np.zeros(len(points))
-        if self._use_sparse and all(
-            isinstance(p, SparseVector) for p in points
-        ):
-            coeffs = self._coeffs[:s]
-            return np.array([
-                float(coeffs @ self.kernel.sparse_row_scores(
-                    p, self._rows[:s], self._l1[:s]
-                ))
-                for p in points
-            ])
-        rows = np.stack([self.kernel.point_to_row(p) for p in points])
-        K = self.kernel.matrix(rows, self._rows[:s])
-        return K @ self._coeffs[:s]
+        coeffs = self._coeffs[:s]
+        return np.array([float(coeffs @ self._scores(p, s)) for p in points])
 
     def step(self, x, c, eta):
         """Predict, then add x as a support vector on margin violation."""
@@ -190,7 +183,7 @@ class DualModel(_Model):
     def state(self):
         meta = {
             "kernel": self.kernel.params(),
-            "dim": self.kernel.dim,
+            "dim": max([self.kernel.dim] + [p.dim for p, _, _ in self.svs]),
             "updates": self.updates,
         }
         arrays = pack_ragged([p for p, _, _ in self.svs])

@@ -44,24 +44,26 @@ def sym_eigen(M):
     return vals[order], vecs[:, order]
 
 
-def _kernel_matrix(kernel_fn, points_a, points_b):
-    """Gram matrix between two point lists via the kernel's batch path, on
-    both lists densified at their common dim (which may exceed the
-    kernel's: a point wider than the fitted data keeps all its entries)."""
-    if hasattr(kernel_fn, "matrix") and hasattr(kernel_fn, "point_to_row"):
-        dim = max(p.dim for p in (*points_a, *points_b))
-        A = np.stack([p.densify(dim) for p in points_a])
-        B = np.stack([p.densify(dim) for p in points_b])
-        return kernel_fn.matrix(A, B)
-    out = np.empty((len(points_a), len(points_b)))
-    for i, a in enumerate(points_a):
-        for j, b in enumerate(points_b):
-            out[i, j] = kernel_fn(a, b)
-    return out
+class _StoreRow:
+    """A query's entries on the columns of a landmark store: 1-based
+    ``indices`` into the store, and the query's ``values``."""
+
+    __slots__ = ("indices", "values")
+
+    def __init__(self, indices, values):
+        self.indices = indices
+        self.values = values
 
 
 class NystromMap:
-    """Fitted landmark map: x -> proj @ (k(x, landmark_1..b))."""
+    """Fitted landmark map: x -> proj @ (k(x, landmark_1..b)).
+
+    A kernel with a ``sparse_row_scores`` path scores each point against
+    the landmarks, held once as the rows of a column-major store on the
+    sorted union of their supports plus one zero column, where a point's
+    entries outside that union land. Any other kernel is called once per
+    landmark.
+    """
 
     def __init__(self, landmarks, kernel_fn, proj, b, r, seed):
         self.landmarks = list(landmarks)
@@ -71,6 +73,23 @@ class NystromMap:
         self.r = r  # requested rank; proj may have fewer rows
         self.seed = seed
         self.encode_ops = 0  # landmark kernel evaluations while mapping
+        self._store = None
+        if hasattr(kernel_fn, "sparse_row_scores"):
+            packed = pack_ragged(self.landmarks)
+            cols = np.unique(packed["cat_indices"])
+            Z = np.zeros((len(self.landmarks), cols.size + 1), order="F")
+            rows = np.repeat(np.arange(len(self.landmarks)),
+                             np.diff(packed["offsets"]))
+            Z[rows, np.searchsorted(cols, packed["cat_indices"])] = (
+                packed["cat_values"])
+            # attribute -> 1-based store column; any attribute outside
+            # cols, the last slot included, goes to the zero column
+            slot = np.full(int(cols[-1]) + 2 if cols.size else 1,
+                           cols.size + 1, dtype=np.int32)
+            slot[cols] = np.arange(1, cols.size + 1)
+            norms = np.array([kernel_fn.row_norm(z.values)
+                              for z in self.landmarks])
+            self._store = (slot, Z, norms)
 
     @property
     def kernel_evals(self):
@@ -81,16 +100,30 @@ class NystromMap:
     def effective_r(self):
         return self.proj.shape[0]
 
+    def kernel_row(self, x):
+        """k(x, z) for every landmark z, in landmark order."""
+        if self._store is None:
+            return np.array([self.kernel(x, z) for z in self.landmarks])
+        slot, Z, norms = self._store
+        at = slot.take(x.indices, mode="clip")
+        return self.kernel.sparse_row_scores(_StoreRow(at, x.values), Z, norms)
+
     def map_point(self, x):
         """Dense feature vector of length effective_r: ``map_many([x])``."""
         return self.map_many([x])[0]
 
     def map_many(self, points):
         """Feature matrix (n, effective_r) for a list or Dataset of points."""
-        xs = [p.x if hasattr(p, "x") else p for p in points]
-        K = _kernel_matrix(self.kernel, xs, self.landmarks)
+        K = self._kernel_rows(points)
         self.encode_ops += K.size
         return K @ self.proj.T
+
+    def _kernel_rows(self, points):
+        """(n, b) matrix of ``kernel_row`` over a list or Dataset."""
+        K = np.empty((len(points), len(self.landmarks)))
+        for i, p in enumerate(points):
+            K[i] = self.kernel_row(p.x if hasattr(p, "x") else p)
+        return K
 
     def state(self):
         """(meta, arrays) from which ``from_state`` rebuilds this map."""
@@ -129,9 +162,11 @@ def fit_nystrom(dataset, b, r, kernel_fn, seed):
     if not 1 <= r <= b:
         raise ParameterError(f"rank must satisfy 1 <= r <= b, got r={r} b={b}")
     rng = np.random.default_rng(seed)
-    landmarks = sample_psi(dataset, b, rng)
-    G = _kernel_matrix(kernel_fn, landmarks, landmarks)
-    G = 0.5 * (G + G.T)  # scrub asymmetric rounding from the batch path
+    # the map scores its own Gram: proj is set once the Gram is known
+    nm = NystromMap(sample_psi(dataset, b, rng), kernel_fn, np.empty((0, b)),
+                    b, r, seed)
+    G = nm._kernel_rows(nm.landmarks)
+    G = 0.5 * (G + G.T)  # scrub asymmetric rounding from the scorer
     vals, vecs = sym_eigen(G)
     vals = vals[:r]
     vecs = vecs[:, :r]
@@ -142,5 +177,5 @@ def fit_nystrom(dataset, b, r, kernel_fn, seed):
         )
     vals = vals[keep]
     vecs = vecs[:, keep]
-    proj = (vecs / np.sqrt(vals)).T
-    return NystromMap(landmarks, kernel_fn, proj, b, r, seed)
+    nm.proj = (vecs / np.sqrt(vals)).T
+    return nm

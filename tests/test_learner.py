@@ -19,7 +19,7 @@ from isokernel.featuremap import (
     kernel,
     new_weights,
 )
-from isokernel.kernels import Laplacian
+from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import (
     FORMAT_VERSION,
     DualModel,
@@ -111,6 +111,65 @@ class TestDualModel:
         batch = m.predict_many(queries)
         for q, s in zip(queries, batch):
             assert m.predict(q) == pytest.approx(float(s), abs=1e-12)
+
+
+def scalar_score(model, x):
+    """sum_i alpha_i c_i k(x, sv_i) through the scalar kernel."""
+    return sum(a * c * model.kernel(x, p) for p, c, a in model.svs)
+
+
+KERNELS = [Laplacian(8, 4), Gaussian(0.4, 4)]
+
+
+class TestWidePoints:
+    """Points with entries past the kernel's dim, or past the widest
+    support vector, score every entry."""
+
+    def test_wide_query_counts_its_outside_entries(self):
+        m = DualModel(Laplacian(8, 4))
+        m.step(SparseVector([1, 2], [0.5, 1.0], 4), 1, eta=1.0)
+        x = SparseVector([1, 6], [0.5, 1.0], 6)
+        # l1 = 0 + 1 (column 2) + 1 (column 6): k = 8^(-2/4)
+        assert m.predict(x) == pytest.approx(8 ** -0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.name)
+    def test_wide_queries_match_scalar_sums(self, kern):
+        rng = np.random.default_rng(21)
+        m = DualModel(kern)
+        for _ in range(30):
+            m.step(rand_sparse(rng, 4), int(rng.choice([-1, 1])), 0.5)
+        wide = [rand_sparse(rng, d, density=0.7) for d in (2, 4, 6, 9, 9)]
+        wide.append(SparseVector([1, 6], [0.5, 1.0], 6))
+        for x, s in zip(wide, m.predict_many(wide)):
+            want = scalar_score(m, x)
+            assert m.predict(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert s == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.name)
+    def test_wide_support_vector_widens_the_store(self, kern):
+        rng = np.random.default_rng(22)
+        m = DualModel(kern)
+        m.step(SparseVector([1, 2], [0.5, 1.0], 4), 1, eta=0.5)
+        m.step(SparseVector([1, 6], [0.5, 1.0], 6), -1, eta=0.5)
+        assert len(m) == 2
+        for _ in range(20):
+            m.step(rand_sparse(rng, 8, density=0.6),
+                   int(rng.choice([-1, 1])), 0.5)
+        queries = [rand_sparse(rng, d, density=0.6) for d in (3, 6, 8, 12)]
+        for x, s in zip(queries, m.predict_many(queries)):
+            want = scalar_score(m, x)
+            assert m.predict(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert s == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_wide_support_vectors_survive_a_checkpoint(self, tmp_path):
+        m = DualModel(Laplacian(8, 4))
+        m.step(SparseVector([1, 2], [0.5, 1.0], 4), 1, eta=0.5)
+        m.step(SparseVector([1, 6], [0.5, 1.0], 6), -1, eta=0.5)
+        path = tmp_path / "ogd.npz"
+        save_checkpoint(path, "ogd", m, {})
+        _, clone, _ = load_checkpoint(path)
+        x = SparseVector([3, 6], [1.0, -2.0], 7)
+        assert clone.predict(x) == pytest.approx(m.predict(x), rel=1e-14)
 
 
 class TestIKOGD:
@@ -242,6 +301,17 @@ class TestCostCounters:
             dual_costs.append(dual.last_predict_ops)
         assert set(ik_costs) == {mapper.t}
         assert dual_costs == list(range(50))  # one kernel eval per stored SV
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=lambda k: k.name)
+    def test_dual_prediction_reads_every_support_vector(self, kern):
+        rng = np.random.default_rng(23)
+        m = DualModel(kern)
+        for _ in range(40):
+            m.step(rand_sparse(rng, 4), int(rng.choice([-1, 1])), 0.5)
+            m.predict(rand_sparse(rng, 4))
+            assert m.last_predict_ops == len(m)
+        m.predict_many([rand_sparse(rng, 4) for _ in range(5)])
+        assert m.last_predict_ops == len(m)
 
     def test_margin_semantics(self):
         rng = np.random.default_rng(8)

@@ -1,11 +1,12 @@
 """Eigendecomposition contract and the landmark feature map."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from isokernel.dataset import SparseVector
+from isokernel.dataset import Dataset, LabeledPoint, SparseVector
 from isokernel.errors import (
     ContractError,
     DegenerateKernelError,
@@ -16,7 +17,7 @@ from isokernel.errors import (
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.nystrom import EIGEN_FLOOR, NystromMap, fit_nystrom, sym_eigen
 
-from helpers import damage_npz, rand_dataset, unreadable_files
+from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
 
 
 class DeltaKernel:
@@ -240,3 +241,46 @@ class TestNystromMap:
 
     def test_eigen_floor_value(self):
         assert EIGEN_FLOOR == 1e-10
+
+
+class TestCounters:
+    @pytest.mark.parametrize(
+        "kern", [Laplacian(8, 4), Gaussian(0.4, 4), DeltaKernel()],
+        ids=lambda k: k.name,
+    )
+    def test_kernel_evals_count_landmarks_per_point(self, kern):
+        rng = np.random.default_rng(14)
+        ds = rand_dataset(rng, 30, 4, density=1.0)
+        nm = fit_nystrom(ds, b=12, r=4, kernel_fn=kern, seed=5)
+        assert nm.kernel_evals == 0  # the fit's Gram is not mapping
+        nm.map_many(ds)
+        assert nm.kernel_evals == len(ds) * 12
+        nm.map_point(rand_sparse(rng, 6))
+        assert nm.kernel_evals == len(ds) * 12 + 12
+        nm.map_many([])
+        assert nm.kernel_evals == len(ds) * 12 + 12
+
+
+class TestMemory:
+    def test_fit_and_map_peak_is_independent_of_dim(self):
+        # 500 rows of 10 nonzeros at d=50000: 60 kB of sparse input, where
+        # one dense n x d copy alone would be 200 MB
+        rng = np.random.default_rng(15)
+        d = 50_000
+        ds = Dataset([
+            LabeledPoint(SparseVector(
+                np.sort(rng.choice(d, 10, replace=False)) + 1,
+                rng.uniform(0.5, 1.5, 10), d), int(rng.choice([-1, 1])))
+            for _ in range(500)
+        ], dim=d)
+        tracemalloc.start()
+        try:
+            nm = fit_nystrom(ds, b=50, r=10, kernel_fn=Laplacian(16, d),
+                             seed=6)
+            Xhat = nm.map_many(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Xhat.shape == (500, nm.effective_r)
+        assert np.all(np.isfinite(Xhat))
+        assert peak < 4 << 20

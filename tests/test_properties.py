@@ -6,10 +6,14 @@ column i of ``map_many`` equals partitioning i's ``assign``, whatever dim
 the points are declared at, on dense low-dimensional data and on sparse
 high-dimensional data (whose anne partitionings join into several stacks
 of centres); the indexed kernel is symmetric, lies on the
-grid {0, 1/t, ..., 1} and has k(x, x) = 1.
+grid {0, 1/t, ..., 1} and has k(x, x) = 1. The baselines' sparse
+scorers (dual OGD and the Nystrom landmark map) agree with the scalar
+kernels on points of any dim, and the landmark Gram is positive
+semidefinite.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
-product is exact in float64 and no result depends on summation order.
+product is exact in float64 and no result depends on summation order;
+the baseline scorers are tested on values that round as well.
 """
 
 import io
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from isokernel.dataset import Dataset, LabeledPoint, SparseVector
 from isokernel.featuremap import Mapper, kernel
-from isokernel.kernels import Laplacian
+from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import (
     DualModel,
     FeatureMatchKernel,
@@ -34,6 +38,9 @@ from isokernel.nystrom import NystromMap, fit_nystrom
 ETA = 0.5
 SCHEMES = st.sampled_from(["iforest", "anne"])
 VALUES = st.integers(-16, 16).map(lambda k: k / 4)
+
+# multiples of 1/1000 in [-4, 4]: most are not exact in binary
+ROUNDING = st.integers(-4000, 4000).filter(bool).map(lambda k: k / 1000)
 
 bounded = settings(max_examples=25, deadline=None)
 
@@ -106,6 +113,31 @@ def maps_and_queries(draw):
     else:
         queries = draw(datasets(min_size=1, dims=query_dims))
     return mapper, [train, queries]
+
+
+@st.composite
+def sparse_points(draw, dims):
+    dim = draw(dims)
+    entries = draw(st.dictionaries(st.integers(1, dim), ROUNDING,
+                                   max_size=dim))
+    idx = sorted(entries)
+    return SparseVector(idx, [entries[i] for i in idx], dim)
+
+
+@st.composite
+def kernels_points_queries(draw):
+    """(kernel, stored points, queries): stored points at dims 1..D, and
+    queries declared at dims below, at and above every stored point's."""
+    top = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        kern = Laplacian(draw(st.integers(2, 256)), top)
+    else:
+        kern = Gaussian(draw(st.sampled_from([0.05, 0.4, 2.0])), top)
+    points = draw(st.lists(sparse_points(st.integers(1, top)), min_size=1,
+                           max_size=12))
+    queries = draw(st.lists(sparse_points(st.integers(1, top + 3)),
+                            min_size=1, max_size=6))
+    return kern, points, queries
 
 
 def round_trip(save, load):
@@ -241,3 +273,41 @@ class TestEncoding:
         assert k in [c / mapper.t for c in range(mapper.t + 1)]
         assert kernel(F[i], F[i]) == 1.0
         assert FeatureMatchKernel(mapper.t)(F[i], F[j]) == k
+
+
+class TestBaselineKernels:
+    @bounded
+    @given(kernels_points_queries(), st.data())
+    def test_dual_scores_equal_scalar_kernel_sums(self, case, data):
+        kern, points, queries = case
+        model = DualModel(kern)
+        for x in points:
+            model.step(x, data.draw(st.sampled_from([-1, 1])), ETA)
+        for x, many in zip(queries, model.predict_many(queries)):
+            terms = [a * c * kern(x, sv) for sv, c, a in model.svs]
+            # relative to the size of the terms, which may cancel
+            tol = 1e-12 * sum(abs(v) for v in terms)
+            assert abs(model.predict(x) - sum(terms)) <= tol
+            assert abs(many - sum(terms)) <= tol
+
+    @bounded
+    @given(kernels_points_queries(), st.data())
+    def test_landmark_rows_equal_scalar_kernel(self, case, data):
+        kern, points, queries = case
+        ds = Dataset([LabeledPoint(x, 1) for x in points])
+        b = data.draw(st.integers(1, len(ds)))
+        nm = fit_nystrom(ds, b, 1, kern, seed=b)
+        for x in queries + nm.landmarks:
+            want = [kern(x, z) for z in nm.landmarks]
+            assert np.allclose(nm.kernel_row(x), want, rtol=1e-12, atol=0)
+
+    @bounded
+    @given(kernels_points_queries(), st.data())
+    def test_landmark_gram_is_psd(self, case, data):
+        kern, points, _ = case
+        ds = Dataset([LabeledPoint(x, 1) for x in points])
+        b = data.draw(st.integers(1, len(ds)))
+        nm = fit_nystrom(ds, b, 1, kern, seed=b)
+        G = np.array([nm.kernel_row(z) for z in nm.landmarks])
+        G = 0.5 * (G + G.T)
+        assert np.linalg.eigvalsh(G).min() >= -1e-10 * b
