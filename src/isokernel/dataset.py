@@ -200,25 +200,6 @@ def l1_distance(a, b):
     return total
 
 
-def dot(a, b):
-    """Sparse dot product <a, b>."""
-    ai, av = a.indices.tolist(), a.values.tolist()
-    bi, bv = b.indices.tolist(), b.values.tolist()
-    i = j = 0
-    na, nb = len(ai), len(bi)
-    total = 0.0
-    while i < na and j < nb:
-        if ai[i] == bi[j]:
-            total += av[i] * bv[j]
-            i += 1
-            j += 1
-        elif ai[i] < bi[j]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # persistence: ragged sparse rows and versioned npz files
 
@@ -420,7 +401,7 @@ def shuffle(dataset, seed):
 
 def split_head(dataset, n):
     """Split into (first n points, remainder)."""
-    if n > len(dataset):
+    if not 0 <= n <= len(dataset):
         raise SizeError(f"cannot take {n} points from {len(dataset)}")
     idx = np.arange(len(dataset))
     return dataset.subset(idx[:n]), dataset.subset(idx[n:])

@@ -64,6 +64,10 @@ class ProtocolConfig:
             raise ConfigError("psi grid must be nonempty")
         if self.block_size < 1:
             raise ConfigError("block size must be >= 1")
+        for name in ("train_size", "cv_max_points"):
+            size = getattr(self, name)
+            if size is not None and size < 1:
+                raise ConfigError(f"{name} must be >= 1, got {size}")
 
     def resolved(self):
         """Full config as a plain dict (defaults included)."""

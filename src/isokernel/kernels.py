@@ -17,20 +17,63 @@ from .errors import ParameterError
 _BLOCK_ELEMS = 16_000_000
 
 
-def _store_entries(x, Z):
-    """The columns of a column-major store Z that a sparse query x reads,
-    as a ``(nnz, rows)`` copy, with x's values there and x's values past
-    Z's width, which meet only zeros.
+class RowStore:
+    """Rows held column-major on the union of their supports, plus one zero
+    column, and scored against a query by ``kernel.sparse_row_scores``.
 
-    ``x.indices`` are 1-based columns of Z; they ascend, as a
-    ``SparseVector``'s do, or else all lie within Z's width.
+    ``slot`` maps each attribute from 0 to one past the largest stored to
+    its store column. Column 0 is the zero column: attributes outside the
+    union map to it, and so do attributes past the end of ``slot``, whose
+    last entry is never in the union. Rows grow by doubling. Columns grow
+    by half, to at most one per attribute up to the largest stored, so a
+    store is never wider than a dense one: on sparse rows new columns
+    come with almost every row, and doubling them too would leave the
+    store up to four times the size of its rows.
     """
-    idx, values = x.indices, x.values
-    beyond = values[:0]
-    if idx.size and idx[-1] > Z.shape[1]:
-        n = np.searchsorted(idx, Z.shape[1], side="right")
-        idx, values, beyond = idx[:n], values[:n], values[n:]
-    return Z.T[idx - 1], values, beyond
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.n = 0
+        self.width = 1  # store columns in use, the zero column included
+        self.Z = np.zeros((0, 1), order="F")
+        self.norms = np.empty(0)  # kernel.row_norm of each stored row
+        self.slot = np.zeros(1, dtype=np.int32)
+
+    def append(self, indices, values):
+        """Store the row with ascending 1-based attributes ``indices`` and
+        their ``values``."""
+        if indices.size and indices[-1] + 1 >= self.slot.size:
+            slot = np.zeros(int(indices[-1]) + 2, dtype=np.int32)
+            slot[:self.slot.size] = self.slot
+            self.slot = slot
+        at = self.slot[indices]
+        new = indices[at == 0]
+        rows, cols = self.Z.shape
+        if self.n == rows or self.width + new.size > cols:
+            if self.n == rows:
+                rows = max(16, 2 * rows)
+            if self.width + new.size > cols:
+                cols = min(max(cols + cols // 2, self.width + new.size),
+                           self.slot.size - 1)
+            Z = np.zeros((rows, cols), order="F")
+            Z[:self.n, :self.width] = self.Z[:self.n, :self.width]
+            self.Z = Z
+            self.norms = np.resize(self.norms, rows)
+        if new.size:
+            self.slot[new] = np.arange(self.width, self.width + new.size)
+            self.width += new.size
+            at = self.slot[indices]
+        self.Z[self.n, at] = values
+        self.norms[self.n] = self.kernel.row_norm(values)
+        self.n += 1
+
+    def scores(self, indices, values):
+        """k(x, z) for every stored row z, in order, where x has the
+        1-based attributes ``indices`` and the ``values``."""
+        at = self.slot.take(indices, mode="clip")
+        return self.kernel.sparse_row_scores(
+            (at, values), self.Z[:self.n], self.norms[:self.n]
+        )
 
 
 def laplacian(x, y, psi, dim):
@@ -45,8 +88,7 @@ def gaussian(x, y, gamma):
 
 class Laplacian:
     """Laplacian kernel: a scalar form on sparse points, a scorer of a
-    sparse point against a column-major store of rows, and dense-row
-    reference paths (``point_to_row``, ``row_scores``, ``matrix``)."""
+    query against the rows of a ``RowStore``, and a dense kernel matrix."""
 
     name = "laplacian"
 
@@ -65,15 +107,6 @@ class Laplacian:
     def params(self):
         return {"name": self.name, "psi": self.psi, "dim": self.dim}
 
-    def point_to_row(self, x):
-        return x.densify(self.dim)
-
-    def row_scores(self, row, Z):
-        """k(row, z) for every row z of the dense matrix Z."""
-        diff = Z - row
-        np.abs(diff, out=diff)
-        return np.exp(-self.lam * diff.sum(axis=1))
-
     def row_norm(self, values):
         """||z||_1 of a stored row with nonzero ``values``: the ``norms``
         entry that ``sparse_row_scores`` takes for it."""
@@ -83,17 +116,17 @@ class Laplacian:
         """k(x, z) for every row z of a column-major store Z, whose
         ``row_norm`` values are ``norms``, reading only x's own columns:
         l1(x, z) = ||z||_1 + sum_{j in supp x} (|x_j - z_j| - |z_j|).
-        See ``_store_entries`` for how x's entries meet Z's columns.
+        x is ``(columns, values)``: its entries' columns of Z, and their
+        values.
         """
-        cols, values, beyond = _store_entries(x, Z)
+        at, values = x
+        cols = Z.T[at]
         abs_z = np.abs(cols)
         cols -= values[:, None]
         np.abs(cols, out=cols)
         cols -= abs_z
         d1 = cols.sum(axis=0)
         d1 += norms
-        if beyond.size:
-            d1 += np.abs(beyond).sum()
         d1 *= -self.lam
         return np.exp(d1, out=d1)
 
@@ -110,7 +143,8 @@ class Laplacian:
 
 
 class Gaussian:
-    """Gaussian (RBF) kernel, with the same paths as ``Laplacian``."""
+    """Gaussian (RBF) kernel: a scalar form on sparse points, and a scorer
+    of a query against the rows of a ``RowStore``."""
 
     name = "gaussian"
 
@@ -126,9 +160,6 @@ class Gaussian:
     def params(self):
         return {"name": self.name, "gamma": self.gamma, "dim": self.dim}
 
-    def point_to_row(self, x):
-        return x.densify(self.dim)
-
     def row_norm(self, values):
         """||z||^2 of a stored row with nonzero ``values``: the ``norms``
         entry that ``sparse_row_scores`` takes for it."""
@@ -138,29 +169,15 @@ class Gaussian:
         """k(x, z) for every row z of a column-major store Z, whose
         ``row_norm`` values are ``norms``, reading only x's own columns:
         ||x - z||^2 = ||z||^2 + ||x||^2 - 2 sum_{j in supp x} x_j z_j,
-        clamped at 0. See ``_store_entries``."""
-        cols, values, _ = _store_entries(x, Z)
-        sq = values @ cols
+        clamped at 0. x is ``(columns, values)``, as for ``Laplacian``."""
+        at, values = x
+        sq = values @ Z.T[at]
         sq *= -2.0
         sq += norms
-        sq += x.values @ x.values
+        sq += values @ values
         np.maximum(sq, 0.0, out=sq)
         sq *= -self.gamma
         return np.exp(sq, out=sq)
-
-    def row_scores(self, row, Z):
-        sq = (Z * Z).sum(axis=1) - 2.0 * (Z @ row) + row @ row
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-self.gamma * sq)
-
-    def matrix(self, X, Z):
-        sq = (
-            (X * X).sum(axis=1)[:, None]
-            - 2.0 * (X @ Z.T)
-            + (Z * Z).sum(axis=1)[None, :]
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-self.gamma * sq)
 
 
 def make_kernel(params):

@@ -23,7 +23,7 @@ from .dataset import (
 )
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .featuremap import Mapper, kernel, new_weights
-from .kernels import make_kernel
+from .kernels import RowStore, make_kernel
 from .nystrom import NystromMap
 
 FORMAT_VERSION = 2
@@ -57,19 +57,24 @@ class FeatureMatchKernel:
         return kernel(fa, fb)
 
     def row_norm(self, f):
+        """Unused by the scorer; checks the length of a stored feature."""
+        if f.size != self.t:
+            raise ProvenanceError("feature length does not match kernel t")
         return 0.0
 
-    def sparse_row_scores(self, f, F, norms):
+    def sparse_row_scores(self, x, F, norms):
         """k(f, g) for every stored feature g, a row of the column-major
-        store F; ``norms`` is unused."""
-        if f.size != self.t or F.shape[1] != self.t:
+        store F, where x is ``(columns, f)``: the columns of F that f's
+        positions map to, and f; ``norms`` is unused."""
+        at, f = x
+        if f.size != self.t:
             raise ProvenanceError("feature length does not match kernel t")
-        return np.count_nonzero(F.T == f[:, None], axis=0) / self.t
+        return np.count_nonzero(F.T[at] == f[:, None], axis=0) / self.t
 
 
 class _Model:
-    """Counters every model keeps, and persistence for a model whose whole
-    state is its weight array ``w``.
+    """The hinge step, the counters every model keeps, and persistence for
+    a model whose whole state is its weight array ``w``.
 
     ``last_predict_ops`` and ``total_ops`` count kernel evaluations (dual)
     or weight reads (primal). ``encoder`` is the fitted map that turns raw
@@ -90,6 +95,15 @@ class _Model:
         self.last_predict_ops = ops
         self.total_ops += ops * points
 
+    def step(self, x, c, eta):
+        """Predict, then on a margin violation apply the model's own
+        ``_update(x, c, eta)``; returns the score."""
+        score = self.predict(x)
+        if margin_violated(score, c):
+            self._update(x, c, eta)
+            self.updates += 1
+        return score
+
     def state(self):
         """(meta, arrays) from which ``from_state`` rebuilds the model."""
         return {"updates": self.updates}, {"w": self.w}
@@ -104,11 +118,11 @@ class _Model:
 
 
 def _entries(x):
-    """0-based columns and values of a point: a sparse vector's own
+    """1-based attributes and values of a point: a sparse vector's own
     entries, or every position of a feature array."""
     if isinstance(x, SparseVector):
-        return x.indices - 1, x.values
-    return np.arange(x.size), x
+        return x.indices, x.values
+    return np.arange(1, x.size + 1), x
 
 
 class DualModel(_Model):
@@ -116,45 +130,28 @@ class DualModel(_Model):
 
     The support set grows without budget; prediction cost is one kernel
     evaluation per stored vector. The stored vectors are the rows of a
-    column-major store, grown by doubling and widened to the widest one,
-    which the kernel's ``sparse_row_scores`` reads on each query's own
-    columns only.
+    ``RowStore``, which the kernel's ``sparse_row_scores`` reads on each
+    query's own columns only.
     """
 
     def __init__(self, kernel_fn):
         super().__init__()
         self.kernel = kernel_fn
         self.svs = []  # (point, c, alpha) in arrival order
-        self._rows = np.zeros((0, 0), order="F")
+        self._store = RowStore(kernel_fn)
         self._coeffs = np.empty(0)  # alpha_i * c_i, precombined
-        self._norms = np.empty(0)  # kernel.row_norm of each stored row
 
     def __len__(self):
         return len(self.svs)
 
-    def _append(self, point, c, alpha):
-        cols, values = _entries(point)
+    def _update(self, point, c, alpha):
+        """Add ``point`` as a support vector with label c and weight alpha."""
         n = len(self.svs)
-        cap, width = self._rows.shape
-        wide = int(cols[-1]) + 1 if cols.size else 0
-        if n == cap or wide > width:
-            cap = max(256, 2 * cap) if n == cap else cap
-            rows = np.zeros((cap, max(width, wide)), order="F")
-            rows[:n, :width] = self._rows[:n]
-            self._rows = rows
-            self._coeffs = np.resize(self._coeffs, cap)
-            self._norms = np.resize(self._norms, cap)
-        self._rows[n, cols] = values
+        if n == self._coeffs.size:
+            self._coeffs = np.resize(self._coeffs, max(256, 2 * n))
         self._coeffs[n] = alpha * c
-        self._norms[n] = self.kernel.row_norm(values)
+        self._store.append(*_entries(point))
         self.svs.append((point, c, alpha))
-        self.updates += 1
-
-    def _scores(self, x, s):
-        """k(x, sv) for the first ``s`` support vectors."""
-        return self.kernel.sparse_row_scores(
-            x, self._rows[:s], self._norms[:s]
-        )
 
     def predict(self, x):
         """Score of one point; costs len(self) kernel evaluations."""
@@ -162,7 +159,7 @@ class DualModel(_Model):
         self._count(1, s)
         if s == 0:
             return 0.0
-        return float(self._coeffs[:s] @ self._scores(x, s))
+        return float(self._coeffs[:s] @ self._store.scores(*_entries(x)))
 
     def predict_many(self, points):
         """Scores for many points against the frozen support set."""
@@ -171,14 +168,8 @@ class DualModel(_Model):
         if s == 0:
             return np.zeros(len(points))
         coeffs = self._coeffs[:s]
-        return np.array([float(coeffs @ self._scores(p, s)) for p in points])
-
-    def step(self, x, c, eta):
-        """Predict, then add x as a support vector on margin violation."""
-        score = self.predict(x)
-        if margin_violated(score, c):
-            self._append(x, c, eta)
-        return score
+        return np.array([float(coeffs @ self._store.scores(*_entries(p)))
+                         for p in points])
 
     def state(self):
         meta = {
@@ -196,7 +187,7 @@ class DualModel(_Model):
         model = cls(make_kernel(meta["kernel"]))
         points = unpack_ragged(arrays, meta["dim"])
         for point, c, alpha in zip(points, arrays["cs"], arrays["alphas"]):
-            model._append(point, int(c), float(alpha))
+            model._update(point, int(c), float(alpha))
         model.updates = meta["updates"]
         return model
 
@@ -244,14 +235,10 @@ class IKOGDModel(_Model):
         self._count(F.shape[0], self.t)
         return self.w[self._rows, F].sum(axis=1) / self.t
 
-    def step(self, f, c, eta):
-        score = self.predict(f)
-        if margin_violated(score, c):
-            self.w[self._rows, f] += eta * c
-            self.updates += 1
-            if self.update_log is not None:
-                self.update_log.append((f.copy(), eta * c))
-        return score
+    def _update(self, f, c, eta):
+        self.w[self._rows, f] += eta * c
+        if self.update_log is not None:
+            self.update_log.append((f.copy(), eta * c))
 
 
 class NOGDModel(_Model):
@@ -287,12 +274,8 @@ class NOGDModel(_Model):
         self._count(Xhat.shape[0], self.r)
         return Xhat @ self.w
 
-    def step(self, xhat, c, eta):
-        score = self.predict(xhat)
-        if margin_violated(score, c):
-            self.w += (eta * c) * xhat
-            self.updates += 1
-        return score
+    def _update(self, xhat, c, eta):
+        self.w += (eta * c) * xhat
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import (
     SampleError,
     ShapeError,
 )
-from .kernels import make_kernel
+from .kernels import RowStore, make_kernel
 from .partition import sample_psi
 
 EIGEN_FLOOR = 1e-10
@@ -44,25 +44,11 @@ def sym_eigen(M):
     return vals[order], vecs[:, order]
 
 
-class _StoreRow:
-    """A query's entries on the columns of a landmark store: 1-based
-    ``indices`` into the store, and the query's ``values``."""
-
-    __slots__ = ("indices", "values")
-
-    def __init__(self, indices, values):
-        self.indices = indices
-        self.values = values
-
-
 class NystromMap:
     """Fitted landmark map: x -> proj @ (k(x, landmark_1..b)).
 
-    A kernel with a ``sparse_row_scores`` path scores each point against
-    the landmarks, held once as the rows of a column-major store on the
-    sorted union of their supports plus one zero column, where a point's
-    entries outside that union land. Any other kernel is called once per
-    landmark.
+    The landmarks are held once as the rows of a ``RowStore``, which the
+    kernel's ``sparse_row_scores`` reads on each point's own columns.
     """
 
     def __init__(self, landmarks, kernel_fn, proj, b, r, seed):
@@ -73,23 +59,9 @@ class NystromMap:
         self.r = r  # requested rank; proj may have fewer rows
         self.seed = seed
         self.encode_ops = 0  # landmark kernel evaluations while mapping
-        self._store = None
-        if hasattr(kernel_fn, "sparse_row_scores"):
-            packed = pack_ragged(self.landmarks)
-            cols = np.unique(packed["cat_indices"])
-            Z = np.zeros((len(self.landmarks), cols.size + 1), order="F")
-            rows = np.repeat(np.arange(len(self.landmarks)),
-                             np.diff(packed["offsets"]))
-            Z[rows, np.searchsorted(cols, packed["cat_indices"])] = (
-                packed["cat_values"])
-            # attribute -> 1-based store column; any attribute outside
-            # cols, the last slot included, goes to the zero column
-            slot = np.full(int(cols[-1]) + 2 if cols.size else 1,
-                           cols.size + 1, dtype=np.int32)
-            slot[cols] = np.arange(1, cols.size + 1)
-            norms = np.array([kernel_fn.row_norm(z.values)
-                              for z in self.landmarks])
-            self._store = (slot, Z, norms)
+        self._store = RowStore(kernel_fn)
+        for z in self.landmarks:
+            self._store.append(z.indices, z.values)
 
     @property
     def kernel_evals(self):
@@ -102,11 +74,7 @@ class NystromMap:
 
     def kernel_row(self, x):
         """k(x, z) for every landmark z, in landmark order."""
-        if self._store is None:
-            return np.array([self.kernel(x, z) for z in self.landmarks])
-        slot, Z, norms = self._store
-        at = slot.take(x.indices, mode="clip")
-        return self.kernel.sparse_row_scores(_StoreRow(at, x.values), Z, norms)
+        return self._store.scores(x.indices, x.values)
 
     def map_point(self, x):
         """Dense feature vector of length effective_r: ``map_many([x])``."""

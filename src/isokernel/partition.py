@@ -238,10 +238,6 @@ class VoronoiPartition:
             )
         return self._dense
 
-    def cell_distances(self, x):
-        """Three-term squared distances from x to every center."""
-        return x.sq_norm() + self._scores(x.densify()[None])[0]
-
     def assign(self, x):
         """Nearest center of one point: ``assign_many`` of one row."""
         return int(self.assign_many(x.densify()[None])[0])

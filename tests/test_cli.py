@@ -204,6 +204,15 @@ class TestExitCodes:
         ]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--train-size", "--cv-max-points"])
+    def test_negative_size_is_a_data_error(self, data_files, capsys, flag):
+        train, _ = data_files
+        assert run_cli([
+            "eval-online", "--data", train, "--learner", "ik-ogd-anne",
+            "--psi", "8", "--t", "5", "--train-size", "100", flag, "-5",
+        ]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_input_is_a_data_error(
         self, tmp_path, data_files, capsys, token

@@ -51,6 +51,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ProtocolConfig(learner="ogd", block_size=0)
 
+    @pytest.mark.parametrize("key", ["train_size", "cv_max_points"])
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_rejects_sizes_below_one(self, key, size):
+        # a negative size would slice from the end of the stream
+        with pytest.raises(ConfigError, match=key):
+            ProtocolConfig(learner="ogd", **{key: size})
+
     def test_resolved_includes_every_field(self):
         cfg = ProtocolConfig(learner="nogd")
         resolved = cfg.resolved()

@@ -1,6 +1,7 @@
 """Online learners: margin rule, primal-dual agreement, cost counters."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,32 @@ class TestWidePoints:
         _, clone, _ = load_checkpoint(path)
         x = SparseVector([3, 6], [1.0, -2.0], 7)
         assert clone.predict(x) == pytest.approx(m.predict(x), rel=1e-14)
+
+
+class TestDualMemory:
+    def test_store_peak_follows_the_columns_in_use_not_dim(self):
+        # 300 support vectors at d=50000 whose supports come from a pool
+        # of 200 attributes: a d-wide store of them would take about 200 MB
+        rng = np.random.default_rng(24)
+        d = 50_000
+        pool = rng.choice(d, 200, replace=False) + 1
+        points = [
+            SparseVector(np.sort(rng.choice(pool, 10, replace=False)),
+                         rng.uniform(0.5, 1.5, 10), d)
+            for _ in range(300)
+        ]
+        m = DualModel(Laplacian(16, d))
+        tracemalloc.start()
+        try:
+            # every k(x, sv) is near 1, so alternating labels keep each
+            # score near 0 and every step adds a support vector
+            for i, x in enumerate(points):
+                m.step(x, 1 if i % 2 else -1, eta=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m) == 300
+        assert peak < 4 << 20
 
 
 class TestIKOGD:

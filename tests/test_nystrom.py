@@ -21,12 +21,18 @@ from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
 
 
 class DeltaKernel:
-    """k(x, y) = 1 iff the points are identical; test-only."""
+    """k(x, y) = 1 iff the points hold the same entries; test-only."""
 
     name = "delta"
 
-    def __call__(self, x, y):
-        return 1.0 if x == y else 0.0
+    def row_norm(self, values):
+        return values.size
+
+    def sparse_row_scores(self, x, Z, norms):
+        # z == x iff z holds x's values on x's columns and nothing else
+        at, values = x
+        same = (Z.T[at] == values[:, None]).all(axis=0)
+        return (same & (norms == values.size)).astype(float)
 
     def params(self):
         return {"name": self.name}
@@ -135,8 +141,11 @@ class TestFitNystrom:
         class ZeroKernel:
             name = "zero"
 
-            def __call__(self, x, y):
+            def row_norm(self, values):
                 return 0.0
+
+            def sparse_row_scores(self, x, Z, norms):
+                return np.zeros(Z.shape[0])
 
             def params(self):
                 return {"name": self.name}

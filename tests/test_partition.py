@@ -262,17 +262,6 @@ class TestVoronoi:
             dists = [sq_distance(x, z) for z in centers]
             assert part.assign(x) == int(np.argmin(dists))
 
-    def test_three_term_expansion_matches_sq_distance(self):
-        rng = np.random.default_rng(19)
-        centers = [rand_sparse(rng, 8, density=0.7) for _ in range(16)]
-        part = VoronoiPartition.build(centers)
-        for _ in range(50):
-            x = rand_sparse(rng, 8, density=0.5)
-            expanded = part.cell_distances(x)
-            direct = np.array([sq_distance(x, z) for z in centers])
-            scale = np.maximum(direct, 1.0)
-            assert np.all(np.abs(expanded - direct) / scale <= 1e-9)
-
     def test_batch_assign_matches_pointwise(self):
         rng = np.random.default_rng(29)
         centers = [rand_sparse(rng, 5, density=0.9) for _ in range(20)]

@@ -9,7 +9,10 @@ of centres); the indexed kernel is symmetric, lies on the
 grid {0, 1/t, ..., 1} and has k(x, x) = 1. The baselines' sparse
 scorers (dual OGD and the Nystrom landmark map) agree with the scalar
 kernels on points of any dim, and the landmark Gram is positive
-semidefinite.
+semidefinite. On random streams the dual model over the indexed kernel
+and the primal IK-OGD model give the same score and make the same
+update at every step, and a LIBSVM line formats and parses back to the
+same point.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order;
@@ -22,7 +25,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isokernel.dataset import Dataset, LabeledPoint, SparseVector
+from isokernel.dataset import (
+    Dataset,
+    LabeledPoint,
+    SparseVector,
+    format_libsvm_line,
+    parse_libsvm_line,
+)
 from isokernel.featuremap import Mapper, kernel
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import (
@@ -138,6 +147,19 @@ def kernels_points_queries(draw):
     queries = draw(st.lists(sparse_points(st.integers(1, top + 3)),
                             min_size=1, max_size=6))
     return kern, points, queries
+
+
+@st.composite
+def labeled_points(draw):
+    """Points with any finite nonzero float64 values, at dims up to 10^6."""
+    dim = draw(st.integers(1, 10**6))
+    entries = draw(st.dictionaries(
+        st.integers(1, dim),
+        st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+        max_size=8))
+    idx = sorted(entries)
+    x = SparseVector(idx, [entries[i] for i in idx], dim)
+    return LabeledPoint(x, draw(st.sampled_from([-1, 1])))
 
 
 def round_trip(save, load):
@@ -311,3 +333,34 @@ class TestBaselineKernels:
         G = np.array([nm.kernel_row(z) for z in nm.landmarks])
         G = 0.5 * (G + G.T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10 * b
+
+
+class TestPrimalDual:
+    @bounded
+    @given(fitted_maps(), st.data())
+    def test_dual_twin_scores_and_updates_as_the_primal(self, case, data):
+        # scores lie on the lattice eta * k / t; with eta = 0.55 and t <= 8
+        # c * score misses the margin 1 by at least 1 / (20 t), so rounding
+        # in the two summation orders cannot split an update decision
+        eta = 0.55
+        ds, mapper = case
+        F = mapper.map_many(ds)
+        primal = IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
+        dual = DualModel(FeatureMatchKernel(mapper.t))
+        stream = data.draw(st.lists(st.tuples(
+            st.integers(0, len(ds) - 1), st.sampled_from([-1, 1])),
+            max_size=40))
+        for i, c in stream:
+            sp = primal.step(F[i], c, eta)
+            sd = dual.step(F[i], c, eta)
+            assert abs(sp - sd) <= 1e-12
+            assert primal.updates == dual.updates
+
+
+class TestLibsvm:
+    @bounded
+    @given(labeled_points())
+    def test_format_then_parse_round_trips(self, p):
+        q = parse_libsvm_line(format_libsvm_line(p), dim_hint=p.x.dim)
+        assert q.c == p.c
+        assert q.x == p.x
