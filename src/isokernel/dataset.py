@@ -112,7 +112,6 @@ class Dataset:
             for p in points
         ]
         self.name = name
-        self._dense = None
         self._labels = None
 
     def __len__(self):
@@ -131,13 +130,11 @@ class Dataset:
         return self._labels
 
     def dense(self):
-        """Dense (n, dim) float64 matrix of all points; cached."""
-        if self._dense is None:
-            X = np.zeros((len(self.points), self.dim), dtype=np.float64)
-            for row, p in enumerate(self.points):
-                X[row, p.x.indices - 1] = p.x.values
-            self._dense = X
-        return self._dense
+        """Dense (n, dim) float64 matrix of all points."""
+        return dense_rows(
+            entries([p.x for p in self.points]), len(self.points),
+            np.arange(self.dim),
+        )
 
     def subset(self, indices, name=None):
         """Dataset restricted to ``indices`` (point objects are shared)."""
@@ -146,9 +143,49 @@ class Dataset:
         sub.dim = self.dim
         sub.points = [self.points[i] for i in idx]
         sub.name = self.name if name is None else name
-        sub._dense = None if self._dense is None else self._dense[idx]
         sub._labels = None if self._labels is None else self._labels[idx]
         return sub
+
+
+# ---------------------------------------------------------------------------
+# sparse rows to dense blocks and back
+
+_NO_INDICES = np.empty(0, dtype=np.int32)
+_NO_VALUES = np.empty(0)
+
+
+def entries(vectors):
+    """The stored entries of the SparseVectors ``vectors`` as three flat
+    arrays ``(row, column, value)``: vector i's entries in order, at their
+    0-based columns, with row i."""
+    return (
+        np.repeat(np.arange(len(vectors)), [v.indices.size for v in vectors]),
+        np.concatenate([_NO_INDICES, *(v.indices for v in vectors)]) - 1,
+        np.concatenate([_NO_VALUES, *(v.values for v in vectors)]),
+    )
+
+
+def dense_rows(packed, n, cols):
+    """Dense ``(n, len(cols))`` block of rows ``0..n-1`` packed as
+    ``entries`` packs them: X[i, j] is row i's value at column ``cols[j]``.
+    ``cols`` is sorted; entries at other columns are dropped."""
+    row, col, val = packed
+    at = np.searchsorted(cols, col)
+    hit = np.append(cols, -1)[at] == col
+    X = np.zeros((n, len(cols)))
+    X[row[hit], at[hit]] = val[hit]
+    return X
+
+
+def from_dense(X, labels, name):
+    """Dataset of the rows of dense X, labelled ``labels``; each row keeps
+    only its nonzeros."""
+    dim = X.shape[1]
+    points = []
+    for row, c in zip(X, labels):
+        nz = np.flatnonzero(row)
+        points.append(LabeledPoint(SparseVector(nz + 1, row[nz], dim), int(c)))
+    return Dataset(points, dim=dim, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    LabeledPoint,
-    SparseVector,
-    kfold,
-    shuffle,
-    split_head,
-    unify_dims,
-)
+from .dataset import from_dense, kfold, shuffle, split_head, unify_dims
 from .errors import ConfigError
 from .featuremap import Mapper
 from .kernels import Laplacian
@@ -59,6 +51,10 @@ class ProtocolConfig:
         if self.learner not in LEARNERS:
             raise ConfigError(
                 f"unknown learner {self.learner!r}; choose from {LEARNERS}"
+            )
+        if not (self.eta > 0 and np.isfinite(self.eta)):
+            raise ConfigError(
+                f"eta must be a finite number > 0, got {self.eta}"
             )
         if not self.psi_grid:
             raise ConfigError("psi grid must be nonempty")
@@ -162,14 +158,7 @@ def minmax_params(train):
 
 
 def apply_minmax(ds, lo, span):
-    X = (ds.dense() - lo) / span
-    points = []
-    for row, p in zip(X, ds.points):
-        nz = np.flatnonzero(row)
-        points.append(
-            LabeledPoint(SparseVector(nz + 1, row[nz], ds.dim), p.c)
-        )
-    return Dataset(points, dim=ds.dim, name=ds.name)
+    return from_dense((ds.dense() - lo) / span, ds.labels(), ds.name)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +430,4 @@ def make_two_gaussians(n, dim, separation, seed, name="two-gaussians"):
     labels = rng.choice([-1, 1], size=n)
     offset = separation / (2.0 * np.sqrt(dim))
     X = rng.standard_normal((n, dim)) + labels[:, None] * offset
-    points = []
-    for row, c in zip(X, labels):
-        nz = np.flatnonzero(row)
-        points.append(
-            LabeledPoint(SparseVector(nz + 1, row[nz], dim), int(c))
-        )
-    return Dataset(points, dim=dim, name=name)
+    return from_dense(X, labels, name)

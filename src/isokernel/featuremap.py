@@ -23,7 +23,7 @@ row has more.
 
 import numpy as np
 
-from .dataset import load_npz, save_npz, strip_prefix
+from .dataset import dense_rows, entries, load_npz, save_npz, strip_prefix
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .partition import SCHEMES, ITree, VoronoiPartition, sample_psi
 
@@ -31,8 +31,6 @@ FORMAT_VERSION = 1
 # elements in the widest array of one encoding block: its (row, tree)
 # pairs, (row, centre) scores or densified (row, column) entries
 _BLOCK = 1 << 17
-_NO_INDICES = np.empty(0, dtype=np.int32)
-_NO_VALUES = np.empty(0)
 
 
 class OpCounter:
@@ -83,10 +81,7 @@ class Mapper:
         for i in range(t):
             rng = np.random.default_rng((seed, i))
             sample = sample_psi(dataset, psi, rng)
-            if scheme == "iforest":
-                parts.append(SCHEMES[scheme].build(sample, rng))
-            else:
-                parts.append(SCHEMES[scheme].build(sample))
+            parts.append(SCHEMES[scheme].build(sample, rng))
         return cls(parts, psi, t, scheme, seed, dataset.dim)
 
     def map_point(self, x):
@@ -100,11 +95,7 @@ class Mapper:
 
     def _encode(self, xs):
         """Cell ids of the SparseVectors ``xs``, block by block."""
-        rows = (
-            np.repeat(np.arange(len(xs)), [x.indices.size for x in xs]),
-            np.concatenate([_NO_INDICES, *(x.indices for x in xs)]) - 1,
-            np.concatenate([_NO_VALUES, *(x.values for x in xs)]),
-        )
+        rows = entries(xs)
         out = np.empty((len(xs), self.t), dtype=np.int32)
         if self._forest:
             forest, roots, cols = self._forest
@@ -161,20 +152,15 @@ class Mapper:
 
 def _blocks(rows, n, cols, width):
     """Dense blocks ``(lo, X)`` of ``n`` packed sparse rows ``(row, column,
-    value)``, densified onto the sorted columns ``cols``: X holds rows lo..
-    at ``cols``' positions. A block has at most ``_BLOCK`` elements of X or
+    value)``: X is ``dense_rows`` of the block's rows from lo on, on the
+    sorted columns ``cols``. A block has at most ``_BLOCK`` elements of X or
     of a ``width``-wide array per row, or one row when a row has more."""
     row, col, val = rows
-    at = np.searchsorted(cols, col)
-    hit = np.append(cols, -1)[at] == col
-    if not hit.all():
-        row, at, val = row[hit], at[hit], val[hit]
     step = max(1, _BLOCK // max(width, cols.size))
     for lo in range(0, n, step):
         a, b = np.searchsorted(row, (lo, lo + step))
-        X = np.zeros((min(step, n - lo), cols.size))
-        X[row[a:b] - lo, at[a:b]] = val[a:b]
-        yield lo, X
+        block = (row[a:b] - lo, col[a:b], val[a:b])
+        yield lo, dense_rows(block, min(step, n - lo), cols)
 
 
 def kernel(fa, fb):

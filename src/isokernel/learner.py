@@ -85,13 +85,11 @@ class _Model:
 
     def __init__(self):
         self.updates = 0
-        self.predictions = 0
         self.last_predict_ops = 0
         self.total_ops = 0
 
     def _count(self, points, ops):
         """Record ``points`` predictions costing ``ops`` operations each."""
-        self.predictions += points
         self.last_predict_ops = ops
         self.total_ops += ops * points
 
@@ -200,14 +198,13 @@ class IKOGDModel(_Model):
     map; prediction reads t weights regardless of psi or update count.
     """
 
-    def __init__(self, t, psi, mapper=None, record_updates=False):
+    def __init__(self, t, psi, mapper=None):
         super().__init__()
         self.t = t
         self.psi = psi
         self.mapper = mapper
         self.w = new_weights(t, psi)
         self._rows = np.arange(t)  # row i of w holds partitioning i's cells
-        self.update_log = [] if record_updates else None
 
     @property
     def encoder(self):
@@ -237,8 +234,6 @@ class IKOGDModel(_Model):
 
     def _update(self, f, c, eta):
         self.w[self._rows, f] += eta * c
-        if self.update_log is not None:
-            self.update_log.append((f.copy(), eta * c))
 
 
 class NOGDModel(_Model):

@@ -29,7 +29,7 @@ columns it uses:
 import numpy as np
 
 from .errors import SampleError
-from .dataset import pack_ragged, unpack_ragged
+from .dataset import dense_rows, entries, pack_ragged, unpack_ragged
 
 # a group of centres stacked on the union of their supports may hold at
 # most this many times the entries of its members on their own supports
@@ -57,14 +57,6 @@ def _distinct(a):
     first = np.ones(a.size, dtype=bool)
     first[1:] = a[1:] != a[:-1]
     return a[first]
-
-
-def _densify_sample(points):
-    dim = max(p.dim for p in points)
-    S = np.zeros((len(points), dim), dtype=np.float64)
-    for row, p in enumerate(points):
-        S[row, p.indices - 1] = p.values
-    return S
 
 
 class ITree:
@@ -95,17 +87,26 @@ class ITree:
         range within the node is non-degenerate; the split value is uniform
         strictly inside that range. Indistinguishable duplicates share a
         leaf, so the tree may have fewer than len(sample) leaves.
+
+        The sample is densified only on the sorted union ``cols`` of its
+        supports: every other attribute is 0 in every sample row, so never
+        a candidate, and the candidates keep their ascending order.
         """
-        S = _densify_sample(sample)
-        feature = [0]
-        threshold = [0.0]
-        left = [-1]
-        right = [-1]
-        leaf_id = [-1]
+        packed = entries(sample)
+        cols = _distinct(packed[1])
+        S = dense_rows(packed, len(sample), cols)
+        # a full binary tree with at most len(sample) leaves
+        size = 2 * len(sample) - 1
+        feature = np.full(size, -1, dtype=np.int32)
+        threshold = np.zeros(size)
+        left = np.full(size, -1, dtype=np.int32)
+        right = np.full(size, -1, dtype=np.int32)
+        leaf_id = np.full(size, -1, dtype=np.int32)
+        n_nodes = 1
         n_leaves = 0
         # stack of (node slot, row indices); push right child first so the
         # left subtree is finished first (leaf ids in DFS left-first order)
-        stack = [(0, np.arange(S.shape[0]))]
+        stack = [(0, np.arange(len(sample)))]
         while stack:
             slot, rows = stack.pop()
             if rows.size > 1:
@@ -116,7 +117,6 @@ class ITree:
             else:
                 candidates = np.empty(0, dtype=np.intp)
             if candidates.size == 0:
-                feature[slot] = -1
                 leaf_id[slot] = n_leaves
                 n_leaves += 1
                 continue
@@ -127,21 +127,16 @@ class ITree:
             if split <= lo:  # uniform() may return its lower bound
                 split = np.nextafter(lo, hi)
             go_left = S[rows, attr] < split
-            left_slot = len(feature)
-            right_slot = left_slot + 1
-            for _ in range(2):
-                feature.append(0)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                leaf_id.append(-1)
-            feature[slot] = attr
+            feature[slot] = cols[attr]
             threshold[slot] = split
-            left[slot] = left_slot
-            right[slot] = right_slot
-            stack.append((right_slot, rows[~go_left]))
-            stack.append((left_slot, rows[go_left]))
-        return cls(feature, threshold, left, right, leaf_id)
+            left[slot] = n_nodes
+            right[slot] = n_nodes + 1
+            stack.append((n_nodes + 1, rows[~go_left]))
+            stack.append((n_nodes, rows[go_left]))
+            n_nodes += 2
+        keep = slice(n_nodes)
+        return cls(feature[keep], threshold[keep], left[keep], right[keep],
+                   leaf_id[keep])
 
     @classmethod
     def join(cls, trees):
@@ -225,7 +220,8 @@ class VoronoiPartition:
         self._dense = None
 
     @classmethod
-    def build(cls, sample):
+    def build(cls, sample, rng=None):
+        """Voronoi cells of ``sample``; ``rng`` is unused."""
         return cls(sample)
 
     def dense_centers(self):
@@ -233,8 +229,8 @@ class VoronoiPartition:
         Only this partitioning's own ``assign`` path reads it: a map
         scores the stacks that ``join`` builds."""
         if self._dense is None:
-            self._dense = _densify_sample(
-                [c.with_dim(self.dim) for c in self.centers]
+            self._dense = dense_rows(
+                entries(self.centers), self.n_cells, np.arange(self.dim)
             )
         return self._dense
 
@@ -262,8 +258,7 @@ class VoronoiPartition:
         matrix on the union of its members' supports holds at most
         ``STACK_WASTE`` times the entries of the members' own support
         matrices."""
-        packed = [part.state() for part in parts]
-        supports = [_distinct(p["cat_indices"] - 1) for p in packed]
+        supports = [_distinct(entries(part.centers)[1]) for part in parts]
         starts = [0]
         seen = np.zeros(max(1, *(part.dim for part in parts)), dtype=bool)
         union = own = 0
@@ -283,12 +278,11 @@ class VoronoiPartition:
         stacks = []
         for a, b in zip(starts, starts[1:] + [len(parts)]):
             cols = _distinct(np.concatenate(supports[a:b]))
-            Z = np.zeros(((b - a) * psi, cols.size))
-            for j, p in enumerate(packed[a:b]):
-                rows = np.repeat(np.arange(j * psi, (j + 1) * psi),
-                                 np.diff(p["offsets"]))
-                at = np.searchsorted(cols, p["cat_indices"] - 1)
-                Z[rows, at] = p["cat_values"]
+            Z = np.empty(((b - a) * psi, cols.size))
+            for j, part in enumerate(parts[a:b]):
+                Z[j * psi : (j + 1) * psi] = dense_rows(
+                    entries(part.centers), psi, cols
+                )
             sq = np.concatenate([part.sq_norms for part in parts[a:b]])
             stacks.append(CentreStack(a, b - a, cols, Z, sq))
         return stacks

@@ -213,6 +213,15 @@ class TestExitCodes:
         ]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["-1", "0", "nan"])
+    def test_bad_step_size_is_a_data_error(self, data_files, capsys, eta):
+        train, _ = data_files
+        assert run_cli([
+            "eval-online", "--data", train, "--learner", "ik-ogd-anne",
+            "--psi", "8", "--t", "5", "--train-size", "100", "--eta", eta,
+        ]) == 2
+        assert "eta must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_input_is_a_data_error(
         self, tmp_path, data_files, capsys, token

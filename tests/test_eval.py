@@ -58,6 +58,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             ProtocolConfig(learner="ogd", **{key: size})
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_step_sizes_that_are_not_finite_and_positive(self, eta):
+        # eta < 0 climbs the hinge loss, and eta = 0 never moves the model
+        with pytest.raises(ConfigError, match="eta"):
+            ProtocolConfig(learner="ik-ogd-anne", eta=eta)
+
     def test_resolved_includes_every_field(self):
         cfg = ProtocolConfig(learner="nogd")
         resolved = cfg.resolved()

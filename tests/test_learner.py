@@ -239,14 +239,22 @@ class TestIKOGD:
             m.step(f, 1, eta=0.5)
             assert np.count_nonzero(m.w) <= k * mapper.t
 
-    def test_weights_reconstruct_from_update_log(self):
+    def test_weights_reconstruct_from_update_log(self, monkeypatch):
         mapper, rng = self._mapper(t=30)
-        m = IKOGDModel(mapper.t, mapper.psi, mapper=mapper, record_updates=True)
+        m = IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
+        update_log = []
+        update = IKOGDModel._update
+
+        def spy_update(self, f, c, eta):
+            update_log.append((f.copy(), eta * c))
+            update(self, f, c, eta)
+
+        monkeypatch.setattr(IKOGDModel, "_update", spy_update)
         for _ in range(60):
             f = mapper.map_point(rand_sparse(rng, 5))
             m.step(f, int(rng.choice([-1, 1])), eta=0.5)
         rebuilt = new_weights(mapper.t, mapper.psi)
-        for f, coeff in m.update_log:
+        for f, coeff in update_log:
             accumulate(rebuilt, f, coeff)
         assert np.max(np.abs(rebuilt - m.w)) <= 1e-12
 

@@ -1,5 +1,7 @@
 """Isolation mechanisms: sampling, tree growth, cell assignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,25 @@ class TestITree:
         batch = tree.assign_many(X)
         point = np.array([tree.assign(q) for q in queries])
         assert np.array_equal(batch, point)
+
+    def test_sparse_fit_isolates_its_sample_in_memory_of_its_columns(self):
+        # 64 points of 10 nonzeros at d=50000: at most 640 columns hold a
+        # value, where one dense psi x d sample alone would be 25.6 MB
+        rng = np.random.default_rng(53)
+        d = 50_000
+        sample = [
+            SparseVector(np.sort(rng.choice(d, 10, replace=False)) + 1,
+                         rng.uniform(0.5, 1.5, 10), d)
+            for _ in range(64)
+        ]
+        tracemalloc.start()
+        try:
+            tree = ITree.build(sample, np.random.default_rng(54))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert {tree.assign(p) for p in sample} == set(range(64))
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(51)

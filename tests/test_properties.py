@@ -12,7 +12,8 @@ kernels on points of any dim, and the landmark Gram is positive
 semidefinite. On random streams the dual model over the indexed kernel
 and the primal IK-OGD model give the same score and make the same
 update at every step, and a LIBSVM line formats and parses back to the
-same point.
+same point. Sparse rows of any dims densify onto any sorted columns as
+their dense stack restricted to those columns.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order;
@@ -29,6 +30,8 @@ from isokernel.dataset import (
     Dataset,
     LabeledPoint,
     SparseVector,
+    dense_rows,
+    entries,
     format_libsvm_line,
     parse_libsvm_line,
 )
@@ -364,3 +367,18 @@ class TestLibsvm:
         q = parse_libsvm_line(format_libsvm_line(p), dim_hint=p.x.dim)
         assert q.c == p.c
         assert q.x == p.x
+
+
+class TestDenseRows:
+    @bounded
+    @given(
+        st.lists(sparse_points(st.integers(1, 8)), max_size=6),
+        st.sets(st.integers(0, 11)),
+    )
+    def test_equals_the_dense_stack_on_the_chosen_columns(self, xs, picked):
+        # columns run past every row's dim, and may be none at all
+        cols = np.array(sorted(picked), dtype=np.intp)
+        stack = np.array([x.densify(12) for x in xs]).reshape(len(xs), 12)
+        X = dense_rows(entries(xs), len(xs), cols)
+        assert X.shape == (len(xs), cols.size)
+        assert np.array_equal(X, stack[:, cols])
