@@ -11,8 +11,11 @@ from isokernel.dataset import save_libsvm
 from isokernel.eval import make_two_gaussians
 
 
-def main():
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "data")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+
+
+def main(out_dir=DATA_DIR):
+    """Write sample_train.libsvm and sample_test.libsvm into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     train = make_two_gaussians(600, 8, 3.5, seed=6001, name="sample-train")
     test = make_two_gaussians(400, 8, 3.5, seed=6002, name="sample-test")

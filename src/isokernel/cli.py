@@ -51,8 +51,11 @@ def read_config_file(path):
                 raise DataError(f"{path}:{lineno}: expected key=value")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key == "psi_grid":
-                out[key] = tuple(int(v) for v in value.split(","))
+            if key in ("psi", "psi_grid"):
+                try:
+                    out[key] = tuple(int(v) for v in value.split(","))
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad {key} {value!r}")
             else:
                 out[key] = _parse_scalar(value)
     return out
@@ -99,8 +102,8 @@ def build_protocol_config(args):
             merged[key] = value
     if getattr(args, "psi", None) is not None:
         merged["psi_grid"] = tuple(args.psi)
-    elif "psi" in merged:  # config-file spelling for a single value
-        merged["psi_grid"] = (int(merged.pop("psi")),)
+    elif "psi" in merged:  # config-file spelling, as for --psi
+        merged["psi_grid"] = merged.pop("psi")
     if "psi_grid" in merged:
         merged["psi_grid"] = tuple(merged["psi_grid"])
     if "learner" not in merged:

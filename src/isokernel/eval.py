@@ -9,6 +9,7 @@ compared under one seed consume the same shuffled stream.
 
 import csv
 import json
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -28,6 +29,10 @@ LEARNERS = ("ogd", "ik-ogd-iforest", "ik-ogd-anne", "nogd")
 
 # psi search range: powers of two from 2^2 to 2^12
 DEFAULT_GRID = tuple(2**m for m in range(2, 13))
+
+# config fields that must be integers; the optional sizes may also be None
+_INT_FIELDS = ("t", "b", "r", "folds", "seed", "block_size")
+_OPTIONAL_SIZES = ("train_size", "cv_max_points")
 
 
 @dataclass
@@ -52,18 +57,24 @@ class ProtocolConfig:
             raise ConfigError(
                 f"unknown learner {self.learner!r}; choose from {LEARNERS}"
             )
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise ConfigError(
-                f"eta must be a finite number > 0, got {self.eta}"
-            )
+        eta = self.eta
+        if not (isinstance(eta, numbers.Real) and not isinstance(eta, bool)
+                and eta > 0 and np.isfinite(eta)):
+            raise ConfigError(f"eta must be a finite number > 0, got {eta!r}")
+        if not isinstance(self.normalize, bool):
+            raise ConfigError(f"normalize must be a bool, got {self.normalize!r}")
         if not self.psi_grid:
             raise ConfigError("psi grid must be nonempty")
-        if self.block_size < 1:
-            raise ConfigError("block size must be >= 1")
-        for name in ("train_size", "cv_max_points"):
-            size = getattr(self, name)
-            if size is not None and size < 1:
-                raise ConfigError(f"{name} must be >= 1, got {size}")
+        for name in _INT_FIELDS + _OPTIONAL_SIZES:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_SIZES:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name in ("block_size",) + _OPTIONAL_SIZES:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value < 0 and name == "seed":  # numpy seeds are non-negative
+                raise ConfigError(f"seed must be >= 0, got {value}")
 
     def resolved(self):
         """Full config as a plain dict (defaults included)."""
@@ -149,16 +160,16 @@ def _needs_psi_sample(learner):
 # optional per-attribute min-max scaling (off by default)
 
 
-def minmax_params(train):
-    X = train.dense()
+def minmax_scale(train, other):
+    """``train`` and ``other`` with each attribute mapped by train's range
+    onto [0, 1] (a constant attribute only shifts); each is densified
+    once."""
+    X, Y = train.dense(), other.dense()
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
     span[span == 0.0] = 1.0
-    return lo, span
-
-
-def apply_minmax(ds, lo, span):
-    return from_dense((ds.dense() - lo) / span, ds.labels(), ds.name)
+    return (from_dense((X - lo) / span, train.labels(), train.name),
+            from_dense((Y - lo) / span, other.labels(), other.name))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +270,7 @@ def run_online(dataset, config):
     ds = shuffle(dataset, config.seed)
     head, tail = split_head(ds, config.train_size)
     if config.normalize:
-        lo, span = minmax_params(head)
-        head = apply_minmax(head, lo, span)
-        tail = apply_minmax(tail, lo, span)
+        head, tail = minmax_scale(head, tail)
 
     t_train = time.perf_counter()
     psi = cv_select_psi(head, config)
@@ -319,9 +328,7 @@ def run_batch(train, test, config):
         raise ConfigError("batch protocol needs nonempty train and test sets")
     train, test = unify_dims(train, test)
     if config.normalize:
-        lo, span = minmax_params(train)
-        train = apply_minmax(train, lo, span)
-        test = apply_minmax(test, lo, span)
+        train, test = minmax_scale(train, test)
 
     t0 = time.perf_counter()
     psi = cv_select_psi(train, config)

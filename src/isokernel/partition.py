@@ -7,12 +7,11 @@ stable id in [0, n_cells). Two constructions are provided:
   sample point is isolated (or points are indistinguishable). No height cap:
   the recursion stops only at isolation.
 * ``VoronoiPartition`` — the Voronoi diagram of the sample under Euclidean
-  distance; a query is assigned to its nearest sample point (ties go to the
+  distance; a query's cell is its nearest sample point (ties go to the
   lowest center index).
 
-Built partitionings are immutable and safe for concurrent assignment.
-
-A fitted map encodes through joined forms built once from its
+Built partitionings are immutable. A partitioning has no assignment path
+of its own: a fitted map encodes through joined forms built once from its
 partitionings, each reading a dense block of rows restricted to the sorted
 columns it uses:
 
@@ -29,7 +28,7 @@ columns it uses:
 import numpy as np
 
 from .errors import SampleError
-from .dataset import dense_rows, entries, pack_ragged, unpack_ragged
+from .dataset import _distinct, dense_rows, entries, pack_ragged, unpack_ragged
 
 # a group of centres stacked on the union of their supports may hold at
 # most this many times the entries of its members on their own supports
@@ -50,15 +49,6 @@ def sample_psi(dataset, psi, rng):
     return [dataset[int(i)].x for i in idx]
 
 
-def _distinct(a):
-    """Sorted distinct entries of a 1-d array; ``np.unique`` without the
-    hash pass that makes it ten times slower on small integer arrays."""
-    a = np.sort(a)
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
-
-
 class ITree:
     """Fully grown random axis-parallel splitting tree over a sample.
 
@@ -77,7 +67,6 @@ class ITree:
         self.right = np.asarray(right, dtype=np.int32)
         self.leaf_id = np.asarray(leaf_id, dtype=np.int32)
         self.n_cells = int(self.leaf_id.max()) + 1
-        self.width = int(self.feature.max()) + 1  # columns the splits read
 
     @classmethod
     def build(cls, sample, rng):
@@ -157,11 +146,10 @@ class ITree:
         return cls(feature, threshold, left, right, leaf_id), roots, cols
 
     def descend(self, X, roots):
-        """Leaf node of every (row of dense X, tree rooted at ``roots``) pair,
-        as an (n, len(roots)) array; columns X lacks read as 0. All pairs go
-        down a level at a time, and a pair leaves the active set at a leaf."""
-        if X.shape[1] < self.width:
-            X = np.pad(X, ((0, 0), (0, self.width - X.shape[1])))
+        """Leaf node of every (row of X, tree rooted at ``roots``) pair, as
+        an (n, len(roots)) array. X is dense on the columns ``join`` returns,
+        which the split attributes index. All pairs go down a level at a
+        time, and a pair leaves the active set at a leaf."""
         k = len(roots)
         node = np.tile(np.asarray(roots, dtype=np.int32), X.shape[0])
         live = np.flatnonzero(self.feature[node] >= 0)
@@ -173,14 +161,6 @@ class ITree:
             )
             live = live[self.feature[node[live]] >= 0]
         return node.reshape(X.shape[0], k)
-
-    def assign(self, x):
-        """Cell id of a single SparseVector: ``assign_many`` of one row."""
-        return int(self.assign_many(x.densify()[None])[0])
-
-    def assign_many(self, X):
-        """Cell ids for every row of a dense matrix X."""
-        return self.leaf_id[self.descend(X, [0])[:, 0]]
 
     def state(self):
         return {
@@ -203,12 +183,9 @@ class ITree:
 
 
 class VoronoiPartition:
-    """Voronoi cells of a point sample; assignment = nearest center.
-
-    Distances are evaluated through the decomposition
-    ||x - z||^2 = ||x||^2 - 2<x, z> + ||z||^2 with precomputed center norms.
-    Ties break to the lowest center index.
-    """
+    """Voronoi cells of a point sample: a point's cell is its nearest
+    center, ties to the lowest center index. The squared center norms are
+    precomputed for the ``_scores`` of the stacks ``join`` builds."""
 
     scheme = "anne"
 
@@ -217,7 +194,6 @@ class VoronoiPartition:
         self.dim = max(c.dim for c in self.centers)
         self.sq_norms = np.array([c.sq_norm() for c in self.centers])
         self.n_cells = len(self.centers)
-        self._dense = None
 
     @classmethod
     def build(cls, sample, rng=None):
@@ -225,31 +201,12 @@ class VoronoiPartition:
         return cls(sample)
 
     def dense_centers(self):
-        """Centers as a dense (psi, dim) matrix; built once, then cached.
-        Only this partitioning's own ``assign`` path reads it: a map
-        scores the stacks that ``join`` builds."""
-        if self._dense is None:
-            self._dense = dense_rows(
-                entries(self.centers), self.n_cells, np.arange(self.dim)
-            )
-        return self._dense
-
-    def assign(self, x):
-        """Nearest center of one point: ``assign_many`` of one row."""
-        return int(self.assign_many(x.densify()[None])[0])
-
-    def assign_many(self, X):
-        """Cell ids for every row of a dense matrix X."""
-        return np.argmin(self._scores(X), axis=1).astype(np.int32)
-
-    def _scores(self, X):
-        """``_scores`` of the rows of X against this partitioning's centers."""
-        Z = self.dense_centers()
-        if X.shape[1] > self.dim:
-            X = X[:, : self.dim]
-        elif X.shape[1] < self.dim:
-            Z = Z[:, : X.shape[1]]
-        return _scores(X, Z, self.sq_norms)
+        """Centers as a dense (psi, dim) matrix, built on every call. Only
+        the benchmark's tie check reads it (``perfbench/workloads.py``,
+        ``_both_nearest``): a map scores the stacks that ``join`` builds."""
+        return dense_rows(
+            entries(self.centers), self.n_cells, np.arange(self.dim)
+        )
 
     @classmethod
     def join(cls, parts):
@@ -258,7 +215,8 @@ class VoronoiPartition:
         matrix on the union of its members' supports holds at most
         ``STACK_WASTE`` times the entries of the members' own support
         matrices."""
-        supports = [_distinct(entries(part.centers)[1]) for part in parts]
+        packed = [entries(part.centers) for part in parts]
+        supports = [_distinct(col) for _, col, _ in packed]
         starts = [0]
         seen = np.zeros(max(1, *(part.dim for part in parts)), dtype=bool)
         union = own = 0
@@ -279,10 +237,8 @@ class VoronoiPartition:
         for a, b in zip(starts, starts[1:] + [len(parts)]):
             cols = _distinct(np.concatenate(supports[a:b]))
             Z = np.empty(((b - a) * psi, cols.size))
-            for j, part in enumerate(parts[a:b]):
-                Z[j * psi : (j + 1) * psi] = dense_rows(
-                    entries(part.centers), psi, cols
-                )
+            for j in range(b - a):
+                Z[j * psi : (j + 1) * psi] = dense_rows(packed[a + j], psi, cols)
             sq = np.concatenate([part.sq_norms for part in parts[a:b]])
             stacks.append(CentreStack(a, b - a, cols, Z, sq))
         return stacks

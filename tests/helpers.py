@@ -1,8 +1,10 @@
-"""Shared generators for randomized tests. All take an explicit rng."""
+"""Shared generators for randomized tests (all take an explicit rng), and
+oracles that reach a partitioning's cells."""
 
 import numpy as np
 
-from isokernel.dataset import Dataset, LabeledPoint, SparseVector
+from isokernel.dataset import Dataset, LabeledPoint, SparseVector, from_dense
+from isokernel.featuremap import Mapper
 
 
 def rand_sparse(rng, dim, density=0.5, scale=1.0):
@@ -58,3 +60,30 @@ def unreadable_files(tmp_path):
     cut = tmp_path / "cut.npz"
     cut.write_bytes(whole.read_bytes()[:40])
     return [text, bare, cut]
+
+
+def cell(part, x):
+    """Cell id of SparseVector x under ``part``, through a one-partitioning
+    map: a partitioning has no assignment path of its own."""
+    return int(_one_map(part, x.dim).map_point(x)[0])
+
+
+def cells_of(part, X):
+    """Cell ids of the rows of dense X under ``part``, through ``map_many``
+    of a one-partitioning map."""
+    ds = from_dense(X, np.ones(len(X), dtype=int), "rows")
+    return _one_map(part, X.shape[1]).map_many(ds)[:, 0]
+
+
+def _one_map(part, dim):
+    return Mapper([part], part.n_cells, 1, part.scheme, 0, dim)
+
+
+def walk_tree(tree, x_dense):
+    """Independent re-descent: follows the stored arrays with its own loop."""
+    node = 0
+    while tree.feature[node] >= 0:
+        attr = tree.feature[node]
+        v = x_dense[attr] if attr < len(x_dense) else 0.0
+        node = tree.left[node] if v < tree.threshold[node] else tree.right[node]
+    return int(tree.leaf_id[node])

@@ -222,6 +222,29 @@ class TestExitCodes:
         ]) == 2
         assert "eta must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("t = 1.5", "t must be an integer"),
+        ("block_size = 2.5", "block_size must be an integer"),
+        ("folds = x", "folds must be an integer"),
+        ("normalize = 3", "normalize must be a bool"),
+        ("seed = -1", "seed must be >= 0"),
+        ("psi = x", "bad.cfg:5: bad psi"),
+        ("psi_grid = 4.5", "bad.cfg:5: bad psi_grid"),
+    ])
+    def test_bad_config_value_is_a_data_error(
+        self, tmp_path, data_files, capsys, line, message
+    ):
+        train, _ = data_files
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(
+            f"learner = ik-ogd-anne\npsi = 8\nt = 5\ntrain_size = 100\n{line}\n"
+        )
+        assert run_cli([
+            "eval-online", "--data", train, "--config", str(cfg_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_input_is_a_data_error(
         self, tmp_path, data_files, capsys, token

@@ -1,6 +1,8 @@
 """Parsing, sparse arithmetic, and slicing of LIBSVM-style datasets."""
 
 import gzip
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +235,19 @@ class TestLabelPolicy:
         path.write_text(f"+1 1:1\n-1 1:2\n+1 1:{token}\n")
         with pytest.raises(ParseError, match="line 3"):
             load_libsvm(path)
+
+
+class TestSampleData:
+    def test_script_reproduces_the_committed_files(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "make_sample_data", root / "scripts" / "make_sample_data.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.main(str(tmp_path))
+        for name in ("sample_train.libsvm", "sample_test.libsvm"):
+            fresh = (tmp_path / name).read_bytes()
+            assert fresh == (root / "data" / name).read_bytes(), name
 
 
 class TestSlicing:

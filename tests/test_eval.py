@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import isokernel.eval as evalmod
-from isokernel.dataset import kfold, shuffle, split_head
+from isokernel.dataset import Dataset, kfold, shuffle, split_head
 from isokernel.errors import ConfigError
 from isokernel.eval import (
     Metrics,
@@ -63,6 +63,27 @@ class TestConfig:
         # eta < 0 climbs the hinge loss, and eta = 0 never moves the model
         with pytest.raises(ConfigError, match="eta"):
             ProtocolConfig(learner="ik-ogd-anne", eta=eta)
+
+    @pytest.mark.parametrize("key, value", [
+        ("t", 1.5), ("b", "x"), ("r", 2.0), ("block_size", 2.5),
+        ("folds", "x"), ("seed", True), ("train_size", 10.5),
+        ("cv_max_points", "100"), ("eta", "x"),
+    ])
+    def test_rejects_values_of_the_wrong_type(self, key, value):
+        # a float t fails in range(t) deep inside the fit, a string folds
+        # in a comparison, and a bool passes for the integer 0 or 1
+        with pytest.raises(ConfigError, match=key):
+            ProtocolConfig(learner="ik-ogd-anne", **{key: value})
+
+    def test_rejects_a_negative_seed(self):
+        # numpy's generators raise a bare ValueError for one
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ProtocolConfig(learner="ogd", seed=-1)
+
+    @pytest.mark.parametrize("value", [1, "yes", None])
+    def test_rejects_a_normalize_flag_that_is_not_a_bool(self, value):
+        with pytest.raises(ConfigError, match="normalize"):
+            ProtocolConfig(learner="ogd", normalize=value)
 
     def test_resolved_includes_every_field(self):
         cfg = ProtocolConfig(learner="nogd")
@@ -221,6 +242,19 @@ class TestRunOnline:
         run_online(ds, self._config(learner="nogd", b=50, r=10, seed=21))
         stream_seeds = [s for s in calls if s == 21]
         assert len(stream_seeds) == 3
+
+    def test_normalize_densifies_each_dataset_once(self, monkeypatch):
+        ds = make_two_gaussians(400, 4, 3.0, seed=9)
+        rows = []
+        dense = Dataset.dense
+
+        def spy(self):
+            rows.append(len(self))
+            return dense(self)
+
+        monkeypatch.setattr(Dataset, "dense", spy)
+        run_online(ds, self._config(train_size=100, normalize=True))
+        assert sorted(rows) == [100, 300]
 
     def test_determinism_except_wall_time(self):
         ds = make_two_gaussians(800, 5, 3.0, seed=8)

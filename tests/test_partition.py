@@ -1,4 +1,5 @@
-"""Isolation mechanisms: sampling, tree growth, cell assignment."""
+"""Isolation mechanisms: sampling, tree growth, joined forms, and the cells
+a one-partitioning map gives."""
 
 import tracemalloc
 
@@ -14,17 +15,7 @@ from isokernel.partition import (
     sample_psi,
 )
 
-from helpers import rand_dataset, rand_sparse
-
-
-def walk_tree(tree, x_dense):
-    """Independent re-descent: follows the stored arrays with its own loop."""
-    node = 0
-    while tree.feature[node] >= 0:
-        attr = tree.feature[node]
-        v = x_dense[attr] if attr < len(x_dense) else 0.0
-        node = tree.left[node] if v < tree.threshold[node] else tree.right[node]
-    return int(tree.leaf_id[node])
+from helpers import cell, cells_of, rand_dataset, rand_sparse, walk_tree
 
 
 class TestSamplePsi:
@@ -77,7 +68,7 @@ class TestITree:
         tree = ITree.build(sample, np.random.default_rng(1))
         assert tree.n_cells == 1
         for _ in range(10):
-            assert tree.assign(rand_sparse(rng, 6)) == 0
+            assert cell(tree, rand_sparse(rng, 6)) == 0
 
     def test_two_points_forced_split(self):
         a = SparseVector([1], [1.0], 2)
@@ -85,14 +76,14 @@ class TestITree:
         tree = ITree.build([a, b], np.random.default_rng(3))
         assert tree.n_cells == 2
         assert tree.feature[0] == 1  # 0-based: attribute 2
-        assert tree.assign(a) != tree.assign(b)
+        assert cell(tree, a) != cell(tree, b)
 
     def test_full_isolation_of_distinct_points(self):
         rng = np.random.default_rng(5)
         sample = [rand_sparse(rng, 8, density=0.9) for _ in range(64)]
         tree = ITree.build(sample, np.random.default_rng(6))
         assert tree.n_cells == 64
-        ids = {tree.assign(p) for p in sample}
+        ids = {cell(tree, p) for p in sample}
         assert len(ids) == 64
         assert ids == set(range(64))
 
@@ -120,8 +111,8 @@ class TestITree:
         w = SparseVector([2], [1.0], 3)
         tree = ITree.build([v, v, w], np.random.default_rng(0))
         assert tree.n_cells == 2
-        assert tree.assign(v) == tree.assign(v)
-        assert tree.assign(v) != tree.assign(w)
+        assert cell(tree, v) == cell(tree, v)
+        assert cell(tree, v) != cell(tree, w)
         assert set(tree.leaf_id[tree.leaf_id >= 0]) == {0, 1}
 
     def test_assign_total_even_far_outside(self):
@@ -129,7 +120,7 @@ class TestITree:
         sample = [rand_sparse(rng, 4, density=1.0) for _ in range(16)]
         tree = ITree.build(sample, np.random.default_rng(22))
         far = SparseVector([1, 2, 3, 4], [1e9, -1e9, 1e9, -1e9], 4)
-        assert 0 <= tree.assign(far) < tree.n_cells
+        assert 0 <= cell(tree, far) < tree.n_cells
 
     def test_assign_matches_independent_walk(self):
         rng = np.random.default_rng(31)
@@ -137,7 +128,7 @@ class TestITree:
         tree = ITree.build(sample, np.random.default_rng(32))
         for _ in range(1000):
             x = rand_sparse(rng, 6, density=rng.uniform(0.1, 1.0))
-            assert tree.assign(x) == walk_tree(tree, x.densify(6))
+            assert cell(tree, x) == walk_tree(tree, x.densify(6))
 
     def test_batch_assign_matches_pointwise(self):
         rng = np.random.default_rng(41)
@@ -145,8 +136,8 @@ class TestITree:
         tree = ITree.build(sample, np.random.default_rng(42))
         queries = [rand_sparse(rng, 7, density=0.5) for _ in range(200)]
         X = np.stack([q.densify(7) for q in queries])
-        batch = tree.assign_many(X)
-        point = np.array([tree.assign(q) for q in queries])
+        batch = cells_of(tree, X)
+        point = np.array([cell(tree, q) for q in queries])
         assert np.array_equal(batch, point)
 
     def test_sparse_fit_isolates_its_sample_in_memory_of_its_columns(self):
@@ -166,7 +157,7 @@ class TestITree:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
-        assert {tree.assign(p) for p in sample} == set(range(64))
+        assert {cell(tree, p) for p in sample} == set(range(64))
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(51)
@@ -192,7 +183,7 @@ class TestJoin:
         X = np.stack([q.densify(40) for q in queries])
         cells = forest.leaf_id[forest.descend(X[:, cols], roots)]
         for i, tree in enumerate(trees):
-            assert np.array_equal(cells[:, i], tree.assign_many(X))
+            assert np.array_equal(cells[:, i], cells_of(tree, X))
 
     def test_dense_centres_form_one_stack(self):
         rng = np.random.default_rng(71)
@@ -249,7 +240,7 @@ class TestJoin:
             cells = s.assign_many(X[:, s.cols])
             for j in range(s.k):
                 part = parts[s.first + j]
-                assert np.array_equal(cells[:, j], part.assign_many(X))
+                assert np.array_equal(cells[:, j], cells_of(part, X))
 
 
 class TestVoronoi:
@@ -258,7 +249,7 @@ class TestVoronoi:
         centers = [rand_sparse(rng, 5, density=1.0) for _ in range(12)]
         part = VoronoiPartition.build(centers)
         for k, z in enumerate(centers):
-            assert part.assign(z) == k
+            assert cell(part, z) == k
 
     def test_tie_breaks_to_lowest_index(self):
         # centers 2 and 5 equidistant from the query (exact in floats)
@@ -272,7 +263,7 @@ class TestVoronoi:
         ]
         x = SparseVector([1], [2.0], 2)  # distance 1 to centers 2 and 5
         part = VoronoiPartition.build(centers)
-        assert part.assign(x) == 2
+        assert cell(part, x) == 2
 
     def test_matches_brute_force_distance_scan(self):
         rng = np.random.default_rng(9)
@@ -281,7 +272,7 @@ class TestVoronoi:
         for _ in range(1000):
             x = rand_sparse(rng, 6, density=rng.uniform(0.1, 1.0))
             dists = [sq_distance(x, z) for z in centers]
-            assert part.assign(x) == int(np.argmin(dists))
+            assert cell(part, x) == int(np.argmin(dists))
 
     def test_batch_assign_matches_pointwise(self):
         rng = np.random.default_rng(29)
@@ -289,8 +280,8 @@ class TestVoronoi:
         part = VoronoiPartition.build(centers)
         queries = [rand_sparse(rng, 5, density=0.6) for _ in range(300)]
         X = np.stack([q.densify(5) for q in queries])
-        batch = part.assign_many(X)
-        point = np.array([part.assign(q) for q in queries])
+        batch = cells_of(part, X)
+        point = np.array([cell(part, q) for q in queries])
         assert np.array_equal(batch, point)
 
     def test_batch_assign_matches_pointwise_on_disjoint_supports(self):
@@ -312,8 +303,8 @@ class TestVoronoi:
             for _ in range(20)
         ]
         part = VoronoiPartition.build(centers)
-        batch = part.assign_many(np.stack([q.densify() for q in queries]))
-        point = np.array([part.assign(q) for q in queries])
+        batch = cells_of(part, np.stack([q.densify() for q in queries]))
+        point = np.array([cell(part, q) for q in queries])
         assert np.array_equal(batch, point)
 
     def test_totality(self):
@@ -322,13 +313,13 @@ class TestVoronoi:
         part = VoronoiPartition.build(centers)
         for scale in (1.0, 1e6, 1e-6):
             x = rand_sparse(rng, 4, density=1.0, scale=scale)
-            assert 0 <= part.assign(x) < part.n_cells
+            assert 0 <= cell(part, x) < part.n_cells
 
     def test_distinct_points_get_distinct_cells(self):
         rng = np.random.default_rng(49)
         centers = [rand_sparse(rng, 6, density=1.0) for _ in range(24)]
         part = VoronoiPartition.build(centers)
-        ids = {part.assign(z) for z in centers}
+        ids = {cell(part, z) for z in centers}
         assert len(ids) == 24
 
     def test_state_round_trip(self):
@@ -339,4 +330,4 @@ class TestVoronoi:
         assert clone.n_cells == part.n_cells
         for _ in range(50):
             x = rand_sparse(rng, 5)
-            assert part.assign(x) == clone.assign(x)
+            assert cell(part, x) == cell(clone, x)

@@ -2,7 +2,8 @@
 
 Save -> load is bit-identical for feature maps, landmark maps and all four
 checkpoint kinds; ``map_point`` equals the matching ``map_many`` row, and
-column i of ``map_many`` equals partitioning i's ``assign``, whatever dim
+column i of ``map_many`` equals the cells of a map of partitioning i
+alone (and, for an isolation tree, an independent walk down it), whatever dim
 the points are declared at, on dense low-dimensional data and on sparse
 high-dimensional data (whose anne partitionings join into several stacks
 of centres); the indexed kernel is symmetric, lies on the
@@ -46,6 +47,8 @@ from isokernel.learner import (
     save_checkpoint,
 )
 from isokernel.nystrom import NystromMap, fit_nystrom
+
+from helpers import cell, walk_tree
 
 ETA = 0.5
 SCHEMES = st.sampled_from(["iforest", "anne"])
@@ -282,7 +285,10 @@ class TestEncoding:
         for ds in sets:
             batch = mapper.map_many(ds)
             for i, part in enumerate(mapper.parts):
-                assert batch[:, i].tolist() == [part.assign(p.x) for p in ds]
+                assert batch[:, i].tolist() == [cell(part, p.x) for p in ds]
+                if part.scheme == "iforest":
+                    assert batch[:, i].tolist() == [
+                        walk_tree(part, p.x.densify()) for p in ds]
             for p, row in zip(ds, batch):
                 assert np.array_equal(mapper.map_point(p.x), row)
 
