@@ -157,12 +157,13 @@ _NO_VALUES = np.empty(0)
 def entries(vectors):
     """The stored entries of the SparseVectors ``vectors`` as three flat
     arrays ``(row, column, value)``: vector i's entries in order, at their
-    0-based columns, with row i."""
-    return (
-        np.repeat(np.arange(len(vectors)), [v.indices.size for v in vectors]),
-        np.concatenate([_NO_INDICES, *(v.indices for v in vectors)]) - 1,
-        np.concatenate([_NO_VALUES, *(v.values for v in vectors)]),
-    )
+    0-based columns, with row i. Rows and columns are int32, which halves
+    their bytes against numpy's default int64."""
+    row = np.repeat(np.arange(len(vectors), dtype=np.int32),
+                    [v.indices.size for v in vectors])
+    col = np.concatenate([_NO_INDICES, *(v.indices for v in vectors)])
+    col -= 1
+    return row, col, np.concatenate([_NO_VALUES, *(v.values for v in vectors)])
 
 
 def _distinct(a):
@@ -174,16 +175,34 @@ def _distinct(a):
     return a[first]
 
 
+def located(packed, cols):
+    """The entries packed as ``entries`` packs them that lie in one of the
+    sorted columns ``cols``, as ``(row, position in cols, value)``."""
+    row, col, val = packed
+    at = np.searchsorted(cols, col)
+    hit = np.append(cols, -1)[at] == col
+    return row[hit], at[hit], val[hit]
+
+
 def dense_rows(packed, n, cols):
     """Dense ``(n, len(cols))`` block of rows ``0..n-1`` packed as
     ``entries`` packs them: X[i, j] is row i's value at column ``cols[j]``.
     ``cols`` is sorted; entries at other columns are dropped."""
-    row, col, val = packed
-    at = np.searchsorted(cols, col)
-    hit = np.append(cols, -1)[at] == col
+    row, at, val = located(packed, cols)
     X = np.zeros((n, len(cols)))
-    X[row[hit], at[hit]] = val[hit]
+    X[row, at] = val
     return X
+
+
+def row_blocks(packed, n, step):
+    """Blocks ``(lo, m, block)`` of ``n`` rows packed as ``entries`` packs
+    them, ``step`` rows at a time: block packs the m rows from lo on,
+    renumbered from 0."""
+    row, col, val = packed
+    starts = np.arange(0, n, step, dtype=row.dtype)
+    ends = np.append(np.searchsorted(row, starts), row.size)
+    for lo, a, b in zip(starts.tolist(), ends[:-1].tolist(), ends[1:].tolist()):
+        yield lo, min(step, n - lo), (row[a:b] - lo, col[a:b], val[a:b])
 
 
 def from_dense(X, labels, name):

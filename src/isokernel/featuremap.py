@@ -12,18 +12,23 @@ Weight matrices for primal learners are plain (t, psi) float arrays; the
 indexed form makes <w, feature> a sum of t entries of w, independent of psi.
 
 Encoding reads points as sparse rows and never builds an n x d matrix. The
-partitionings are joined once per map (``ITree.join``: one flat forest;
-``VoronoiPartition.join``: groups of stacked centres), and each joined form
-reads only its own sorted columns. Rows go through each joined form in
-blocks, densified onto those columns alone; a block holds at most
-``_BLOCK`` elements of the widest array it creates, whether (row, tree)
-pairs, (row, centre) scores or (row, column) entries, or one row when a
-row has more.
+partitionings are joined once per map into one form (``ITree.join``: one
+flat forest; ``VoronoiPartition.join``: one scorer of all centres, a dense
+``CentreStack`` where the centres fill their matrix on the union of their
+supports to at least ``DENSE_FILL``, a ``CentreIndex`` by column
+otherwise). The forest and the stack read rows densified onto their own
+sorted columns; the index reads the sparse rows as they are. Rows go
+through the joined form in blocks; a block holds at most ``_BLOCK``
+elements of the widest array it creates, whether (row, tree) pairs, (row,
+centre) scores or densified (row, column) entries, or one row when a row
+has more.
 """
 
 import numpy as np
 
-from .dataset import dense_rows, entries, load_npz, save_npz, strip_prefix
+from .dataset import (
+    dense_rows, entries, load_npz, row_blocks, save_npz, strip_prefix,
+)
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .partition import SCHEMES, ITree, VoronoiPartition, sample_psi
 
@@ -57,9 +62,11 @@ class Mapper:
         self.dim = dim
         self.encode_ops = 0  # partitioning assignments performed so far
         if scheme == "iforest":
-            self._forest, self._stacks = ITree.join(parts), []
+            self._forest, self._centres = ITree.join(parts), None
+            self._width = max(t, self._forest[2].size)
         else:
-            self._forest, self._stacks = None, VoronoiPartition.join(parts)
+            self._forest, self._centres = None, VoronoiPartition.join(parts)
+            self._width = self._centres.width
 
     @classmethod
     def fit(cls, dataset, psi, t, scheme, seed):
@@ -77,6 +84,11 @@ class Mapper:
             raise ParameterError("cannot fit on an empty dataset")
         if seed is None:
             seed = int(np.random.default_rng().integers(2**31))
+        try:
+            np.random.SeedSequence(seed)
+        except (TypeError, ValueError) as exc:  # numpy seeds are non-negative
+            raise ParameterError(
+                f"seed must be a non-negative integer, got {seed!r}") from exc
         parts = []
         for i in range(t):
             rng = np.random.default_rng((seed, i))
@@ -95,18 +107,17 @@ class Mapper:
 
     def _encode(self, xs):
         """Cell ids of the SparseVectors ``xs``, block by block."""
-        rows = entries(xs)
         out = np.empty((len(xs), self.t), dtype=np.int32)
-        if self._forest:
-            forest, roots, cols = self._forest
-            for lo, X in _blocks(rows, len(xs), cols, self.t):
-                out[lo : lo + len(X)] = forest.leaf_id[forest.descend(X, roots)]
-        for stack in self._stacks:
-            width = stack.Z.shape[0]
-            for lo, X in _blocks(rows, len(xs), stack.cols, width):
-                out[lo : lo + len(X), stack.first : stack.first + stack.k] = (
-                    stack.assign_many(X)
-                )
+        # at most _BLOCK elements of a width-wide array per row in a
+        # block, or one row when a row has more
+        step = max(1, _BLOCK // self._width)
+        for lo, n, block in row_blocks(entries(xs), len(xs), step):
+            if self._forest:
+                forest, roots, cols = self._forest
+                X = dense_rows(block, n, cols)
+                out[lo : lo + n] = forest.leaf_id[forest.descend(X, roots)]
+            else:
+                out[lo : lo + n] = self._centres.assign_many(block, n)
         self.encode_ops += out.size
         return out
 
@@ -148,19 +159,6 @@ class Mapper:
     @classmethod
     def load(cls, path):
         return load_npz(path, FORMAT_VERSION, "map", cls.from_state)
-
-
-def _blocks(rows, n, cols, width):
-    """Dense blocks ``(lo, X)`` of ``n`` packed sparse rows ``(row, column,
-    value)``: X is ``dense_rows`` of the block's rows from lo on, on the
-    sorted columns ``cols``. A block has at most ``_BLOCK`` elements of X or
-    of a ``width``-wide array per row, or one row when a row has more."""
-    row, col, val = rows
-    step = max(1, _BLOCK // max(width, cols.size))
-    for lo in range(0, n, step):
-        a, b = np.searchsorted(row, (lo, lo + step))
-        block = (row[a:b] - lo, col[a:b], val[a:b])
-        yield lo, dense_rows(block, min(step, n - lo), cols)
 
 
 def kernel(fa, fb):

@@ -11,28 +11,37 @@ stable id in [0, n_cells). Two constructions are provided:
   lowest center index).
 
 Built partitionings are immutable. A partitioning has no assignment path
-of its own: a fitted map encodes through joined forms built once from its
-partitionings, each reading a dense block of rows restricted to the sorted
-columns it uses:
+of its own: a fitted map encodes through one joined form built once from
+all its partitionings:
 
 * ``ITree.join`` — all trees as one flat forest whose split attributes are
-  renumbered onto the columns some split reads.
-* ``VoronoiPartition.join`` — runs of consecutive partitionings as
-  ``CentreStack`` groups: one dense ``(k*psi, len(cols))`` centre matrix on
-  the union ``cols`` of the group's centre supports, scored with one
-  product and one argmin over ``(rows, k, psi)``. Dense data forms a single
-  group; sparse high-dimensional data, whose partitionings share few
-  columns, forms about one group per partitioning.
+  renumbered onto the sorted columns some split reads; it descends blocks
+  of rows densified onto those columns.
+* ``VoronoiPartition.join`` — all ``t*psi`` centres as one scorer, which
+  takes the ``<x, z>`` of each row x with every centre z and an argmin
+  over ``(rows, t, psi)``. Where the centres fill at least ``DENSE_FILL``
+  of their dense matrix on the union of their supports, as dense data
+  does, the scorer is a ``CentreStack``: that matrix, scored with one
+  product per block of rows densified onto the union. Otherwise, as on
+  sparse high-dimensional data, whose partitionings share few columns, it
+  is a ``CentreIndex``: the centres' entries indexed by column, scored
+  from the products of row and centre entries that share a column.
 """
 
 import numpy as np
 
 from .errors import SampleError
-from .dataset import _distinct, dense_rows, entries, pack_ragged, unpack_ragged
+from .dataset import (
+    _distinct, dense_rows, entries, located, pack_ragged, row_blocks,
+    unpack_ragged,
+)
 
-# a group of centres stacked on the union of their supports may hold at
-# most this many times the entries of its members on their own supports
-STACK_WASTE = 1.5
+# The least fill, stored centre entries over the cells of the dense
+# (t*psi, len(cols)) centre matrix, at which ``join`` scores centres as one
+# dense stack rather than through a column index. Measured map_many cost at
+# t=100, psi=64, on rows of 20 nonzeros (us per point, one stack / index):
+# 71 / 244 at fill 0.10 (d=200), 191 / 54 at fill 0.04 (d=500).
+DENSE_FILL = 1 / 16
 
 
 def sample_psi(dataset, psi, rng):
@@ -185,7 +194,7 @@ class ITree:
 class VoronoiPartition:
     """Voronoi cells of a point sample: a point's cell is its nearest
     center, ties to the lowest center index. The squared center norms are
-    precomputed for the ``_scores`` of the stacks ``join`` builds."""
+    precomputed for the scorer ``join`` builds."""
 
     scheme = "anne"
 
@@ -203,45 +212,23 @@ class VoronoiPartition:
     def dense_centers(self):
         """Centers as a dense (psi, dim) matrix, built on every call. Only
         the benchmark's tie check reads it (``perfbench/workloads.py``,
-        ``_both_nearest``): a map scores the stacks that ``join`` builds."""
+        ``_both_nearest``): a map scores the centres that ``join`` joins."""
         return dense_rows(
             entries(self.centers), self.n_cells, np.arange(self.dim)
         )
 
     @classmethod
     def join(cls, parts):
-        """``parts`` (of equal psi) as ``CentreStack`` groups of consecutive
-        partitionings, in order. A group grows while its dense centre
-        matrix on the union of its members' supports holds at most
-        ``STACK_WASTE`` times the entries of the members' own support
-        matrices."""
-        packed = [entries(part.centers) for part in parts]
-        supports = [_distinct(col) for _, col, _ in packed]
-        starts = [0]
-        seen = np.zeros(max(1, *(part.dim for part in parts)), dtype=bool)
-        union = own = 0
-        for i, support in enumerate(supports):
-            fresh = support.size - np.count_nonzero(seen[support])
-            k = i - starts[-1] + 1
-            wasteful = k * (union + fresh) > STACK_WASTE * (own + support.size)
-            if k > 1 and wasteful:
-                starts.append(i)
-                seen[:] = False
-                union = own = 0
-                fresh = support.size
-            seen[support] = True
-            union += fresh
-            own += support.size
-        psi = parts[0].n_cells
-        stacks = []
-        for a, b in zip(starts, starts[1:] + [len(parts)]):
-            cols = _distinct(np.concatenate(supports[a:b]))
-            Z = np.empty(((b - a) * psi, cols.size))
-            for j in range(b - a):
-                Z[j * psi : (j + 1) * psi] = dense_rows(packed[a + j], psi, cols)
-            sq = np.concatenate([part.sq_norms for part in parts[a:b]])
-            stacks.append(CentreStack(a, b - a, cols, Z, sq))
-        return stacks
+        """All centres of ``parts`` (of equal psi), in order, as one scorer:
+        a ``CentreStack`` when they fill their dense matrix on the union of
+        their supports to at least ``DENSE_FILL``, a ``CentreIndex``
+        otherwise."""
+        packed = entries([c for part in parts for c in part.centers])
+        cols = _distinct(packed[1])
+        sq = np.concatenate([part.sq_norms for part in parts])
+        dense = packed[1].size >= DENSE_FILL * sq.size * cols.size
+        form = CentreStack if dense else CentreIndex
+        return form(packed, cols, sq, len(parts))
 
     def state(self):
         return {
@@ -255,33 +242,71 @@ class VoronoiPartition:
 
 
 class CentreStack:
-    """The centres of ``k`` consecutive Voronoi partitionings, from
-    partitioning ``first`` on, as the rows of one dense ``(k*psi,
+    """The centres of ``k`` partitionings as the rows of one dense ``(k*psi,
     len(cols))`` matrix ``Z`` over the sorted columns ``cols`` they use,
-    with their squared norms ``sq``."""
+    with their squared norms ``sq``. Built from the centres packed as
+    ``entries`` packs them."""
 
-    def __init__(self, first, k, cols, Z, sq):
-        self.first = first
-        self.k = k
+    def __init__(self, packed, cols, sq, k):
         self.cols = cols
-        self.Z = Z
+        # one partitioning at a time, so that no index array spans them all
+        self.Z = np.empty((sq.size, cols.size))
+        for lo, m, block in row_blocks(packed, sq.size, sq.size // k):
+            self.Z[lo : lo + m] = dense_rows(block, m, cols)
         self.sq = sq
+        self.k = k
+        self.width = max(sq.size, cols.size)
 
-    def assign_many(self, X):
-        """(rows, k) cell ids of the rows of dense X over ``cols``."""
-        scores = _scores(X, self.Z, self.sq)
-        return scores.reshape(X.shape[0], self.k, -1).argmin(axis=2)
+    def assign_many(self, packed, n):
+        """(n, k) cell ids of ``n`` rows packed as ``entries`` packs them."""
+        X = dense_rows(packed, n, self.cols)
+        return _cells(X @ self.Z.T, self.sq, self.k)
 
 
-def _scores(X, Z, sq):
-    """||z||^2 - 2<x, z> for every row x of X and row z of Z, whose squared
-    norms are ``sq``: the squared distance less ||x||^2, which cannot
-    change a row's argmin but, if added, would round away the bits that
-    separate near ties."""
-    scores = X @ Z.T
-    scores *= -2.0
-    scores += sq
-    return scores
+class CentreIndex:
+    """The same centres as ``CentreStack`` holds, indexed by column: the
+    centres' entries sorted by column (``centre``, ``value``), those in
+    ``cols[j]`` at ``ptr[j]:ptr[j + 1]``. A row's dot with every centre
+    costs one product per (row entry, centre entry) pair sharing a
+    column."""
+
+    def __init__(self, packed, cols, sq, k):
+        row, col, val = packed
+        order = np.argsort(col, kind="stable")
+        self.cols = cols
+        self.ptr = np.append(np.searchsorted(col[order], cols), col.size)
+        self.centre = row[order]
+        self.value = val[order]
+        self.sq = sq
+        self.k = k
+        self.width = sq.size
+
+    def assign_many(self, packed, n):
+        """(n, k) cell ids of ``n`` rows packed as ``entries`` packs them."""
+        row, at, val = located(packed, self.cols)
+        first = self.ptr[at]
+        count = self.ptr[at + 1] - first
+        # positions in ``centre`` of every centre entry in each row
+        # entry's column, run after run
+        pos = np.arange(count.sum()) + np.repeat(
+            first - np.cumsum(count) + count, count)
+        dots = np.bincount(
+            np.repeat(row * np.intp(self.width), count) + self.centre[pos],
+            np.repeat(val, count) * self.value[pos],
+            minlength=n * self.width,
+        ).astype(np.float64, copy=False)  # int64 when no column is shared
+        return _cells(dots.reshape(n, self.width), self.sq, self.k)
+
+
+def _cells(dots, sq, k):
+    """Argmin over each row's ``k`` groups of centres of ||z||^2 - 2<x, z>,
+    from the dots ``<x, z>`` of every row x with every centre z, whose
+    squared norms are ``sq``: the squared distance less ||x||^2, which
+    cannot change a row's argmin but, if added, would round away the bits
+    that separate near ties."""
+    dots *= -2.0
+    dots += sq
+    return dots.reshape(dots.shape[0], k, -1).argmin(axis=2)
 
 
 SCHEMES = {"iforest": ITree, "anne": VoronoiPartition}

@@ -3,8 +3,15 @@ oracles that reach a partitioning's cells."""
 
 import numpy as np
 
-from isokernel.dataset import Dataset, LabeledPoint, SparseVector, from_dense
+from isokernel.dataset import (
+    Dataset,
+    LabeledPoint,
+    SparseVector,
+    entries,
+    from_dense,
+)
 from isokernel.featuremap import Mapper
+from isokernel.partition import CentreIndex, CentreStack
 
 
 def rand_sparse(rng, dim, density=0.5, scale=1.0):
@@ -77,6 +84,16 @@ def cells_of(part, X):
 
 def _one_map(part, dim):
     return Mapper([part], part.n_cells, 1, part.scheme, 0, dim)
+
+
+def centre_forms(parts):
+    """A ``CentreStack`` and a ``CentreIndex`` of the centres of the
+    Voronoi partitionings ``parts``, whichever ``join`` would choose."""
+    packed = entries([c for part in parts for c in part.centers])
+    cols = np.unique(packed[1])
+    sq = np.concatenate([part.sq_norms for part in parts])
+    return [form(packed, cols, sq, len(parts))
+            for form in (CentreStack, CentreIndex)]
 
 
 def walk_tree(tree, x_dense):

@@ -245,6 +245,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and message in err
 
+    def test_negative_fit_map_seed_is_a_data_error(
+        self, tmp_path, data_files, capsys
+    ):
+        train, _ = data_files
+        assert run_cli([
+            "fit-map", "--data", train, "--out", str(tmp_path / "m.npz"),
+            "--psi", "8", "--t", "3", "--scheme", "anne", "--seed", "-1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "seed must be a non-negative" in err
+
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_input_is_a_data_error(
         self, tmp_path, data_files, capsys, token

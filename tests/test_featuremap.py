@@ -26,7 +26,7 @@ from isokernel.featuremap import (
     write_features_csv,
 )
 
-from isokernel.partition import CentreStack, ITree
+from isokernel.partition import DENSE_FILL, CentreIndex, CentreStack, ITree
 
 from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
 
@@ -332,33 +332,54 @@ class TestBlocks:
     def test_tiny_blocks_encode_alike_within_the_bound(
         self, monkeypatch, scheme, t, psi
     ):
-        ds, mapper = fit_small(n=60, scheme=scheme, t=t, psi=psi)
-        expected = mapper.map_many(ds)
         calls = []  # per call: rows, and elements per row of each array
         descend = ITree.descend
-        assign_many = CentreStack.assign_many
+        forms = {}  # anne form: its unpatched assign_many
+        default = featuremap._BLOCK
 
         def spy_descend(self, X, roots):
             calls.append((X.shape[0], len(roots), X.shape[1]))
             return descend(self, X, roots)
 
-        def spy_assign_many(self, X):
-            calls.append((X.shape[0], self.Z.shape[0], X.shape[1]))
-            return assign_many(self, X)
+        def spy_assign_many(self, packed, n):
+            # the stack densifies the block onto its columns; the index
+            # reads the packed entries as they are
+            columns = self.Z.shape[1] if isinstance(self, CentreStack) else 0
+            calls.append((n, self.sq.size, columns))
+            return forms[type(self)](self, packed, n)
 
         monkeypatch.setattr(ITree, "descend", spy_descend)
-        monkeypatch.setattr(CentreStack, "assign_many", spy_assign_many)
-        monkeypatch.setattr(featuremap, "_BLOCK", 7)
-        assert np.array_equal(mapper.map_many(ds), expected)
-        # every row is encoded once per partitioning, in calls whose
-        # (row, tree) pairs, (row, centre) scores and (row, column) entries
-        # each fit in a block, or of one row when a row has more
-        cells = sum(rows * per_row for rows, per_row, _ in calls)
-        assert cells == len(ds) * t * (1 if scheme == "iforest" else psi)
-        for rows, per_row, columns in calls:
-            assert rows == 1 or rows * max(per_row, columns) <= 7
-        for p, row in zip(ds, expected):
-            assert np.array_equal(mapper.map_point(p.x), row)
+        for form in (CentreStack, CentreIndex):
+            forms[form] = form.assign_many
+            monkeypatch.setattr(form, "assign_many", spy_assign_many)
+        # dense low-dimensional points, then sparse points at a high dim,
+        # whose centres fill their dense matrix to about one over their
+        # number, so they form an index where that is below DENSE_FILL
+        for dim, density in ((6, 0.8), (600, 0.01)):
+            rng = np.random.default_rng(dim)
+            ds = rand_dataset(rng, 60, dim, density=density)
+            mapper = Mapper.fit(ds, psi=psi, t=t, scheme=scheme, seed=1)
+            monkeypatch.setattr(featuremap, "_BLOCK", default)
+            if scheme == "anne":
+                sparse = dim > 6 and t * psi * DENSE_FILL > 1
+                form = CentreIndex if sparse else CentreStack
+                assert type(mapper._centres) is form
+            expected = mapper.map_many(ds)
+            for block in (7, 100):
+                calls.clear()
+                monkeypatch.setattr(featuremap, "_BLOCK", block)
+                assert np.array_equal(mapper.map_many(ds), expected)
+                # every row is encoded once per partitioning, in calls
+                # whose (row, tree) pairs, (row, centre) scores and (row,
+                # column) entries each fit in a block, or of one row when
+                # a row has more
+                cells = sum(rows * per_row for rows, per_row, _ in calls)
+                assert cells == len(ds) * t * (
+                    1 if scheme == "iforest" else psi)
+                for rows, per_row, columns in calls:
+                    assert rows == 1 or rows * max(per_row, columns) <= block
+                for p, row in zip(ds, expected):
+                    assert np.array_equal(mapper.map_point(p.x), row)
 
 
 class TestMemory:

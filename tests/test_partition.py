@@ -6,16 +6,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isokernel.dataset import Dataset, LabeledPoint, SparseVector, sq_distance
+from isokernel.dataset import (
+    Dataset,
+    LabeledPoint,
+    SparseVector,
+    entries,
+    sq_distance,
+)
 from isokernel.errors import SampleError
 from isokernel.partition import (
-    STACK_WASTE,
+    DENSE_FILL,
+    CentreIndex,
+    CentreStack,
     ITree,
     VoronoiPartition,
     sample_psi,
 )
 
-from helpers import cell, cells_of, rand_dataset, rand_sparse, walk_tree
+from helpers import (
+    cell,
+    cells_of,
+    centre_forms,
+    rand_dataset,
+    rand_sparse,
+    walk_tree,
+)
 
 
 class TestSamplePsi:
@@ -192,33 +207,40 @@ class TestJoin:
                 [rand_sparse(rng, 6, density=0.9) for _ in range(8)])
             for _ in range(7)
         ]
-        (stack,) = VoronoiPartition.join(parts)
-        assert (stack.first, stack.k, stack.Z.shape) == (0, 7, (56, 6))
+        stack = VoronoiPartition.join(parts)
+        assert isinstance(stack, CentreStack)
+        assert (stack.k, stack.Z.shape) == (7, (56, 6))
 
-    def test_disjoint_supports_form_one_stack_each(self):
+    def test_disjoint_supports_form_a_column_index(self):
         # partitioning i has its centres on columns 10i .. 10i+9 only
         rng = np.random.default_rng(81)
 
         def centre(i):
             cols = np.sort(rng.choice(10, 3, replace=False)) + 10 * i
-            return SparseVector(cols + 1, rng.uniform(1, 2, 3), 60)
+            return SparseVector(cols + 1, rng.uniform(1, 2, 3), 100)
 
         parts = [
             VoronoiPartition.build([centre(i) for _ in range(4)])
-            for i in range(6)
+            for i in range(10)
         ]
-        stacks = VoronoiPartition.join(parts)
-        assert [(s.first, s.k) for s in stacks] == [(i, 1) for i in range(6)]
-        for s, part in zip(stacks, parts):
-            support = np.unique(np.concatenate(
-                [c.indices for c in part.centers])) - 1
-            assert s.cols.tolist() == support.tolist()
-            assert s.Z.shape[0] * s.cols.size <= STACK_WASTE * (
-                part.n_cells * support.size)
+        index = VoronoiPartition.join(parts)
+        assert isinstance(index, CentreIndex)
+        support = np.unique(np.concatenate(
+            [c.indices for part in parts for c in part.centers])) - 1
+        assert index.cols.tolist() == support.tolist()
+        # 120 stored entries fill under DENSE_FILL of a 40 x len(support)
+        # dense matrix
+        assert 120 < DENSE_FILL * 40 * support.size
+        # each column's run lists the centres stored in it, in order
+        for j, c in enumerate(index.cols):
+            run = slice(index.ptr[j], index.ptr[j + 1])
+            held = [g for g, z in enumerate(
+                z for part in parts for z in part.centers) if c + 1 in z.indices]
+            assert index.centre[run].tolist() == held
 
     def test_stacks_assign_like_each_partitioning(self):
         # three dense partitionings on columns 1..10, then three whose
-        # centres sit on columns 10i+1 .. 10i+10 only
+        # centres sit on columns 10i+1 .. 10i+10 only, scored by both forms
         rng = np.random.default_rng(91)
 
         def centre(i):
@@ -230,16 +252,12 @@ class TestJoin:
             VoronoiPartition.build([centre(i) for _ in range(5)])
             for i in (0, 0, 0, 1, 2, 3)
         ]
-        stacks = VoronoiPartition.join(parts)
-        assert len(stacks) > 1
-        assert [s.first for s in stacks] == sorted(s.first for s in stacks)
-        assert sum(s.k for s in stacks) == len(parts)
         queries = [rand_sparse(rng, 60, density=0.4) for _ in range(40)]
         X = np.stack([q.densify(60) for q in queries])
-        for s in stacks:
-            cells = s.assign_many(X[:, s.cols])
-            for j in range(s.k):
-                part = parts[s.first + j]
+        for scorer in centre_forms(parts):
+            cells = scorer.assign_many(entries(queries), len(queries))
+            assert cells.shape == (len(queries), len(parts))
+            for j, part in enumerate(parts):
                 assert np.array_equal(cells[:, j], cells_of(part, X))
 
 

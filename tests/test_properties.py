@@ -5,8 +5,9 @@ checkpoint kinds; ``map_point`` equals the matching ``map_many`` row, and
 column i of ``map_many`` equals the cells of a map of partitioning i
 alone (and, for an isolation tree, an independent walk down it), whatever dim
 the points are declared at, on dense low-dimensional data and on sparse
-high-dimensional data (whose anne partitionings join into several stacks
-of centres); the indexed kernel is symmetric, lies on the
+high-dimensional data (whose anne centres mostly join into a column index
+rather than a dense stack), and the two forms give the same cells from
+the same centres; the indexed kernel is symmetric, lies on the
 grid {0, 1/t, ..., 1} and has k(x, x) = 1. The baselines' sparse
 scorers (dual OGD and the Nystrom landmark map) agree with the scalar
 kernels on points of any dim, and the landmark Gram is positive
@@ -48,7 +49,7 @@ from isokernel.learner import (
 )
 from isokernel.nystrom import NystromMap, fit_nystrom
 
-from helpers import cell, walk_tree
+from helpers import cell, centre_forms, walk_tree
 
 ETA = 0.5
 SCHEMES = st.sampled_from(["iforest", "anne"])
@@ -103,24 +104,27 @@ def fitted_maps(draw):
 
 
 @st.composite
-def maps_and_queries(draw):
+def maps_and_queries(draw, schemes=SCHEMES):
     """(Mapper, [training set, queries]). The training rows repeat a few
     distinct points, so some samples hold one point and their tree is a
-    single leaf. Half the draws are sparse at a high dim, with samples of at
-    most 3 points, whose anne partitionings mostly read disjoint columns and
-    so join into several stacks. The queries are declared at a dim below, at
-    or above the map's."""
+    single leaf. Half the draws are sparse at a high dim, trained on every
+    point of a pool of 12 to 40 as well, whose anne centres mostly share no
+    column: most of those join into a column index, the rest into a dense
+    stack. The queries are declared at a dim below, at or above the
+    map's."""
     sparse = draw(st.booleans())
     if sparse:
-        pool = draw(sparse_datasets())
+        pool = draw(sparse_datasets(min_size=12, max_size=40))
     else:
         pool = draw(datasets(min_size=1, max_size=4))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2,
                           max_size=20))
+    if sparse:
+        picks = list(range(len(pool))) + picks
     train = Dataset([pool[i] for i in picks], dim=pool.dim)
-    psi = draw(st.integers(1, min(len(train), 3) if sparse else len(train)))
+    psi = draw(st.integers(1, len(train)))
     t = draw(st.integers(1, 8))
-    mapper = Mapper.fit(train, psi, t, draw(SCHEMES),
+    mapper = Mapper.fit(train, psi, t, draw(schemes),
                         draw(st.integers(0, 2**16)))
     query_dims = st.integers(1, pool.dim + 2)
     if sparse:
@@ -304,6 +308,18 @@ class TestEncoding:
         assert k in [c / mapper.t for c in range(mapper.t + 1)]
         assert kernel(F[i], F[i]) == 1.0
         assert FeatureMatchKernel(mapper.t)(F[i], F[j]) == k
+
+
+    @bounded
+    @given(maps_and_queries(schemes=st.just("anne")))
+    def test_centre_stack_and_index_give_the_same_cells(self, case):
+        mapper, sets = case
+        stack, index = centre_forms(mapper.parts)
+        for ds in sets:
+            rows = entries([p.x for p in ds])
+            cells = stack.assign_many(rows, len(ds))
+            assert np.array_equal(index.assign_many(rows, len(ds)), cells)
+            assert np.array_equal(mapper.map_many(ds), cells)
 
 
 class TestBaselineKernels:
