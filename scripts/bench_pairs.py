@@ -22,11 +22,13 @@ import sys
 
 
 def seed_list(text):
-    """``301-310`` or ``301,305,307`` as a list of ints."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+    """``301-310,4711`` as a list of ints: comma-separated seeds, each a
+    single seed or an inclusive range."""
+    seeds = []
+    for item in text.split(","):
+        lo, _, hi = item.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
 
 
 def revision(root):
@@ -98,7 +100,7 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", required=True,
                     help="a workload of perfbench/run.py; may repeat")
     ap.add_argument("--seeds", type=seed_list, required=True,
-                    help="one pair per seed: 301-310 or 301,305")
+                    help="one pair per seed, as 301-310,4711")
     ap.add_argument("--seconds", type=float, default=35)
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)

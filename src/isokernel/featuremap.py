@@ -21,7 +21,10 @@ sorted columns; the index reads the sparse rows as they are. Rows go
 through the joined form in blocks; a block holds at most ``_BLOCK``
 elements of the widest array it creates, whether (row, tree) pairs, (row,
 centre) scores or densified (row, column) entries, or one row when a row
-has more.
+has more. The index's products of row and centre entries that share a
+column are not counted. A row of nnz entries whose columns hold as many
+centres as the average column has about nnz * fill of them per score, and
+the fill is below ``DENSE_FILL`` wherever the index is used.
 """
 
 import numpy as np
