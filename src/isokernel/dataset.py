@@ -197,7 +197,10 @@ def dense_rows(packed, n, cols):
 def row_blocks(packed, n, step):
     """Blocks ``(lo, m, block)`` of ``n`` rows packed as ``entries`` packs
     them, ``step`` rows at a time: block packs the m rows from lo on,
-    renumbered from 0."""
+    renumbered from 0; ``packed`` itself when all n > 0 rows fit in one."""
+    if 0 < n <= step:
+        yield 0, n, packed
+        return
     row, col, val = packed
     starts = np.arange(0, n, step, dtype=row.dtype)
     ends = np.append(np.searchsorted(row, starts), row.size)

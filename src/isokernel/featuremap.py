@@ -88,15 +88,17 @@ class Mapper:
         if seed is None:
             seed = int(np.random.default_rng().integers(2**31))
         try:
+            # numpy takes a bool as 0 or 1; ``ProtocolConfig`` rejects it
+            if any(isinstance(s, (bool, np.bool_))
+                   for s in np.ravel(np.asarray(seed, dtype=object))):
+                raise TypeError("a bool is not a seed")
             np.random.SeedSequence(seed)
         except (TypeError, ValueError) as exc:  # numpy seeds are non-negative
             raise ParameterError(
                 f"seed must be a non-negative integer, got {seed!r}") from exc
-        parts = []
-        for i in range(t):
-            rng = np.random.default_rng((seed, i))
-            sample = sample_psi(dataset, psi, rng)
-            parts.append(SCHEMES[scheme].build(sample, rng))
+        rngs = [np.random.default_rng((seed, i)) for i in range(t)]
+        samples = [sample_psi(dataset, psi, rng) for rng in rngs]
+        parts = SCHEMES[scheme].build_many(samples, rngs)
         return cls(parts, psi, t, scheme, seed, dataset.dim)
 
     def map_point(self, x):

@@ -5,10 +5,22 @@ stable id in [0, n_cells). Two constructions are provided:
 
 * ``ITree`` — a binary tree of random axis-parallel splits, grown until every
   sample point is isolated (or points are indistinguishable). No height cap:
-  the recursion stops only at isolation.
+  growth stops only at isolation.
 * ``VoronoiPartition`` — the Voronoi diagram of the sample under Euclidean
   distance; a query's cell is its nearest sample point (ties go to the
   lowest center index).
+
+``build_many`` builds one partitioning per sample, each from its own
+generator. ``ITree.build_many`` grows groups of trees together, a level at
+a time: every node of every tree in a group takes its columns' ranges from
+one segmented reduction, draws its split from its own tree's uniforms, and
+routes its members to two children. A group's samples hold at most
+``_GROW_BUDGET`` stored entries and points, so the grower's memory does not
+grow with the number of trees. They are densified onto the union of their
+supports where they fill at least ``GROW_FILL`` of that block, as dense
+data does; otherwise, as on sparse high-dimensional data, they stay as
+their stored entries. Both forms grow the same trees, and a tree is the
+same whichever group it grows in.
 
 Built partitionings are immutable. A partitioning has no assignment path
 of its own: a fitted map encodes through one joined form built once from
@@ -43,6 +55,18 @@ from .dataset import (
 # 71 / 244 at fill 0.10 (d=200), 191 / 54 at fill 0.04 (d=500).
 DENSE_FILL = 1 / 16
 
+# stored entries plus points of the samples whose trees ``ITree.build_many``
+# grows together: it bounds the grower's transient arrays whatever t is
+_GROW_BUDGET = 1 << 18
+# The least fill, stored entries over the cells of the dense block of a
+# group's samples on the union of their supports, at which the grower
+# densifies the samples rather than growing from their stored entries; the
+# block then holds at most _GROW_BUDGET / GROW_FILL cells. Measured fit cost
+# at t=100 on rows of 10 nonzeros (ms per tree, dense / entries): psi=64,
+# 0.38 / 0.69 at fill 1/4 (d=40) and 0.65 / 0.56 at fill 1/8 (d=80);
+# psi=256, 1.84 / 2.10 and 4.89 / 2.71.
+GROW_FILL = 1 / 4
+
 
 def sample_psi(dataset, psi, rng):
     """Draw psi distinct points uniformly without replacement.
@@ -63,8 +87,10 @@ class ITree:
 
     Nodes are stored flat: ``feature[i] >= 0`` marks an internal node with
     children ``left[i]``/``right[i]``; leaves have ``feature[i] == -1`` and a
-    dense cell id in ``leaf_id[i]``. Leaf ids follow depth-first, left-first
-    order. Descent rule: go left iff x[feature] < threshold.
+    dense cell id in ``leaf_id[i]``. A grown tree numbers its nodes
+    breadth-first from the root 0, each right child just after its left
+    one. Leaf ids follow depth-first, left-first order. Descent rule: go
+    left iff x[feature] < threshold.
     """
 
     scheme = "iforest"
@@ -79,62 +105,34 @@ class ITree:
 
     @classmethod
     def build(cls, sample, rng):
-        """Grow a tree isolating every distinguishable point of ``sample``.
+        """Grow a tree isolating every distinguishable point of ``sample``:
+        ``build_many`` of one sample."""
+        return cls.build_many([sample], [rng])[0]
+
+    @classmethod
+    def build_many(cls, samples, rngs):
+        """One tree per sample, each isolating every distinguishable point
+        of its sample and drawing only from its own generator.
 
         Split attributes are drawn uniformly among attributes whose value
         range within the node is non-degenerate; the split value is uniform
         strictly inside that range. Indistinguishable duplicates share a
-        leaf, so the tree may have fewer than len(sample) leaves.
+        leaf, so a tree may have fewer leaves than its sample has points.
 
-        The sample is densified only on the sorted union ``cols`` of its
-        supports: every other attribute is 0 in every sample row, so never
-        a candidate, and the candidates keep their ascending order.
+        Trees grow in groups whose samples hold at most ``_GROW_BUDGET``
+        stored entries and points (or one sample that holds more), so the
+        grower's transient memory follows that budget, not the number of
+        trees.
         """
-        packed = entries(sample)
-        cols = _distinct(packed[1])
-        S = dense_rows(packed, len(sample), cols)
-        # a full binary tree with at most len(sample) leaves
-        size = 2 * len(sample) - 1
-        feature = np.full(size, -1, dtype=np.int32)
-        threshold = np.zeros(size)
-        left = np.full(size, -1, dtype=np.int32)
-        right = np.full(size, -1, dtype=np.int32)
-        leaf_id = np.full(size, -1, dtype=np.int32)
-        n_nodes = 1
-        n_leaves = 0
-        # stack of (node slot, row indices); push right child first so the
-        # left subtree is finished first (leaf ids in DFS left-first order)
-        stack = [(0, np.arange(len(sample)))]
-        while stack:
-            slot, rows = stack.pop()
-            if rows.size > 1:
-                block = S[rows]
-                mins = block.min(axis=0)
-                maxs = block.max(axis=0)
-                candidates = np.flatnonzero(maxs > mins)
-            else:
-                candidates = np.empty(0, dtype=np.intp)
-            if candidates.size == 0:
-                leaf_id[slot] = n_leaves
-                n_leaves += 1
-                continue
-            attr = int(candidates[rng.integers(candidates.size)])
-            lo = mins[attr]
-            hi = maxs[attr]
-            split = rng.uniform(lo, hi)
-            if split <= lo:  # uniform() may return its lower bound
-                split = np.nextafter(lo, hi)
-            go_left = S[rows, attr] < split
-            feature[slot] = cols[attr]
-            threshold[slot] = split
-            left[slot] = n_nodes
-            right[slot] = n_nodes + 1
-            stack.append((n_nodes + 1, rows[~go_left]))
-            stack.append((n_nodes, rows[go_left]))
-            n_nodes += 2
-        keep = slice(n_nodes)
-        return cls(feature[keep], threshold[keep], left[keep], right[keep],
-                   leaf_id[keep])
+        trees, group, size = [], [], 0
+        for sample, rng in zip(samples, rngs):
+            cost = len(sample) + sum(v.indices.size for v in sample)
+            if group and size + cost > _GROW_BUDGET:
+                trees += _grow(group)
+                group, size = [], 0
+            group.append((sample, rng))
+            size += cost
+        return trees + _grow(group)
 
     @classmethod
     def join(cls, trees):
@@ -191,6 +189,158 @@ class ITree:
         )
 
 
+def _runs(*keys):
+    """Index of the first element of every run of equal consecutive
+    elements of the arrays ``keys``, taken together."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
+def _grow(group):
+    """The trees of the ``(sample, rng)`` pairs in ``group``, grown a
+    level at a time.
+
+    At each level, every node of every tree in the group takes the range
+    of each column over its members in one segmented reduction, picks its
+    split from its own tree's next uniform pair ``(u0, u1)``, and routes
+    its members to two children. A tree's pairs are drawn up front, one
+    per possible split, and taken in breadth-first order, so each tree
+    depends on its own generator alone. Node ids are allotted a level at a
+    time, a left child just before its right one; leaf ids are then
+    renumbered depth-first, left first.
+
+    The samples are densified onto the sorted union ``cols`` of their
+    supports when their entries fill at least ``GROW_FILL`` of that block.
+    Otherwise they stay as their stored entries, sorted by (node, column,
+    value), where a column's range at a node is that of its entries there,
+    widened to 0 when some member of the node does not store it.
+    """
+    samples, rngs = zip(*group)
+    g = len(samples)
+    sizes = np.array([len(sample) for sample in samples])
+    uniforms = np.concatenate([np.empty((0, 2))] + [
+        rng.random((n - 1, 2)) for rng, n in zip(rngs, sizes)])
+    next_pair = np.cumsum(sizes) - sizes - np.arange(g)  # first of each tree
+    packed = entries([v for sample in samples for v in sample])
+    cols = _distinct(packed[1])
+    rows = np.arange(sizes.sum())  # rows at nodes not yet leaves, by node
+    members = sizes  # rows at each node of the level
+    node_of_row = np.repeat(np.arange(g), sizes)  # the roots are 0..g-1
+    dense = packed[1].size >= GROW_FILL * rows.size * cols.size
+    if dense:
+        S = dense_rows(packed, rows.size, cols)
+    else:
+        row, at, val = located(packed, cols)
+        order = np.lexsort((val, at, node_of_row[row]))
+        row, at, val = row[order], at[order], val[order]
+
+    cap = 2 * rows.size - g  # nodes of g full binary trees
+    feature = np.full(cap, -1, dtype=np.int32)
+    threshold = np.zeros(cap)
+    left = np.full(cap, -1, dtype=np.int32)
+    tree_of = np.empty(cap, dtype=np.intp)
+    tree_of[:g] = np.arange(g)
+    levels = []
+    lo, hi = 0, g
+    while rows.size:
+        levels.append((lo, hi))
+        node = node_of_row[rows] - lo
+        # the range [ca, cb] of every (node, column) group of values, in
+        # that order; the candidates are the groups with ca < cb
+        if dense:
+            starts = _runs(node)
+            block = S[rows]
+            ca = np.minimum.reduceat(block, starts).ravel()
+            cb = np.maximum.reduceat(block, starts).ravel()
+            cand = np.flatnonzero(cb > ca)
+            cnode = node[starts[cand // cols.size]]
+        else:
+            enode = node_of_row[row] - lo
+            first = _runs(enode, at)
+            ends = np.append(first, enode.size)
+            gnode = enode[first]
+            ca, cb = val[first], val[ends[1:] - 1]
+            unstored = np.diff(ends) < members[gnode]
+            np.minimum(ca, 0.0, out=ca, where=unstored)
+            np.maximum(cb, 0.0, out=cb, where=unstored)
+            cand = np.flatnonzero(cb > ca)
+            cnode = gnode[cand]
+        # the nodes that split, those with candidates, in level order
+        pick = _runs(cnode)
+        ncand = np.diff(np.append(pick, cnode.size))
+        split = cnode[pick]
+        tree = tree_of[lo + split]
+        # a node's pair: its tree's next, counted in this level's order
+        u0, u1 = uniforms[next_pair[tree] + np.arange(split.size)
+                          - np.searchsorted(tree, tree)].T
+        next_pair += np.bincount(tree, minlength=g)
+        pick = cand[pick + (u0 * ncand).astype(np.intp)]
+        a, b = ca[pick], cb[pick]
+        attr = np.full(hi - lo, -1, dtype=np.intp)
+        attr[split] = pick % cols.size if dense else at[first[pick]]
+        feature[lo + split] = cols[attr[split]]
+        threshold[lo + split] = np.clip(
+            a + (b - a) * u1, np.nextafter(a, b), b)
+        left[lo + split] = hi + 2 * np.arange(split.size)
+        tree_of[hi : hi + 2 * split.size] = np.repeat(tree, 2)
+
+        # every row of a split node goes right iff its value >= the cut
+        kept = attr[node] >= 0
+        rows, node = rows[kept], node[kept]
+        if dense:
+            x = S[rows, attr[node]]
+        else:
+            on = at == attr[enode]
+            x = np.zeros(node_of_row.size)
+            x[row[on]] = val[on]
+            x = x[rows]
+        node += lo
+        child = left[node] + (x >= threshold[node])
+        node_of_row[rows] = child
+        # a child of one row is a leaf: its row goes no further
+        members = np.bincount(child - hi, minlength=2 * split.size)
+        rows = rows[members[child - hi] > 1]
+        rows = rows[np.argsort(node_of_row[rows], kind="stable")]
+        if not dense:
+            # children follow their parents' order: a stable sort keeps
+            # each child's entries in (column, value) order
+            live = np.zeros(node_of_row.size, dtype=bool)
+            live[rows] = True
+            kept = np.flatnonzero(live[row])
+            kept = kept[np.argsort(node_of_row[row[kept]], kind="stable")]
+            row, at, val = row[kept], at[kept], val[kept]
+        lo, hi = hi, hi + 2 * split.size
+
+    feature, threshold, left, tree_of = (
+        feature[:hi], threshold[:hi], left[:hi], tree_of[:hi])
+    # leaves under each node, bottom up; then each node's first leaf id
+    leaf = feature < 0
+    under = leaf.astype(np.int32)
+    for start, stop in reversed(levels):
+        s = start + np.flatnonzero(~leaf[start:stop])
+        under[s] = under[left[s]] + under[left[s] + 1]
+    first_leaf = np.zeros(hi, dtype=np.int32)
+    for start, stop in levels:
+        s = start + np.flatnonzero(~leaf[start:stop])
+        first_leaf[left[s]] = first_leaf[s]
+        first_leaf[left[s] + 1] = first_leaf[s] + under[left[s]]
+    # each tree's nodes in id order, renumbered from 0 (its root)
+    by_tree = np.argsort(tree_of, kind="stable")
+    bounds = np.searchsorted(tree_of[by_tree], np.arange(g + 1))
+    local = np.empty(hi, dtype=np.int32)
+    local[by_tree] = np.arange(hi) - bounds[tree_of[by_tree]]
+    left = np.where(leaf, -1, local[left])
+    right = np.where(leaf, -1, left + 1)
+    leaf_id = np.where(leaf, first_leaf, -1)
+    return [
+        ITree(feature[s], threshold[s], left[s], right[s], leaf_id[s])
+        for s in (by_tree[bounds[i] : bounds[i + 1]] for i in range(g))
+    ]
+
+
 class VoronoiPartition:
     """Voronoi cells of a point sample: a point's cell is its nearest
     center, ties to the lowest center index. The squared center norms are
@@ -208,6 +358,11 @@ class VoronoiPartition:
     def build(cls, sample, rng=None):
         """Voronoi cells of ``sample``; ``rng`` is unused."""
         return cls(sample)
+
+    @classmethod
+    def build_many(cls, samples, rngs):
+        """``build`` of each sample."""
+        return [cls.build(sample, rng) for sample, rng in zip(samples, rngs)]
 
     def dense_centers(self):
         """Centers as a dense (psi, dim) matrix, built on every call. Only

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import isokernel.featuremap as featuremap
-from isokernel.dataset import Dataset, LabeledPoint, SparseVector
+from isokernel.dataset import (
+    Dataset,
+    LabeledPoint,
+    SparseVector,
+    entries,
+    row_blocks,
+)
 from isokernel.errors import (
     LoadError,
     ParameterError,
@@ -69,6 +75,13 @@ class TestFit:
             Mapper.fit(ds, psi=2, t=0, scheme="anne", seed=0)
         with pytest.raises(ParameterError):
             Mapper.fit(ds, psi=2, t=2, scheme="grid", seed=0)
+
+    @pytest.mark.parametrize("seed", [True, np.bool_(True), (3, False)])
+    def test_rejects_a_bool_seed(self, seed):
+        # numpy would take it as the integer 1 (or 0)
+        ds = rand_dataset(np.random.default_rng(3), 10, 3)
+        with pytest.raises(ParameterError, match="seed"):
+            Mapper.fit(ds, psi=2, t=2, scheme="iforest", seed=seed)
 
 
 class TestMapPoint:
@@ -380,6 +393,31 @@ class TestBlocks:
                     assert rows == 1 or rows * max(per_row, columns) <= block
                 for p, row in zip(ds, expected):
                     assert np.array_equal(mapper.map_point(p.x), row)
+
+
+    def test_rows_that_fit_one_block_are_the_packing_itself(self):
+        xs = [rand_sparse(np.random.default_rng(i), 9) for i in range(5)]
+        packed = entries(xs)
+        (lo, n, block), = row_blocks(packed, 5, 5)
+        assert (lo, n) == (0, 5) and block is packed
+        pieces = list(row_blocks(packed, 5, 2))
+        assert [(lo, n) for lo, n, _ in pieces] == [(0, 2), (2, 2), (4, 1)]
+        for key, whole in zip(range(3), packed):
+            joined = np.concatenate([block[key] + (lo if key == 0 else 0)
+                                     for lo, _, block in pieces])
+            assert np.array_equal(joined, whole)
+
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_one_block_gives_the_cells_of_many(self, monkeypatch, scheme):
+        for dim, density in ((6, 0.8), (600, 0.01)):
+            ds = rand_dataset(np.random.default_rng(dim), 60, dim, density)
+            mapper = Mapper.fit(ds, psi=8, t=5, scheme=scheme, seed=2)
+            monkeypatch.setattr(featuremap, "_BLOCK", 1 << 30)
+            whole = mapper.map_many(ds)
+            points = np.array([mapper.map_point(p.x) for p in ds])
+            monkeypatch.setattr(featuremap, "_BLOCK", 7)
+            assert np.array_equal(mapper.map_many(ds), whole)
+            assert np.array_equal(points, whole)
 
 
 class TestMemory:

@@ -15,7 +15,10 @@ semidefinite. On random streams the dual model over the indexed kernel
 and the primal IK-OGD model give the same score and make the same
 update at every step, and a LIBSVM line formats and parses back to the
 same point. Sparse rows of any dims densify onto any sorted columns as
-their dense stack restricted to those columns.
+their dense stack restricted to those columns. An iforest fit grows the
+same trees whatever t, the grouping of trees and the grower's form, and
+every grown tree isolates each distinguishable sample point, numbers its
+leaves depth-first, left first, and cuts strictly inside its node's range.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order;
@@ -23,6 +26,7 @@ the baseline scorers are tested on values that round as well.
 """
 
 import io
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -37,6 +41,7 @@ from isokernel.dataset import (
     format_libsvm_line,
     parse_libsvm_line,
 )
+import isokernel.partition as partition
 from isokernel.featuremap import Mapper, kernel
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import (
@@ -48,6 +53,7 @@ from isokernel.learner import (
     save_checkpoint,
 )
 from isokernel.nystrom import NystromMap, fit_nystrom
+from isokernel.partition import sample_psi
 
 from helpers import cell, centre_forms, walk_tree
 
@@ -320,6 +326,100 @@ class TestEncoding:
             cells = stack.assign_many(rows, len(ds))
             assert np.array_equal(index.assign_many(rows, len(ds)), cells)
             assert np.array_equal(mapper.map_many(ds), cells)
+
+
+@st.composite
+def iforest_fits(draw):
+    """(dataset, psi, seed) of an iforest fit: dense points of one to five
+    dims, where repeated points are common, or sparse points at a high
+    dim. The dense samples fill their block and are densified, the sparse
+    ones stay as their entries."""
+    if draw(st.booleans()):
+        ds = draw(sparse_datasets(min_size=2, max_size=30))
+    else:
+        ds = draw(datasets(min_size=2, max_size=30))
+    return ds, draw(st.integers(1, len(ds))), draw(st.integers(0, 2**16))
+
+
+def iforest_states(ds, psi, t, seed):
+    return [part.state()
+            for part in Mapper.fit(ds, psi, t, "iforest", seed).parts]
+
+
+def assert_same_trees(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.keys() == y.keys()
+        for key in x:
+            assert x[key].dtype == y[key].dtype
+            assert np.array_equal(x[key], y[key])
+
+
+def grown_trees(ds, psi, seed, t=4):
+    """(tree, its sample as dense rows) for each tree of a fit: tree i's
+    sample is the first draw of the generator ``(seed, i)``."""
+    mapper = Mapper.fit(ds, psi, t, "iforest", seed)
+    for i, tree in enumerate(mapper.parts):
+        sample = sample_psi(ds, psi, np.random.default_rng((seed, i)))
+        yield tree, np.array([x.densify(ds.dim) for x in sample])
+
+
+class TestGrowth:
+    @bounded
+    @given(iforest_fits())
+    def test_a_tree_depends_on_its_own_generator_alone(self, case):
+        ds, psi, seed = case
+        ten = iforest_states(ds, psi, 10, seed)
+        assert_same_trees(iforest_states(ds, psi, 3, seed), ten[:3])
+        with patch.object(partition, "_GROW_BUDGET", 1):  # one per group
+            assert_same_trees(iforest_states(ds, psi, 10, seed), ten)
+
+    @bounded
+    @given(iforest_fits())
+    def test_dense_and_entry_growth_give_the_same_trees(self, case):
+        ds, psi, seed = case
+        with patch.object(partition, "GROW_FILL", 0.0):
+            dense = iforest_states(ds, psi, 6, seed)
+        with patch.object(partition, "GROW_FILL", np.inf):
+            assert_same_trees(iforest_states(ds, psi, 6, seed), dense)
+
+    @bounded
+    @given(iforest_fits())
+    def test_trees_isolate_each_distinguishable_sample_point(self, case):
+        for tree, S in grown_trees(*case):
+            leaves = [walk_tree(tree, x) for x in S]
+            points = [tuple(x) for x in S]
+            # equal points share a leaf, and distinct ones never do
+            assert (len(set(zip(points, leaves))) == len(set(points))
+                    == len(set(leaves)) == tree.n_cells)
+
+    @bounded
+    @given(iforest_fits())
+    def test_leaf_ids_are_dense_depth_first_left_first(self, case):
+        for tree, _ in grown_trees(*case):
+            met, stack = [], [0]
+            while stack:
+                node = stack.pop()
+                if tree.feature[node] < 0:
+                    met.append(int(tree.leaf_id[node]))
+                else:
+                    stack += [tree.right[node], tree.left[node]]
+            assert met == list(range(tree.n_cells))
+
+    @bounded
+    @given(iforest_fits())
+    def test_thresholds_lie_strictly_inside_their_node_ranges(self, case):
+        for tree, S in grown_trees(*case):
+            stack = [(0, np.arange(len(S)))]
+            while stack:
+                node, members = stack.pop()
+                if tree.feature[node] < 0:
+                    continue
+                vals = S[members, tree.feature[node]]
+                assert vals.min() < tree.threshold[node] < vals.max()
+                go_left = vals < tree.threshold[node]
+                stack += [(tree.left[node], members[go_left]),
+                          (tree.right[node], members[~go_left])]
 
 
 class TestBaselineKernels:
