@@ -166,13 +166,21 @@ def entries(vectors):
     return row, col, np.concatenate([_NO_VALUES, *(v.values for v in vectors)])
 
 
+def _runs(*keys):
+    """Index of the first element of every run of equal consecutive
+    elements of the arrays ``keys``, taken together."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
 def _distinct(a):
     """Sorted distinct entries of a 1-d array; ``np.unique`` without the
     hash pass that makes it ten times slower on small integer arrays."""
     a = np.sort(a)
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first]
+    return a[_runs(a)]
 
 
 def located(packed, cols):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import SampleError
 from .dataset import (
-    _distinct, dense_rows, entries, located, pack_ragged, row_blocks,
+    _distinct, _runs, dense_rows, entries, located, pack_ragged, row_blocks,
     unpack_ragged,
 )
 
@@ -187,16 +187,6 @@ class ITree:
             state["right"],
             state["leaf_id"],
         )
-
-
-def _runs(*keys):
-    """Index of the first element of every run of equal consecutive
-    elements of the arrays ``keys``, taken together."""
-    new = np.zeros(keys[0].size, dtype=bool)
-    new[:1] = True
-    for key in keys:
-        new[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(new)
 
 
 def _grow(group):
