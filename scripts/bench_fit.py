@@ -5,8 +5,10 @@
 Each shape fits ``t`` trees of ``psi`` points on a fixed-seed dataset from
 ``perfbench/gen.py``; the best of ``--repeats`` fits is reported. Shapes:
 dense d=20 (serve-point's 2000-point head) at psi 64 and 256, sparse-hd
-(d=20000, 20 nonzeros per row) at psi 64 and 256, and acceptance
-criterion 6's t=1000, psi=256, d=2 uniform pool. The package and the
+(d=20000, 20 nonzeros per row) at psi 64 and 256, a9a-shaped rows (the
+stream-a9a workload's data: 123 binary columns, 14 ones per row) at its CV
+grid's psi 16, 64 and 256, and acceptance criterion 6's t=1000, psi=256,
+d=2 uniform pool. The package and the
 generators are imported from the checkout that holds this script, so a
 copy of it in another checkout times that checkout's code.
 """
@@ -39,6 +41,10 @@ def sparse_hd():
     return dataset(*gen.sparse_hd(2000, 221), 20000)
 
 
+def a9a():
+    return dataset(*gen.a9a_like(2000, 301), gen.A9A_DIM)
+
+
 def uniform_2d():
     X = np.random.default_rng(1006).uniform(size=(2000, 2)) + 1e-12
     return dataset(np.ones(len(X)), [([1, 2], row) for row in X], 2)
@@ -50,6 +56,9 @@ SHAPES = {
     "dense-256": (dense, 256, 100),
     "sparse-hd-64": (sparse_hd, 64, 100),
     "sparse-hd-256": (sparse_hd, 256, 20),
+    "a9a-16": (a9a, 16, 100),
+    "a9a-64": (a9a, 64, 100),
+    "a9a-256": (a9a, 256, 100),
     "crit6": (uniform_2d, 256, 1000),
 }
 

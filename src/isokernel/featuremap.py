@@ -96,9 +96,8 @@ class Mapper:
         except (TypeError, ValueError) as exc:  # numpy seeds are non-negative
             raise ParameterError(
                 f"seed must be a non-negative integer, got {seed!r}") from exc
-        rngs = [np.random.default_rng((seed, i)) for i in range(t)]
-        samples = [sample_psi(dataset, psi, rng) for rng in rngs]
-        parts = SCHEMES[scheme].build_many(samples, rngs)
+        parts = SCHEMES[scheme].build_many(
+            _draws(dataset, psi, t, seed))
         return cls(parts, psi, t, scheme, seed, dataset.dim)
 
     def map_point(self, x):
@@ -164,6 +163,14 @@ class Mapper:
     @classmethod
     def load(cls, path):
         return load_npz(path, FORMAT_VERSION, "map", cls.from_state)
+
+
+def _draws(dataset, psi, t, seed):
+    """The ``(sample, rng)`` pair of each partitioning i < t, drawn from
+    the generator seeded by (seed, i) as the pair is asked for."""
+    for i in range(t):
+        rng = np.random.default_rng((seed, i))
+        yield sample_psi(dataset, psi, rng), rng
 
 
 def kernel(fa, fb):

@@ -10,8 +10,9 @@ stable id in [0, n_cells). Two constructions are provided:
   distance; a query's cell is its nearest sample point (ties go to the
   lowest center index).
 
-``build_many`` builds one partitioning per sample, each from its own
-generator. ``ITree.build_many`` grows groups of trees together, a level at
+``build_many`` builds one partitioning per ``(sample, rng)`` pair, each
+from its own generator; it takes the pairs as they come, so a fit need not
+hold all its samples at once. ``ITree.build_many`` grows groups of trees together, a level at
 a time: every node of every tree in a group takes its columns' ranges from
 one segmented reduction, draws its split from its own tree's uniforms, and
 routes its members to two children. A group's samples hold at most
@@ -56,15 +57,20 @@ from .dataset import (
 DENSE_FILL = 1 / 16
 
 # stored entries plus points of the samples whose trees ``ITree.build_many``
-# grows together: it bounds the grower's transient arrays whatever t is
-_GROW_BUDGET = 1 << 18
+# grows together: it bounds the grower's transient arrays whatever t is.
+# Measured peak RSS rise and fit cost at t=100 on a9a-shaped rows (psi=256,
+# stored entries: MB, ms per tree): 29 / 2.6 at 2^18, 11 / 3.1 at 2^16, 6.5
+# / 2.9 at 2^15, 6.0 / 3.4 at 2^14; one tree at a time, 4.0 / 4.6.
+_GROW_BUDGET = 1 << 15
 # The least fill, stored entries over the cells of the dense block of a
 # group's samples on the union of their supports, at which the grower
 # densifies the samples rather than growing from their stored entries; the
 # block then holds at most _GROW_BUDGET / GROW_FILL cells. Measured fit cost
-# at t=100 on rows of 10 nonzeros (ms per tree, dense / entries): psi=64,
-# 0.38 / 0.69 at fill 1/4 (d=40) and 0.65 / 0.56 at fill 1/8 (d=80);
-# psi=256, 1.84 / 2.10 and 4.89 / 2.71.
+# at t=100 (ms per tree, dense / entries): fill 1 (dense d=20), 0.54 / 1.19
+# at psi=64 and 1.50 / 4.18 at psi=256; rows of 10 nonzeros, 0.59 / 0.72
+# and 1.71 / 2.62 at fill 1/4 (d=40), 0.71 / 0.64 and 3.57 / 2.97 at fill
+# 1/8 (d=80); a9a-shaped rows at fill 0.114, 0.19 / 0.13, 0.80 / 0.57 and
+# 3.56 / 2.73 at psi 16, 64 and 256.
 GROW_FILL = 1 / 4
 
 
@@ -107,12 +113,13 @@ class ITree:
     def build(cls, sample, rng):
         """Grow a tree isolating every distinguishable point of ``sample``:
         ``build_many`` of one sample."""
-        return cls.build_many([sample], [rng])[0]
+        return cls.build_many([(sample, rng)])[0]
 
     @classmethod
-    def build_many(cls, samples, rngs):
-        """One tree per sample, each isolating every distinguishable point
-        of its sample and drawing only from its own generator.
+    def build_many(cls, pairs):
+        """One tree per ``(sample, rng)`` pair, each isolating every
+        distinguishable point of its sample and drawing only from its own
+        generator.
 
         Split attributes are drawn uniformly among attributes whose value
         range within the node is non-degenerate; the split value is uniform
@@ -120,12 +127,12 @@ class ITree:
         leaf, so a tree may have fewer leaves than its sample has points.
 
         Trees grow in groups whose samples hold at most ``_GROW_BUDGET``
-        stored entries and points (or one sample that holds more), so the
-        grower's transient memory follows that budget, not the number of
-        trees.
+        stored entries and points (or one sample that holds more). Pairs
+        are read one at a time, so when ``pairs`` is an iterator the
+        transient memory follows that budget, not the number of trees.
         """
         trees, group, size = [], [], 0
-        for sample, rng in zip(samples, rngs):
+        for sample, rng in pairs:
             cost = len(sample) + sum(v.indices.size for v in sample)
             if group and size + cost > _GROW_BUDGET:
                 trees += _grow(group)
@@ -350,9 +357,9 @@ class VoronoiPartition:
         return cls(sample)
 
     @classmethod
-    def build_many(cls, samples, rngs):
-        """``build`` of each sample."""
-        return [cls.build(sample, rng) for sample, rng in zip(samples, rngs)]
+    def build_many(cls, pairs):
+        """``build`` of each ``(sample, rng)`` pair."""
+        return [cls.build(sample, rng) for sample, rng in pairs]
 
     def dense_centers(self):
         """Centers as a dense (psi, dim) matrix, built on every call. Only

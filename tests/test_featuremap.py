@@ -378,7 +378,7 @@ class TestBlocks:
                 form = CentreIndex if sparse else CentreStack
                 assert type(mapper._centres) is form
             expected = mapper.map_many(ds)
-            for block in (7, 100):
+            for block in (7, 100, 1 << 30):
                 calls.clear()
                 monkeypatch.setattr(featuremap, "_BLOCK", block)
                 assert np.array_equal(mapper.map_many(ds), expected)
@@ -394,7 +394,6 @@ class TestBlocks:
                 for p, row in zip(ds, expected):
                     assert np.array_equal(mapper.map_point(p.x), row)
 
-
     def test_rows_that_fit_one_block_are_the_packing_itself(self):
         xs = [rand_sparse(np.random.default_rng(i), 9) for i in range(5)]
         packed = entries(xs)
@@ -407,20 +406,24 @@ class TestBlocks:
                                      for lo, _, block in pieces])
             assert np.array_equal(joined, whole)
 
-    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
-    def test_one_block_gives_the_cells_of_many(self, monkeypatch, scheme):
-        for dim, density in ((6, 0.8), (600, 0.01)):
-            ds = rand_dataset(np.random.default_rng(dim), 60, dim, density)
-            mapper = Mapper.fit(ds, psi=8, t=5, scheme=scheme, seed=2)
-            monkeypatch.setattr(featuremap, "_BLOCK", 1 << 30)
-            whole = mapper.map_many(ds)
-            points = np.array([mapper.map_point(p.x) for p in ds])
-            monkeypatch.setattr(featuremap, "_BLOCK", 7)
-            assert np.array_equal(mapper.map_many(ds), whole)
-            assert np.array_equal(points, whole)
-
 
 class TestMemory:
+    def test_fit_memory_follows_the_group_budget_not_t(self, monkeypatch):
+        # samples of 8 dense points at d=200, two samples per group: one
+        # group of all 120 trees would hold 60 times the entries of one
+        ds = rand_dataset(np.random.default_rng(71), 100, 200, density=1.0)
+        monkeypatch.setattr("isokernel.partition._GROW_BUDGET", 2 * 1608)
+
+        def peak(t):
+            tracemalloc.start()
+            try:
+                Mapper.fit(ds, psi=8, t=t, scheme="iforest", seed=72)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(120) < 2 * peak(12)
+
     @pytest.mark.parametrize("scheme", ["iforest", "anne"])
     def test_map_many_peak_is_independent_of_dim(self, scheme):
         # 500 rows of 10 nonzeros at d=50000: 60 kB of sparse input, where

@@ -13,7 +13,6 @@ from isokernel.dataset import (
     entries,
     sq_distance,
 )
-import isokernel.partition as partition
 from isokernel.errors import SampleError
 from isokernel.partition import (
     DENSE_FILL,
@@ -174,27 +173,6 @@ class TestITree:
             tracemalloc.stop()
         assert peak < 2 << 20
         assert {cell(tree, p) for p in sample} == set(range(64))
-
-    def test_fit_memory_follows_the_group_budget_not_t(self, monkeypatch):
-        # dense samples of 8 points at d=200, two samples per group: a
-        # group of all 120 would hold 60 times the entries of one
-        rng = np.random.default_rng(71)
-        samples = [[rand_sparse(rng, 200, density=1.0) for _ in range(8)]
-                   for _ in range(120)]
-        cost = sum(len(x) + 1 for x in samples[0])
-        monkeypatch.setattr(partition, "_GROW_BUDGET", 2 * cost)
-
-        def peak(t):
-            rngs = [np.random.default_rng((72, i)) for i in range(t)]
-            tracemalloc.start()
-            try:
-                trees = ITree.build_many(samples[:t], rngs)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-                assert len(trees) == t
-
-        assert peak(120) < 2 * peak(12)
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(51)
