@@ -1,16 +1,20 @@
-"""Time ``Mapper.fit`` of an iforest map in process, in ms per tree.
+"""Time ``Mapper.fit`` of an iforest map in process, in ms per tree, and
+its encoder.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
-Each shape fits ``t`` trees of ``psi`` points on a fixed-seed dataset from
-``perfbench/gen.py``; the best of ``--repeats`` fits is reported. Shapes:
-dense d=20 (serve-point's 2000-point head) at psi 64 and 256, sparse-hd
-(d=20000, 20 nonzeros per row) at psi 64 and 256, a9a-shaped rows (the
-stream-a9a workload's data: 123 binary columns, 14 ones per row) at its CV
-grid's psi 16, 64 and 256, and acceptance criterion 6's t=1000, psi=256,
-d=2 uniform pool. The package and the
-generators are imported from the checkout that holds this script, so a
-copy of it in another checkout times that checkout's code.
+Each fit shape fits ``t`` trees of ``psi`` points on a fixed-seed dataset
+from ``perfbench/gen.py``; the best of ``--repeats`` fits is reported.
+Shapes: dense d=20 (serve-point's 2000-point head) at psi 64 and 256,
+sparse-hd (d=20000, 20 nonzeros per row) at psi 64 and 256, a9a-shaped
+rows (the stream-a9a workload's data: 123 binary columns, 14 ones per row)
+at its CV grid's psi 16, 64 and 256, and acceptance criterion 6's t=1000,
+psi=256, d=2 uniform pool. An ``encode-`` shape fits one map and times its
+encoder instead: the p50 of ``map_point`` over ``ENCODE_POINTS`` points,
+and ``map_many`` of all of them in us per point, each the best of
+``--repeats``. The package and the generators are imported from the
+checkout that holds this script, so a copy of it in another checkout
+times that checkout's code.
 """
 
 import argparse
@@ -60,17 +64,38 @@ SHAPES = {
     "a9a-64": (a9a, 64, 100),
     "a9a-256": (a9a, 256, 100),
     "crit6": (uniform_2d, 256, 1000),
+    "encode-dense-64": (dense, 64, 100),
 }
+ENCODE_POINTS = 500
 
 
 def time_fit(ds, psi, t, repeats):
-    """Best wall time of ``repeats`` fits, in ms per tree."""
+    """Best wall time of ``repeats`` fits, in ms per tree and in s."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         Mapper.fit(ds, psi, t, "iforest", 7)
         best = min(best, time.perf_counter() - start)
-    return best / t * 1e3
+    return best / t * 1e3, best
+
+
+def time_encode(ds, psi, t, repeats):
+    """Best ``map_point`` p50 and best ``map_many`` cost, both in us per
+    point, of one map over the first ``ENCODE_POINTS`` points."""
+    mapper = Mapper.fit(ds, psi, t, "iforest", 7)
+    head = ds.subset(range(ENCODE_POINTS))
+    point = many = float("inf")
+    for _ in range(repeats):
+        walls = []
+        for p in head:
+            start = time.perf_counter()
+            mapper.map_point(p.x)
+            walls.append(time.perf_counter() - start)
+        point = min(point, float(np.median(walls)) * 1e6)
+        start = time.perf_counter()
+        mapper.map_many(head)
+        many = min(many, (time.perf_counter() - start) / len(head) * 1e6)
+    return point, many
 
 
 def main(argv=None):
@@ -79,13 +104,18 @@ def main(argv=None):
     ap.add_argument("--shapes", default=",".join(SHAPES),
                     help="comma list of " + ", ".join(SHAPES))
     args = ap.parse_args(argv)
-    print("| shape | psi | t | ms/tree | fit s |")
-    print("|---|---|---|---|---|")
-    for name in args.shapes.split(","):
-        data, psi, t = SHAPES[name]
-        ms = time_fit(data(), psi, t, args.repeats)
-        print(f"| {name} | {psi} | {t} | {ms:.3f} | {ms * t / 1e3:.3f} |",
-              flush=True)
+    names = args.shapes.split(",")
+    # one table of the fit shapes, then one of the encode shapes
+    for timer, columns in ((time_fit, "ms/tree | fit s"),
+                           (time_encode, "map_point p50 us | map_many us/pt")):
+        chosen = [name for name in names
+                  if name.startswith("encode-") == (timer is time_encode)]
+        if chosen:
+            print(f"| shape | psi | t | {columns} |\n|---|---|---|---|---|")
+        for name in chosen:
+            data, psi, t = SHAPES[name]
+            a, b = timer(data(), psi, t, args.repeats)
+            print(f"| {name} | {psi} | {t} | {a:.3f} | {b:.3f} |", flush=True)
     return 0
 
 

@@ -30,20 +30,23 @@ class SparseVector:
     __slots__ = ("indices", "values", "dim")
 
     def __init__(self, indices, values, dim):
-        indices = np.asarray(indices, dtype=np.int32)
+        indices = np.asarray(indices)  # checked before it is cast to int32
         values = np.asarray(values, dtype=np.float64)
         if indices.shape != values.shape or indices.ndim != 1:
             raise FormatError("indices and values must be 1-d and equal length")
         if indices.size:
-            if indices[0] < 1 or (indices[1:] <= indices[:-1]).any():
-                raise FormatError("indices must be strictly increasing and >= 1")
-            if dim < int(indices[-1]):
-                raise FormatError(f"dim {dim} smaller than max index {indices[-1]}")
+            last = int(indices[-1])
+            if (indices[0] < 1 or last >= 2**31
+                    or (indices[1:] <= indices[:-1]).any()):
+                raise FormatError(
+                    "indices must be strictly increasing and in [1, 2^31)")
+            if dim < last:
+                raise FormatError(f"dim {dim} smaller than max index {last}")
             if (values == 0.0).any():
                 raise FormatError("stored values must be nonzero")
             if not np.isfinite(values).all():
                 raise FormatError("stored values must be finite")
-        self.indices = indices
+        self.indices = indices.astype(np.int32, copy=False)
         self.values = values
         self.dim = int(dim)
 
@@ -281,13 +284,14 @@ def unpack_ragged(arrays, dim):
     ]
 
 
-def strip_prefix(prefix, arrays):
-    """The entries of ``arrays`` whose key starts with ``prefix``, without it."""
-    return {
-        key[len(prefix) :]: arr
-        for key, arr in arrays.items()
-        if key.startswith(prefix)
-    }
+def by_prefix(arrays):
+    """The entries of ``arrays`` grouped in one pass by the part of their
+    key before its first ``_``: ``{"a": {"b_c": x}}`` from ``{"a_b_c": x}``."""
+    groups = {}
+    for key, arr in arrays.items():
+        prefix, _, rest = key.partition("_")
+        groups.setdefault(prefix, {})[rest] = arr
+    return groups
 
 
 def save_npz(path, version, meta, arrays):
@@ -353,6 +357,8 @@ def _parse_raw_line(line, lineno=None):
         if value != 0.0:  # explicit zero == absent
             indices.append(index)
             values.append(value)
+    if last_index >= 2**31:  # a SparseVector stores int32 indices
+        raise FormatError(f"feature index {last_index} must be < 2^31", lineno)
     return (
         raw_label,
         np.array(indices, dtype=np.int32),

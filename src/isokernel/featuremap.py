@@ -12,11 +12,13 @@ Weight matrices for primal learners are plain (t, psi) float arrays; the
 indexed form makes <w, feature> a sum of t entries of w, independent of psi.
 
 Encoding reads points as sparse rows and never builds an n x d matrix. The
-partitionings are joined once per map into one form (``ITree.join``: one
-flat forest; ``VoronoiPartition.join``: one scorer of all centres, a dense
-``CentreStack`` where the centres fill their matrix on the union of their
-supports to at least ``DENSE_FILL``, a ``CentreIndex`` by column
-otherwise). The forest and the stack read rows densified onto their own
+partitionings are joined once per map into one form, ``SCHEMES[scheme].join``
+(``ITree.join``: one flat ``Forest``; ``VoronoiPartition.join``: one scorer
+of all centres, a dense ``CentreStack`` where the centres fill their matrix
+on the union of their supports to at least ``DENSE_FILL``, a
+``CentreIndex`` by column otherwise). Every form gives a block of packed
+rows its cells through ``assign_many`` and bounds its widest array per row
+by ``width``. The forest and the stack read rows densified onto their own
 sorted columns; the index reads the sparse rows as they are. Rows go
 through the joined form in blocks; a block holds at most ``_BLOCK``
 elements of the widest array it creates, whether (row, tree) pairs, (row,
@@ -29,13 +31,11 @@ the fill is below ``DENSE_FILL`` wherever the index is used.
 
 import numpy as np
 
-from .dataset import (
-    dense_rows, entries, load_npz, row_blocks, save_npz, strip_prefix,
-)
+from .dataset import by_prefix, entries, load_npz, row_blocks, save_npz
 from .errors import ParameterError, ProvenanceError, ShapeError
-from .partition import SCHEMES, ITree, VoronoiPartition, sample_psi
+from .partition import SCHEMES, sample_psi
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # elements in the widest array of one encoding block: its (row, tree)
 # pairs, (row, centre) scores or densified (row, column) entries
 _BLOCK = 1 << 17
@@ -64,12 +64,7 @@ class Mapper:
         self.seed = seed
         self.dim = dim
         self.encode_ops = 0  # partitioning assignments performed so far
-        if scheme == "iforest":
-            self._forest, self._centres = ITree.join(parts), None
-            self._width = max(t, self._forest[2].size)
-        else:
-            self._forest, self._centres = None, VoronoiPartition.join(parts)
-            self._width = self._centres.width
+        self._joined = SCHEMES[scheme].join(parts)
 
     @classmethod
     def fit(cls, dataset, psi, t, scheme, seed):
@@ -114,14 +109,9 @@ class Mapper:
         out = np.empty((len(xs), self.t), dtype=np.int32)
         # at most _BLOCK elements of a width-wide array per row in a
         # block, or one row when a row has more
-        step = max(1, _BLOCK // self._width)
+        step = max(1, _BLOCK // self._joined.width)
         for lo, n, block in row_blocks(entries(xs), len(xs), step):
-            if self._forest:
-                forest, roots, cols = self._forest
-                X = dense_rows(block, n, cols)
-                out[lo : lo + n] = forest.leaf_id[forest.descend(X, roots)]
-            else:
-                out[lo : lo + n] = self._centres.assign_many(block, n)
+            out[lo : lo + n] = self._joined.assign_many(block, n)
         self.encode_ops += out.size
         return out
 
@@ -147,9 +137,9 @@ class Mapper:
     @classmethod
     def from_state(cls, meta, arrays):
         part_cls = SCHEMES[meta["scheme"]]
+        groups = by_prefix(arrays)
         parts = [
-            part_cls.from_state(strip_prefix(f"part{i}_", arrays))
-            for i in range(meta["t"])
+            part_cls.from_state(groups[f"part{i}"]) for i in range(meta["t"])
         ]
         return cls(
             parts, meta["psi"], meta["t"], meta["scheme"], meta["seed"],

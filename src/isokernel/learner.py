@@ -15,10 +15,10 @@ import numpy as np
 
 from .dataset import (
     SparseVector,
+    by_prefix,
     load_npz,
     pack_ragged,
     save_npz,
-    strip_prefix,
     unpack_ragged,
 )
 from .errors import ParameterError, ProvenanceError, ShapeError
@@ -26,7 +26,7 @@ from .featuremap import Mapper, kernel, new_weights
 from .kernels import RowStore, make_kernel
 from .nystrom import NystromMap
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def predict_label(score):
@@ -322,12 +322,9 @@ def load_checkpoint(path):
 
 def _decode_checkpoint(meta, arrays):
     model_cls, encoder_cls = _classes(meta["kind"])
+    groups = by_prefix(arrays)
     encoder = None
     if encoder_cls is not None:
-        encoder = encoder_cls.from_state(
-            meta["encoder"], strip_prefix("encoder_", arrays)
-        )
-    model = model_cls.from_state(
-        meta["model"], strip_prefix("model_", arrays), encoder
-    )
+        encoder = encoder_cls.from_state(meta["encoder"], groups["encoder"])
+    model = model_cls.from_state(meta["model"], groups["model"], encoder)
     return meta["kind"], model, meta["hyper"]

@@ -5,7 +5,10 @@ stable id in [0, n_cells). Two constructions are provided:
 
 * ``ITree`` — a binary tree of random axis-parallel splits, grown until every
   sample point is isolated (or points are indistinguishable). No height cap:
-  growth stops only at isolation.
+  growth stops only at isolation. A tree stores only its breadth-first list
+  of splits and leaves; its links and its leaf ids, in node order, follow.
+  Older map files (format 1) and checkpoints (format 2) numbered leaves
+  depth-first, and are rejected rather than read with other cells.
 * ``VoronoiPartition`` — the Voronoi diagram of the sample under Euclidean
   distance; a query's cell is its nearest sample point (ties go to the
   lowest center index).
@@ -27,9 +30,9 @@ Built partitionings are immutable. A partitioning has no assignment path
 of its own: a fitted map encodes through one joined form built once from
 all its partitionings:
 
-* ``ITree.join`` — all trees as one flat forest whose split attributes are
-  renumbered onto the sorted columns some split reads; it descends blocks
-  of rows densified onto those columns.
+* ``ITree.join`` — all trees as one ``Forest``, a flat forest whose split
+  attributes are renumbered onto the sorted columns some split reads; it
+  descends blocks of rows densified onto those columns.
 * ``VoronoiPartition.join`` — all ``t*psi`` centres as one scorer, which
   takes the ``<x, z>`` of each row x with every centre z and an argmin
   over ``(rows, t, psi)``. Where the centres fill at least ``DENSE_FILL``
@@ -65,12 +68,21 @@ _GROW_BUDGET = 1 << 15
 # The least fill, stored entries over the cells of the dense block of a
 # group's samples on the union of their supports, at which the grower
 # densifies the samples rather than growing from their stored entries; the
-# block then holds at most _GROW_BUDGET / GROW_FILL cells. Measured fit cost
-# at t=100 (ms per tree, dense / entries): fill 1 (dense d=20), 0.54 / 1.19
-# at psi=64 and 1.50 / 4.18 at psi=256; rows of 10 nonzeros, 0.59 / 0.72
-# and 1.71 / 2.62 at fill 1/4 (d=40), 0.71 / 0.64 and 3.57 / 2.97 at fill
-# 1/8 (d=80); a9a-shaped rows at fill 0.114, 0.19 / 0.13, 0.80 / 0.57 and
-# 3.56 / 2.73 at psi 16, 64 and 256.
+# block then holds at most _GROW_BUDGET / GROW_FILL cells. Each form alone,
+# with this constant set to 0 or to inf, on scripts/bench_fit.py's shapes
+# (ms per tree at t=100, median of 3, dense / entries):
+#
+#   dense d=20 (fill 1)      psi 64: 0.64 / 1.40    psi 256: 2.47 / 6.54
+#   a9a-shaped (fill 0.114)  psi 16: 0.43 / 0.25    psi 64: 1.64 / 0.95
+#                            psi 256: 7.62 / 4.99
+#   sparse-hd (t=20)         psi 64: 690 / 4.3
+#
+# so the entries form alone is 2.2-2.7x slower on dense data, and the
+# dense form alone 1.5-1.7x slower on a9a-shaped rows and 160x on
+# sparse-hd. The crossover lies between fill 1/8 and 1/4: on rows of 10
+# nonzeros, 0.59 / 0.72 and 1.71 / 2.62 at fill 1/4 (d=40, psi 64 and
+# 256), 0.71 / 0.64 and 3.57 / 2.97 at fill 1/8 (d=80). Of the benchmark's
+# workloads only stream-a9a, which is not gated, takes the entries form.
 GROW_FILL = 1 / 4
 
 
@@ -91,22 +103,26 @@ def sample_psi(dataset, psi, rng):
 class ITree:
     """Fully grown random axis-parallel splitting tree over a sample.
 
-    Nodes are stored flat: ``feature[i] >= 0`` marks an internal node with
-    children ``left[i]``/``right[i]``; leaves have ``feature[i] == -1`` and a
-    dense cell id in ``leaf_id[i]``. A grown tree numbers its nodes
-    breadth-first from the root 0, each right child just after its left
-    one. Leaf ids follow depth-first, left-first order. Descent rule: go
-    left iff x[feature] < threshold.
+    A tree stores only its breadth-first list of nodes from the root 0:
+    ``feature[i] >= 0`` marks a split of that attribute at
+    ``threshold[i]``, and ``feature[i] == -1`` a leaf. Counting in node
+    order from 0, the k-th split's children are ``left[i] = 2k + 1`` and
+    ``left[i] + 1``, and the k-th leaf is cell ``leaf_id[i] = k`` (-1 marks
+    the other nodes in both). Descent rule: go left iff x[feature] <
+    threshold. ``state`` is the two stored arrays, as map files of format
+    2 hold them.
     """
 
     scheme = "iforest"
 
-    def __init__(self, feature, threshold, left, right, leaf_id):
+    def __init__(self, feature, threshold):
         self.feature = np.asarray(feature, dtype=np.int32)
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.leaf_id = np.asarray(leaf_id, dtype=np.int32)
+        split = self.feature >= 0
+        self.left = np.where(split, 2 * np.cumsum(split) - 1, -1).astype(
+            np.int32)
+        self.leaf_id = np.where(split, -1, np.cumsum(~split) - 1).astype(
+            np.int32)
         self.n_cells = int(self.leaf_id.max()) + 1
 
     @classmethod
@@ -143,57 +159,21 @@ class ITree:
 
     @classmethod
     def join(cls, trees):
-        """All ``trees`` as one flat forest, the node index of each root, and
-        the sorted columns ``cols`` its splits read. Child links are shifted
-        by their tree's root, leaf ids are not, and split attributes become
-        positions in ``cols``: the forest descends rows densified onto
-        ``cols`` alone."""
-        roots = np.cumsum([0] + [tree.feature.size for tree in trees[:-1]])
-        feature, threshold, left, right, leaf_id = map(np.concatenate, zip(*[
-            (tree.feature, tree.threshold, tree.left + root,
-             tree.right + root, tree.leaf_id)
-            for tree, root in zip(trees, roots)
-        ]))
-        split = feature >= 0
-        cols = _distinct(feature[split])
-        feature[split] = np.searchsorted(cols, feature[split])
-        return cls(feature, threshold, left, right, leaf_id), roots, cols
-
-    def descend(self, X, roots):
-        """Leaf node of every (row of X, tree rooted at ``roots``) pair, as
-        an (n, len(roots)) array. X is dense on the columns ``join`` returns,
-        which the split attributes index. All pairs go down a level at a
-        time, and a pair leaves the active set at a leaf."""
-        k = len(roots)
-        node = np.tile(np.asarray(roots, dtype=np.int32), X.shape[0])
-        live = np.flatnonzero(self.feature[node] >= 0)
-        while live.size:
-            nd = node[live]
-            node[live] = np.where(
-                X[live // k, self.feature[nd]] < self.threshold[nd],
-                self.left[nd], self.right[nd],
-            )
-            live = live[self.feature[node[live]] >= 0]
-        return node.reshape(X.shape[0], k)
+        """All ``trees`` as the one form a map encodes through: a
+        ``Forest``."""
+        return Forest(trees)
 
     def state(self):
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-            "leaf_id": self.leaf_id,
-        }
+        return {"feature": self.feature, "threshold": self.threshold}
 
     @classmethod
     def from_state(cls, state):
-        return cls(
-            state["feature"],
-            state["threshold"],
-            state["left"],
-            state["right"],
-            state["leaf_id"],
-        )
+        tree = cls(state["feature"], state["threshold"])
+        # one leaf more than splits, or the links run past the last node
+        if (tree.threshold.shape != tree.feature.shape
+                or tree.feature.size != 2 * tree.n_cells - 1):
+            raise ValueError("not the node list of a full binary tree")
+        return tree
 
 
 def _grow(group):
@@ -206,8 +186,8 @@ def _grow(group):
     its members to two children. A tree's pairs are drawn up front, one
     per possible split, and taken in breadth-first order, so each tree
     depends on its own generator alone. Node ids are allotted a level at a
-    time, a left child just before its right one; leaf ids are then
-    renumbered depth-first, left first.
+    time, a left child just before its right one, so a tree's nodes in id
+    order are the breadth-first list ``ITree`` stores.
 
     The samples are densified onto the sorted union ``cols`` of their
     supports when their entries fill at least ``GROW_FILL`` of that block.
@@ -237,13 +217,10 @@ def _grow(group):
     cap = 2 * rows.size - g  # nodes of g full binary trees
     feature = np.full(cap, -1, dtype=np.int32)
     threshold = np.zeros(cap)
-    left = np.full(cap, -1, dtype=np.int32)
     tree_of = np.empty(cap, dtype=np.intp)
     tree_of[:g] = np.arange(g)
-    levels = []
     lo, hi = 0, g
     while rows.size:
-        levels.append((lo, hi))
         node = node_of_row[rows] - lo
         # the range [ca, cb] of every (node, column) group of values, in
         # that order; the candidates are the groups with ca < cb
@@ -281,7 +258,8 @@ def _grow(group):
         feature[lo + split] = cols[attr[split]]
         threshold[lo + split] = np.clip(
             a + (b - a) * u1, np.nextafter(a, b), b)
-        left[lo + split] = hi + 2 * np.arange(split.size)
+        left = np.empty(hi - lo, dtype=np.intp)
+        left[split] = hi + 2 * np.arange(split.size)
         tree_of[hi : hi + 2 * split.size] = np.repeat(tree, 2)
 
         # every row of a split node goes right iff its value >= the cut
@@ -294,8 +272,7 @@ def _grow(group):
             x = np.zeros(node_of_row.size)
             x[row[on]] = val[on]
             x = x[rows]
-        node += lo
-        child = left[node] + (x >= threshold[node])
+        child = left[node] + (x >= threshold[lo + node])
         node_of_row[rows] = child
         # a child of one row is a leaf: its row goes no further
         members = np.bincount(child - hi, minlength=2 * split.size)
@@ -311,29 +288,12 @@ def _grow(group):
             row, at, val = row[kept], at[kept], val[kept]
         lo, hi = hi, hi + 2 * split.size
 
-    feature, threshold, left, tree_of = (
-        feature[:hi], threshold[:hi], left[:hi], tree_of[:hi])
-    # leaves under each node, bottom up; then each node's first leaf id
-    leaf = feature < 0
-    under = leaf.astype(np.int32)
-    for start, stop in reversed(levels):
-        s = start + np.flatnonzero(~leaf[start:stop])
-        under[s] = under[left[s]] + under[left[s] + 1]
-    first_leaf = np.zeros(hi, dtype=np.int32)
-    for start, stop in levels:
-        s = start + np.flatnonzero(~leaf[start:stop])
-        first_leaf[left[s]] = first_leaf[s]
-        first_leaf[left[s] + 1] = first_leaf[s] + under[left[s]]
-    # each tree's nodes in id order, renumbered from 0 (its root)
-    by_tree = np.argsort(tree_of, kind="stable")
+    # each tree's nodes in id order: level by level, in parent order, so
+    # breadth-first from its root
+    by_tree = np.argsort(tree_of[:hi], kind="stable")
     bounds = np.searchsorted(tree_of[by_tree], np.arange(g + 1))
-    local = np.empty(hi, dtype=np.int32)
-    local[by_tree] = np.arange(hi) - bounds[tree_of[by_tree]]
-    left = np.where(leaf, -1, local[left])
-    right = np.where(leaf, -1, left + 1)
-    leaf_id = np.where(leaf, first_leaf, -1)
     return [
-        ITree(feature[s], threshold[s], left[s], right[s], leaf_id[s])
+        ITree(feature[s], threshold[s])
         for s in (by_tree[bounds[i] : bounds[i + 1]] for i in range(g))
     ]
 
@@ -391,6 +351,43 @@ class VoronoiPartition:
     @classmethod
     def from_state(cls, state):
         return cls(unpack_ragged(state, int(state["dim"][0])))
+
+
+class Forest:
+    """Trees as one flat forest: their nodes concatenated, the root of each
+    at ``roots``, child links shifted by their tree's root and leaf ids
+    not. Split attributes are renumbered onto the sorted columns ``cols``
+    some split reads, so a block of rows descends densified onto ``cols``
+    alone."""
+
+    def __init__(self, trees):
+        sizes = [tree.feature.size for tree in trees]
+        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int32)
+        feature, self.threshold, left, self.leaf_id = map(np.concatenate, zip(
+            *[(tree.feature, tree.threshold, tree.left, tree.leaf_id)
+              for tree in trees]))
+        self.left = left + np.repeat(self.roots, sizes)
+        split = feature >= 0
+        self.cols = _distinct(feature[split])
+        feature[split] = np.searchsorted(self.cols, feature[split])
+        self.feature = feature
+        self.width = max(len(trees), self.cols.size)
+
+    def assign_many(self, packed, n):
+        """(n, k) cell ids of ``n`` rows packed as ``entries`` packs them.
+        All (row, tree) pairs go down a level at a time, each to child
+        ``left + (x >= threshold)``, and a pair leaves the active set at a
+        leaf."""
+        X = dense_rows(packed, n, self.cols)
+        k = self.roots.size
+        node = np.tile(self.roots, n)
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            nd = node[live]
+            node[live] = self.left[nd] + (
+                X[live // k, self.feature[nd]] >= self.threshold[nd])
+            live = live[self.feature[node[live]] >= 0]
+        return self.leaf_id[node].reshape(n, k)
 
 
 class CentreStack:

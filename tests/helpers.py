@@ -1,6 +1,8 @@
 """Shared generators for randomized tests (all take an explicit rng), and
 oracles that reach a partitioning's cells."""
 
+import json
+
 import numpy as np
 
 from isokernel.dataset import (
@@ -11,7 +13,7 @@ from isokernel.dataset import (
     from_dense,
 )
 from isokernel.featuremap import Mapper
-from isokernel.partition import CentreIndex, CentreStack
+from isokernel.partition import CentreIndex, CentreStack, ITree
 
 
 def rand_sparse(rng, dim, density=0.5, scale=1.0):
@@ -53,6 +55,32 @@ def damage_npz(path, drop=None, meta=None):
     if meta is not None:
         arrays["meta"] = meta
     np.savez_compressed(path, **arrays)
+
+
+def as_depth_first_release(path, version):
+    """Rewrite the iforest map or checkpoint at ``path`` as a release that
+    numbered leaves depth-first wrote it: header ``format_version``
+    ``version``, and beside each tree's ``feature`` and ``threshold`` its
+    ``left``, ``right`` and depth-first, left-first ``leaf_id`` arrays."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    meta["format_version"] = version
+    for key in [key for key in arrays if key.endswith("_feature")]:
+        stem = key[: -len("feature")]
+        tree = ITree(arrays[key], arrays[stem + "threshold"])
+        leaf_id = np.full(tree.feature.size, -1, dtype=np.int32)
+        stack, seen = [0], 0
+        while stack:
+            node = stack.pop()
+            if tree.feature[node] < 0:
+                leaf_id[node], seen = seen, seen + 1
+            else:
+                stack += [tree.left[node] + 1, tree.left[node]]
+        arrays[stem + "left"] = tree.left
+        arrays[stem + "right"] = np.where(tree.left < 0, -1, tree.left + 1)
+        arrays[stem + "leaf_id"] = leaf_id
+    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
 
 
 def unreadable_files(tmp_path):
@@ -102,5 +130,5 @@ def walk_tree(tree, x_dense):
     while tree.feature[node] >= 0:
         attr = tree.feature[node]
         v = x_dense[attr] if attr < len(x_dense) else 0.0
-        node = tree.left[node] if v < tree.threshold[node] else tree.right[node]
+        node = tree.left[node] + (v >= tree.threshold[node])
     return int(tree.leaf_id[node])

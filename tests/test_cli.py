@@ -11,7 +11,7 @@ from isokernel.errors import NumericError
 from isokernel.eval import make_two_gaussians
 from isokernel.learner import load_checkpoint
 
-from helpers import damage_npz, unreadable_files
+from helpers import as_depth_first_release, damage_npz, unreadable_files
 
 
 @pytest.fixture
@@ -271,6 +271,15 @@ class TestExitCodes:
             ]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_index_past_int32_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("+1 1:0.5 2:1\n-1 3000000000:2\n")
+        assert run_cli([
+            "fit-map", "--data", str(bad), "--out", str(tmp_path / "m.npz"),
+            "--psi", "2", "--t", "3", "--scheme", "iforest", "--seed", "1",
+        ]) == 2
+        assert "data error: line 2" in capsys.readouterr().err
+
     def test_unreadable_map_is_a_data_error(self, tmp_path, data_files, capsys):
         train, _ = data_files
         map_path = str(tmp_path / "m.npz")
@@ -282,6 +291,24 @@ class TestExitCodes:
         for path in [map_path, *unreadable_files(tmp_path)]:
             assert run_cli(["inspect", "--map", str(path)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_depth_first_format_1_map_is_a_data_error(
+        self, tmp_path, data_files, capsys
+    ):
+        train, _ = data_files
+        map_path = str(tmp_path / "m.npz")
+        assert run_cli([
+            "fit-map", "--data", train, "--out", map_path, "--psi", "8",
+            "--t", "3", "--scheme", "iforest", "--seed", "1",
+        ]) == 0
+        as_depth_first_release(map_path, 1)
+        assert run_cli(["inspect", "--map", map_path]) == 2
+        assert run_cli([
+            "transform", "--map", map_path, "--data", train,
+            "--out", str(tmp_path / "f.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("data error: unsupported map format 1") == 2
 
     def test_numeric_errors(self, data_files, monkeypatch, capsys):
         train, test = data_files

@@ -78,6 +78,13 @@ class TestParseLine:
         with pytest.raises(FormatError):
             parse_libsvm_line("+1 5:1 2:2")
 
+    @pytest.mark.parametrize("token", ["2147483648:2", "3000000000:2",
+                                       "3000000000:0"])
+    def test_index_past_int32_reports_line(self, token):
+        # indices are stored as int32; an explicit zero still sets the dim
+        with pytest.raises(FormatError, match=r"line 6: .* must be < 2\^31"):
+            parse_libsvm_line(f"-1 1:1 {token}", lineno=6)
+
     def test_zero_storage_never_changes_math(self):
         # brute force: vectors serialized with and without explicit zeros
         # must give identical distances
@@ -111,6 +118,15 @@ class TestSparseVector:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(FormatError, match="finite"):
                 SparseVector([1, 3], [1.0, bad], 5)
+
+    def test_index_past_int32_rejected(self):
+        # as a Python int it cannot be cast; as an int64 it would wrap, to
+        # a valid index in the second case
+        for indices in ([3_000_000_000], np.array([2**32 + 1])):
+            with pytest.raises(FormatError, match=r"\[1, 2\^31\)"):
+                SparseVector(indices, [1.0], 2**33)
+        v = SparseVector(np.array([2**31 - 1]), [1.0], 2**31 - 1)
+        assert v.indices.dtype == np.int32 and v.indices[0] == 2**31 - 1
 
     def test_get_and_densify(self):
         v = SparseVector([2, 5], [1.5, -2.0], 6)

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from isokernel.dataset import (
     row_blocks,
 )
 from isokernel.errors import (
+    DataError,
     LoadError,
     ParameterError,
     ProvenanceError,
@@ -32,9 +34,15 @@ from isokernel.featuremap import (
     write_features_csv,
 )
 
-from isokernel.partition import DENSE_FILL, CentreIndex, CentreStack, ITree
+from isokernel.partition import DENSE_FILL, CentreIndex, CentreStack, Forest
 
-from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
+from helpers import (
+    as_depth_first_release,
+    damage_npz,
+    rand_dataset,
+    rand_sparse,
+    unreadable_files,
+)
 
 
 def fit_small(rng_seed=0, n=200, dim=6, psi=8, t=32, scheme="anne"):
@@ -280,7 +288,7 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "scheme, part_keys",
         [
-            ("iforest", {"feature", "threshold", "left", "right", "leaf_id"}),
+            ("iforest", {"feature", "threshold"}),
             ("anne", {"cat_indices", "cat_values", "offsets", "dim"}),
         ],
     )
@@ -297,10 +305,11 @@ class TestPersistence:
         }
         assert set(meta) == {"format_version", "scheme", "t", "psi", "seed",
                              "dim"}
-        assert meta["format_version"] == 1
+        assert meta["format_version"] == 2
 
     @pytest.mark.parametrize(
-        "scheme, key", [("iforest", "part1_left"), ("anne", "part1_offsets")]
+        "scheme, key",
+        [("iforest", "part1_threshold"), ("anne", "part1_offsets")],
     )
     def test_missing_array_is_a_load_error(self, tmp_path, scheme, key):
         _, mapper = fit_small(scheme=scheme, t=3)
@@ -311,7 +320,7 @@ class TestPersistence:
             Mapper.load(path)
 
     @pytest.mark.parametrize(
-        "meta", ["{not json", "[1]", '{"format_version": 1, "t": 3}']
+        "meta", ["{not json", "[1]", '{"format_version": 2, "t": 3}']
     )
     def test_bad_meta_is_a_load_error(self, tmp_path, meta):
         _, mapper = fit_small(t=3)
@@ -325,6 +334,61 @@ class TestPersistence:
         for path in unreadable_files(tmp_path):
             with pytest.raises(LoadError):
                 Mapper.load(path)
+
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_load_reads_each_array_a_bounded_number_of_times(self, scheme):
+        # a pass over every array per partitioning would make 2t reads of
+        # each array here, and a load quadratic in t
+        _, mapper = fit_small(scheme=scheme, t=40)
+        meta, arrays = mapper.state()
+
+        class Counted(Mapping):
+            reads = 0
+
+            def __getitem__(self, key):
+                Counted.reads += 1
+                return arrays[key]
+
+            def __iter__(self):
+                for key in arrays:
+                    Counted.reads += 1
+                    yield key
+
+            def __len__(self):
+                return len(arrays)
+
+        clone = Mapper.from_state(meta, Counted())
+        assert Counted.reads <= 2 * len(arrays)
+        for mine, theirs in zip(clone.parts, mapper.parts):
+            for key, arr in mine.state().items():
+                assert np.array_equal(arr, theirs.state()[key])
+
+    @pytest.mark.parametrize("damage", ["all splits", "short thresholds"])
+    def test_tree_that_is_not_full_is_a_load_error(self, tmp_path, damage):
+        # a tree of splits alone links past its last node, and every node
+        # needs its threshold
+        _, mapper = fit_small(scheme="iforest", t=3)
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        if damage == "all splits":
+            arrays["part1_feature"][:] = 0
+        else:
+            arrays["part1_threshold"] = arrays["part1_threshold"][:-1]
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(LoadError, match="full binary tree"):
+            Mapper.load(path)
+
+    def test_depth_first_format_1_map_is_rejected(self, tmp_path):
+        # its trees number their leaves depth-first, so its cells are not
+        # those of the same splits read in node order
+        _, mapper = fit_small(scheme="iforest", t=3)
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        as_depth_first_release(path, 1)
+        with pytest.raises(DataError, match="unsupported map format 1"):
+            Mapper.load(path)
 
     def test_features_csv_row_count(self, tmp_path):
         ds, mapper = fit_small(n=17)
@@ -346,23 +410,21 @@ class TestBlocks:
         self, monkeypatch, scheme, t, psi
     ):
         calls = []  # per call: rows, and elements per row of each array
-        descend = ITree.descend
-        forms = {}  # anne form: its unpatched assign_many
+        forms = {}  # each joined form: its unpatched assign_many
         default = featuremap._BLOCK
 
-        def spy_descend(self, X, roots):
-            calls.append((X.shape[0], len(roots), X.shape[1]))
-            return descend(self, X, roots)
-
         def spy_assign_many(self, packed, n):
-            # the stack densifies the block onto its columns; the index
-            # reads the packed entries as they are
-            columns = self.Z.shape[1] if isinstance(self, CentreStack) else 0
-            calls.append((n, self.sq.size, columns))
+            # the forest and the stack densify the block onto their
+            # columns; the index reads the packed entries as they are
+            if isinstance(self, Forest):
+                per_row, columns = self.roots.size, self.cols.size
+            else:
+                per_row = self.sq.size
+                columns = self.Z.shape[1] if isinstance(self, CentreStack) else 0
+            calls.append((n, per_row, columns))
             return forms[type(self)](self, packed, n)
 
-        monkeypatch.setattr(ITree, "descend", spy_descend)
-        for form in (CentreStack, CentreIndex):
+        for form in (Forest, CentreStack, CentreIndex):
             forms[form] = form.assign_many
             monkeypatch.setattr(form, "assign_many", spy_assign_many)
         # dense low-dimensional points, then sparse points at a high dim,
@@ -376,7 +438,7 @@ class TestBlocks:
             if scheme == "anne":
                 sparse = dim > 6 and t * psi * DENSE_FILL > 1
                 form = CentreIndex if sparse else CentreStack
-                assert type(mapper._centres) is form
+                assert type(mapper._joined) is form
             expected = mapper.map_many(ds)
             for block in (7, 100, 1 << 30):
                 calls.clear()

@@ -8,6 +8,7 @@ import pytest
 
 from isokernel.dataset import SparseVector
 from isokernel.errors import (
+    DataError,
     LoadError,
     ParameterError,
     ProvenanceError,
@@ -33,7 +34,13 @@ from isokernel.learner import (
     save_checkpoint,
 )
 
-from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
+from helpers import (
+    as_depth_first_release,
+    damage_npz,
+    rand_dataset,
+    rand_sparse,
+    unreadable_files,
+)
 
 
 class TestPredictLabel:
@@ -398,16 +405,29 @@ class TestCheckpoints:
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(str(arrays.pop("meta")))
-        assert meta["format_version"] == FORMAT_VERSION == 2
-        meta["format_version"] = 1
+        assert meta["format_version"] == FORMAT_VERSION == 3
+        meta["format_version"] = 2
         np.savez_compressed(path, meta=json.dumps(meta), **arrays)
-        with pytest.raises(ParameterError, match="format 1"):
+        with pytest.raises(ParameterError, match="format 2"):
+            load_checkpoint(path)
+
+    def test_depth_first_format_2_checkpoint_is_rejected(self, tmp_path):
+        # its weights index the depth-first leaf ids of its trees, not the
+        # node-order ids the same splits give now
+        rng = np.random.default_rng(11)
+        mapper = Mapper.fit(rand_dataset(rng, 30, 4), psi=4, t=3,
+                            scheme="iforest", seed=1)
+        path = tmp_path / "ik.npz"
+        save_checkpoint(path, "ik-ogd-iforest",
+                        IKOGDModel(mapper.t, mapper.psi, mapper=mapper), {})
+        as_depth_first_release(path, 2)
+        with pytest.raises(DataError, match="unsupported checkpoint format 2"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "drop, meta",
         [("model_w", None), ("encoder_part0_feature", None),
-         (None, '{"format_version": 2}')],
+         (None, '{"format_version": 3}')],
     )
     def test_damaged_checkpoint_is_a_load_error(self, tmp_path, drop, meta):
         rng = np.random.default_rng(12)

@@ -18,6 +18,7 @@ from isokernel.partition import (
     DENSE_FILL,
     CentreIndex,
     CentreStack,
+    Forest,
     ITree,
     VoronoiPartition,
     sample_psi,
@@ -117,7 +118,7 @@ class TestITree:
             assert vals.min() < split < vals.max()
             go_left = vals < split
             check(tree.left[node], rows[go_left])
-            check(tree.right[node], rows[~go_left])
+            check(tree.left[node] + 1, rows[~go_left])
 
         check(0, np.arange(32))
 
@@ -191,12 +192,14 @@ class TestJoin:
                         np.random.default_rng((62, i)))
             for i in range(5)
         ]
-        forest, roots, cols = ITree.join(trees)
+        forest = ITree.join(trees)
+        assert isinstance(forest, Forest)
         splits = np.concatenate([tree.feature for tree in trees])
-        assert cols.tolist() == sorted(set(splits[splits >= 0].tolist()))
+        assert forest.cols.tolist() == sorted(
+            set(splits[splits >= 0].tolist()))
         queries = [rand_sparse(rng, 40, density=0.5) for _ in range(50)]
         X = np.stack([q.densify(40) for q in queries])
-        cells = forest.leaf_id[forest.descend(X[:, cols], roots)]
+        cells = forest.assign_many(entries(queries), 50)
         for i, tree in enumerate(trees):
             assert np.array_equal(cells[:, i], cells_of(tree, X))
 

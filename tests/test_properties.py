@@ -17,8 +17,9 @@ update at every step, and a LIBSVM line formats and parses back to the
 same point. Sparse rows of any dims densify onto any sorted columns as
 their dense stack restricted to those columns. An iforest fit grows the
 same trees whatever t, the grouping of trees and the grower's form, and
-every grown tree isolates each distinguishable sample point, numbers its
-leaves depth-first, left first, and cuts strictly inside its node's range.
+every grown tree isolates each distinguishable sample point, is a
+breadth-first list whose links reach every node once, numbers its leaves
+densely in node order, and cuts strictly inside its node's range.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order;
@@ -395,16 +396,19 @@ class TestGrowth:
 
     @bounded
     @given(iforest_fits())
-    def test_leaf_ids_are_dense_depth_first_left_first(self, case):
+    def test_leaf_ids_are_dense_in_node_order(self, case):
         for tree, _ in grown_trees(*case):
+            # the links reach every node once, each after its parent
             met, stack = [], [0]
             while stack:
                 node = stack.pop()
-                if tree.feature[node] < 0:
-                    met.append(int(tree.leaf_id[node]))
-                else:
-                    stack += [tree.right[node], tree.left[node]]
-            assert met == list(range(tree.n_cells))
+                met.append(node)
+                if tree.feature[node] >= 0:
+                    assert tree.left[node] > node
+                    stack += [tree.left[node], tree.left[node] + 1]
+            assert sorted(met) == list(range(tree.feature.size))
+            leaves = tree.feature < 0
+            assert tree.leaf_id[leaves].tolist() == list(range(tree.n_cells))
 
     @bounded
     @given(iforest_fits())
@@ -419,7 +423,7 @@ class TestGrowth:
                 assert vals.min() < tree.threshold[node] < vals.max()
                 go_left = vals < tree.threshold[node]
                 stack += [(tree.left[node], members[go_left]),
-                          (tree.right[node], members[~go_left])]
+                          (tree.left[node] + 1, members[~go_left])]
 
 
 class TestBaselineKernels:
