@@ -1,5 +1,5 @@
-"""Time ``Mapper.fit`` of an iforest map in process, in ms per tree, and
-its encoder.
+"""Time ``Mapper.fit`` of an iforest map in process, in ms per tree, its
+encoder, and ``load_libsvm``.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
@@ -12,15 +12,20 @@ at its CV grid's psi 16, 64 and 256, and acceptance criterion 6's t=1000,
 psi=256, d=2 uniform pool. An ``encode-`` shape fits one map and times its
 encoder instead: the p50 of ``map_point`` over ``ENCODE_POINTS`` points,
 and ``map_many`` of all of them in us per point, each the best of
-``--repeats``. The package and the generators are imported from the
-checkout that holds this script, so a copy of it in another checkout
-times that checkout's code.
+``--repeats``. A ``parse-`` shape writes a workload's LIBSVM file with
+``perfbench/gen.py`` to a temporary directory and reports the best of
+``--repeats`` loads in us per line, and the traced peak of one more load
+(serve-point's 10000 dense lines, batch-sparse-hd's 2000 training lines,
+baselines-online's 8000 a9a-shaped lines). The package and the
+generators are imported from the checkout that holds this script, so a
+copy of it in another checkout times that checkout's code.
 """
-
 import argparse
 import os
 import sys
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -28,7 +33,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
-from isokernel.dataset import Dataset, LabeledPoint, SparseVector  # noqa: E402
+from isokernel.dataset import (  # noqa: E402
+    Dataset, LabeledPoint, SparseVector, load_libsvm,
+)
 from isokernel.featuremap import Mapper  # noqa: E402
 
 
@@ -67,6 +74,12 @@ SHAPES = {
     "encode-dense-64": (dense, 64, 100),
 }
 ENCODE_POINTS = 500
+# name: the labels and rows of a workload's LIBSVM file
+PARSE_SHAPES = {
+    "parse-dense": lambda: gen.two_gaussians(10000, 20, 3.0, 221),
+    "parse-sparse-hd": lambda: gen.sparse_hd(2000, 221),
+    "parse-a9a": lambda: gen.a9a_like(8000, 221),
+}
 
 
 def time_fit(ds, psi, t, repeats):
@@ -98,24 +111,50 @@ def time_encode(ds, psi, t, repeats):
     return point, many
 
 
+def time_parse(labels, rows, repeats):
+    """Best ``load_libsvm`` cost in us per line of the file of ``labels``
+    and ``rows``, and the traced peak of one more load in MB."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.libsvm")
+        gen.write_libsvm(path, labels, rows)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            load_libsvm(path)
+            best = min(best, time.perf_counter() - start)
+        tracemalloc.start()
+        load_libsvm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return best / len(labels) * 1e6, peak / 2**20
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--shapes", default=",".join(SHAPES),
-                    help="comma list of " + ", ".join(SHAPES))
+    every = [*SHAPES, *PARSE_SHAPES]
+    ap.add_argument("--shapes", default=",".join(every),
+                    help="comma list of " + ", ".join(every))
     args = ap.parse_args(argv)
     names = args.shapes.split(",")
     # one table of the fit shapes, then one of the encode shapes
     for timer, columns in ((time_fit, "ms/tree | fit s"),
                            (time_encode, "map_point p50 us | map_many us/pt")):
-        chosen = [name for name in names
-                  if name.startswith("encode-") == (timer is time_encode)]
+        chosen = [name for name in names if name in SHAPES
+                  and name.startswith("encode-") == (timer is time_encode)]
         if chosen:
             print(f"| shape | psi | t | {columns} |\n|---|---|---|---|---|")
         for name in chosen:
             data, psi, t = SHAPES[name]
             a, b = timer(data(), psi, t, args.repeats)
             print(f"| {name} | {psi} | {t} | {a:.3f} | {b:.3f} |", flush=True)
+    parse = [name for name in names if name in PARSE_SHAPES]
+    if parse:
+        print("| shape | lines | load us/line | peak MB |\n|---|---|---|---|")
+    for name in parse:
+        labels, rows = PARSE_SHAPES[name]()
+        us, mb = time_parse(labels, rows, args.repeats)
+        print(f"| {name} | {len(labels)} | {us:.2f} | {mb:.2f} |", flush=True)
     return 0
 
 

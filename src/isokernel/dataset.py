@@ -5,12 +5,23 @@ convention of the LIBSVM text format. A zero value and an absent index are
 semantically identical, so explicit ``idx:0`` tokens are dropped on parse and
 never stored. Datasets are immutable after construction and safe to share
 across readers; slicing operations reuse the underlying point objects.
+
+``load_libsvm`` parses a file ``_PARSE_BLOCK`` lines at a time: a block's
+lines are split into tokens once, checked and converted together into flat
+index and value arrays, and its points are views of those arrays, built by
+``ragged_vectors``, which validates flat ragged arrays in one pass. So the
+parse holds one block's token strings at a time beside the points it has
+built. When a block holds a bad line, its lines are parsed one at a time
+(``_parse_raw_line``), and the first bad line raises the error, class and
+line number it raises when parsed alone.
 """
 
 import gzip
 import io
 import json
 import math
+from itertools import chain, islice, repeat
+from operator import contains
 from zipfile import BadZipFile
 
 import numpy as np
@@ -275,13 +286,56 @@ def pack_ragged(vectors):
 
 def unpack_ragged(arrays, dim):
     """The vectors packed by ``pack_ragged``, each declared at ``dim``."""
-    offsets = arrays["offsets"]
-    return [
-        SparseVector(
-            arrays["cat_indices"][lo:hi], arrays["cat_values"][lo:hi], dim
-        )
-        for lo, hi in zip(offsets[:-1], offsets[1:])
-    ]
+    return ragged_vectors(
+        arrays["cat_indices"], arrays["cat_values"], arrays["offsets"], dim)
+
+
+def ragged_runs(offsets, size):
+    """The runs ``(lo, hi)`` of ``offsets``, which must rise from 0 to
+    ``size``, the length of the flat arrays they cut."""
+    offsets = np.asarray(offsets)
+    if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+            or offsets[-1] != size or (np.diff(offsets) < 0).any()):
+        raise FormatError(f"offsets must rise from 0 to {size}")
+    bounds = offsets.tolist()
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _valid_entries(indices, values, offsets):
+    """Whether each run ``offsets[i]:offsets[i + 1]`` of ``indices`` rises
+    strictly within [1, 2^31), and every one of ``values`` is finite."""
+    starts = np.zeros(indices.size + 1, dtype=bool)
+    starts[offsets] = True  # where a run starts, a rise is not needed
+    return indices.size == 0 or bool(
+        indices.min() >= 1 and indices.max() < 2**31
+        and ((np.diff(indices) > 0) | starts[1:-1]).all()
+        and np.isfinite(values).all())
+
+
+def ragged_vectors(indices, values, offsets, dim):
+    """SparseVectors at ``dim`` of flat ragged arrays: vector i holds
+    ``indices[lo:hi]`` and ``values[lo:hi]`` for ``lo, hi = offsets[i],
+    offsets[i + 1]``, as views of one int32 and one float64 array. The
+    entries are checked in one pass over the arrays; when one is bad, the
+    vectors are built one at a time, so the first bad one raises what
+    ``SparseVector`` raises."""
+    indices = np.asarray(indices)  # checked before it is cast to int32
+    values = np.asarray(values, dtype=np.float64)
+    if indices.ndim != 1 or indices.shape != values.shape:
+        raise FormatError("indices and values must be 1-d and equal length")
+    runs = ragged_runs(offsets, indices.size)
+    if not (_valid_entries(indices, values, offsets) and values.all()
+            and (indices.size == 0 or dim >= indices.max())):
+        return [SparseVector(indices[lo:hi], values[lo:hi], dim)
+                for lo, hi in runs]
+    indices = indices.astype(np.int32, copy=False)
+    dim = int(dim)
+    vectors = []
+    for lo, hi in runs:
+        x = SparseVector.__new__(SparseVector)
+        x.indices, x.values, x.dim = indices[lo:hi], values[lo:hi], dim
+        vectors.append(x)
+    return vectors
 
 
 def by_prefix(arrays):
@@ -395,9 +449,77 @@ def _map_raw_labels(raws):
 
 
 def _open_text(path):
+    # an invalid byte decodes to a lone surrogate, which no token converts
+    # and ``_parse_reference`` reports with its line
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8",
+                                errors="surrogateescape")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+# Lines that ``load_libsvm`` parses together. Median us/line of 11 loads
+# of the generated files, by block size:
+#
+#   lines per block             32     64    128    256   1024
+#   a9a-shaped, 8000 lines    13.6   12.4   10.1   10.4   10.4
+#   sparse-hd, 2000 lines     22.9   21.8   21.2   20.9   20.7
+#   dense d=20, 10000 lines   24.8   22.7   21.3   21.8   20.2
+#
+# A block's token strings are all held at once: the sparse-hd load peaks
+# at 1.2 MB traced with blocks of 128 lines, 1.9 MB at 256, 6.2 MB at 1024.
+_PARSE_BLOCK = 128
+
+
+def _parse_tokens(lines):
+    """(raw labels, indices, values, offsets, max index) of a block of
+    LIBSVM lines from the tokens of each nonblank one, or None when some
+    line is not a valid LIBSVM line. The entries of the i-th line lie at
+    ``offsets[i]:offsets[i + 1]``, explicit zeros dropped, and the max
+    index counts them."""
+    feats = list(chain.from_iterable(tokens[1:] for tokens in lines))
+    text = " ".join(feats)
+    parts = text.replace(":", " ").split()
+    # every feature token holds one ':' with something on either side
+    if not (text.count(":") == len(feats) and len(parts) == 2 * len(feats)
+            and all(map(contains, feats, repeat(":")))):
+        return None
+    try:
+        raws = np.fromiter(map(float, [tokens[0] for tokens in lines]),
+                           np.float64, len(lines))
+        indices = np.fromiter(map(int, parts[0::2]), np.int64, len(feats))
+        values = np.fromiter(map(float, parts[1::2]), np.float64, len(feats))
+    except (ValueError, OverflowError):  # OverflowError: past int64
+        return None
+    offsets = np.zeros(len(lines) + 1, dtype=np.intp)
+    np.cumsum([len(tokens) - 1 for tokens in lines], out=offsets[1:])
+    if not (np.isfinite(raws).all()
+            and _valid_entries(indices, values, offsets)):
+        return None
+    max_index = int(indices.max()) if indices.size else 0
+    kept = values != 0.0  # explicit zero == absent
+    if not kept.all():
+        offsets = np.append(0, np.cumsum(kept))[offsets]
+        indices, values = indices[kept], values[kept]
+    return raws, indices.astype(np.int32), values, offsets, max_index
+
+
+def _parse_reference(block, first):
+    """``_parse_tokens``'s result for the lines ``block``, the first of
+    which is line ``first`` of its file, by ``_parse_raw_line`` of one line
+    at a time, which raises the error of the first bad line."""
+    rows = []
+    for lineno, line in enumerate(block, start=first):
+        if not line.strip():
+            continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("line is not valid UTF-8", lineno) from None
+        rows.append(_parse_raw_line(line, lineno))
+    raws, indices, values, lasts = zip(*rows)
+    offsets = np.cumsum([0] + [len(ind) for ind in indices])
+    return (np.array(raws), np.concatenate(indices), np.concatenate(values),
+            offsets, max(lasts))
 
 
 def load_libsvm(path, dim_hint=None, name=None):
@@ -406,23 +528,28 @@ def load_libsvm(path, dim_hint=None, name=None):
     Labels are mapped to {+1, -1} with a policy fixed over the whole file:
     with two distinct raw labels the larger maps to +1; with one, sign
     decides. More than two distinct raw labels is a load error.
+
+    Lines are parsed ``_PARSE_BLOCK`` at a time into flat arrays, and each
+    point is a view of its block's arrays. When a block holds a bad line,
+    ``_parse_reference`` parses it line by line, so the first bad line
+    raises what ``parse_libsvm_line`` raises for it; a line that is not
+    UTF-8 is a ParseError.
     """
-    raws = []
-    parsed = []
+    blocks = []
     with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            raw, indices, values, max_index = _parse_raw_line(line, lineno)
-            raws.append(raw)
-            parsed.append((indices, values, max_index))
+        first = 1
+        while block := list(islice(fh, _PARSE_BLOCK)):
+            parsed = _parse_tokens(
+                [tokens for tokens in map(str.split, block) if tokens])
+            blocks.append(parsed or _parse_reference(block, first))
+            first += len(block)
+    raws = [raw for block in blocks for raw in block[0].tolist()]
     mapping = _map_raw_labels(raws)
-    dim = max((mi for _, _, mi in parsed), default=0)
-    dim = max(dim, dim_hint or 0)
-    points = [
-        LabeledPoint(SparseVector(ind, val, dim), mapping[raw])
-        for raw, (ind, val, _) in zip(raws, parsed)
-    ]
+    dim = max([dim_hint or 0] + [block[4] for block in blocks])
+    xs = chain.from_iterable(
+        ragged_vectors(indices, values, offsets, dim)
+        for _, indices, values, offsets, _ in blocks)
+    points = [LabeledPoint(x, mapping[raw]) for x, raw in zip(xs, raws)]
     return Dataset(points, dim=dim, name=name or str(path))
 
 

@@ -31,11 +31,11 @@ the fill is below ``DENSE_FILL`` wherever the index is used.
 
 import numpy as np
 
-from .dataset import by_prefix, entries, load_npz, row_blocks, save_npz
+from .dataset import entries, load_npz, row_blocks, save_npz
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .partition import SCHEMES, sample_psi
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # elements in the widest array of one encoding block: its (row, tree)
 # pairs, (row, centre) scores or densified (row, column) entries
 _BLOCK = 1 << 17
@@ -120,11 +120,8 @@ class Mapper:
         return [p.n_cells for p in self.parts]
 
     def state(self):
-        """(meta, arrays) from which ``from_state`` rebuilds this map."""
-        arrays = {}
-        for i, part in enumerate(self.parts):
-            for key, arr in part.state().items():
-                arrays[f"part{i}_{key}"] = arr
+        """(meta, arrays) from which ``from_state`` rebuilds this map: the
+        arrays are the scheme's ``pack`` of all partitionings."""
         meta = {
             "scheme": self.scheme,
             "t": self.t,
@@ -132,15 +129,13 @@ class Mapper:
             "seed": self.seed,
             "dim": self.dim,
         }
-        return meta, arrays
+        return meta, SCHEMES[self.scheme].pack(self.parts)
 
     @classmethod
     def from_state(cls, meta, arrays):
-        part_cls = SCHEMES[meta["scheme"]]
-        groups = by_prefix(arrays)
-        parts = [
-            part_cls.from_state(groups[f"part{i}"]) for i in range(meta["t"])
-        ]
+        parts = SCHEMES[meta["scheme"]].unpack(arrays)
+        if len(parts) != meta["t"]:
+            raise ValueError(f"{len(parts)} partitionings, not t={meta['t']}")
         return cls(
             parts, meta["psi"], meta["t"], meta["scheme"], meta["seed"],
             meta["dim"],

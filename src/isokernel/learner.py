@@ -26,7 +26,7 @@ from .featuremap import Mapper, kernel, new_weights
 from .kernels import RowStore, make_kernel
 from .nystrom import NystromMap
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def predict_label(score):

@@ -7,7 +7,7 @@ stable id in [0, n_cells). Two constructions are provided:
   sample point is isolated (or points are indistinguishable). No height cap:
   growth stops only at isolation. A tree stores only its breadth-first list
   of splits and leaves; its links and its leaf ids, in node order, follow.
-  Older map files (format 1) and checkpoints (format 2) numbered leaves
+  Map files of format 1 and checkpoints of format 2 numbered leaves
   depth-first, and are rejected rather than read with other cells.
 * ``VoronoiPartition`` — the Voronoi diagram of the sample under Euclidean
   distance; a query's cell is its nearest sample point (ties go to the
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import SampleError
 from .dataset import (
     _distinct, _runs, dense_rows, entries, located, pack_ragged, row_blocks,
-    unpack_ragged,
+    ragged_runs, unpack_ragged,
 )
 
 # The least fill, stored centre entries over the cells of the dense
@@ -109,8 +109,8 @@ class ITree:
     order from 0, the k-th split's children are ``left[i] = 2k + 1`` and
     ``left[i] + 1``, and the k-th leaf is cell ``leaf_id[i] = k`` (-1 marks
     the other nodes in both). Descent rule: go left iff x[feature] <
-    threshold. ``state`` is the two stored arrays, as map files of format
-    2 hold them.
+    threshold. ``state`` is the two stored arrays; a map file holds those
+    of all its trees as one ragged set (``pack``).
     """
 
     scheme = "iforest"
@@ -174,6 +174,29 @@ class ITree:
                 or tree.feature.size != 2 * tree.n_cells - 1):
             raise ValueError("not the node list of a full binary tree")
         return tree
+
+    @classmethod
+    def pack(cls, trees):
+        """The arrays a map file holds of ``trees``: their ``feature`` and
+        ``threshold`` arrays each concatenated, tree i's nodes at
+        ``offsets[i]:offsets[i + 1]``."""
+        return {
+            "feature": np.concatenate([tree.feature for tree in trees]),
+            "threshold": np.concatenate([tree.threshold for tree in trees]),
+            "offsets": np.cumsum([0] + [tree.feature.size for tree in trees]),
+        }
+
+    @classmethod
+    def unpack(cls, arrays):
+        """The trees ``pack`` packed into ``arrays``."""
+        feature, threshold = arrays["feature"], arrays["threshold"]
+        if threshold.shape != feature.shape:
+            raise ValueError("not the node lists of full binary trees")
+        return [
+            cls.from_state({"feature": feature[lo:hi],
+                            "threshold": threshold[lo:hi]})
+            for lo, hi in ragged_runs(arrays["offsets"], feature.size)
+        ]
 
 
 def _grow(group):
@@ -351,6 +374,29 @@ class VoronoiPartition:
     @classmethod
     def from_state(cls, state):
         return cls(unpack_ragged(state, int(state["dim"][0])))
+
+    @classmethod
+    def pack(cls, parts):
+        """The arrays a map file holds of ``parts``, which have equal psi:
+        all their centres as one ragged set (``pack_ragged``), partitioning
+        i's the i-th run of psi, and each partitioning's ``dim``."""
+        return {
+            **pack_ragged([c for part in parts for c in part.centers]),
+            "dim": np.array([part.dim for part in parts], dtype=np.int64),
+        }
+
+    @classmethod
+    def unpack(cls, arrays):
+        """The partitionings ``pack`` packed into ``arrays``."""
+        dims = arrays["dim"].tolist()
+        centres = unpack_ragged(arrays, max(dims))
+        psi, rest = divmod(len(centres), len(dims))
+        if rest:
+            raise ValueError(f"{len(centres)} centres in {len(dims)} parts")
+        return [
+            cls([c.with_dim(dim) for c in centres[i * psi : (i + 1) * psi]])
+            for i, dim in enumerate(dims)
+        ]
 
 
 class Forest:

@@ -60,15 +60,17 @@ def damage_npz(path, drop=None, meta=None):
 def as_depth_first_release(path, version):
     """Rewrite the iforest map or checkpoint at ``path`` as a release that
     numbered leaves depth-first wrote it: header ``format_version``
-    ``version``, and beside each tree's ``feature`` and ``threshold`` its
-    ``left``, ``right`` and depth-first, left-first ``leaf_id`` arrays."""
+    ``version``, and each tree i under its own ``part{i}_`` keys, its
+    ``feature`` and ``threshold`` beside its ``left``, ``right`` and
+    depth-first, left-first ``leaf_id`` arrays."""
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads(str(arrays.pop("meta")))
     meta["format_version"] = version
-    for key in [key for key in arrays if key.endswith("_feature")]:
-        stem = key[: -len("feature")]
-        tree = ITree(arrays[key], arrays[stem + "threshold"])
+    stem = "encoder_" if "encoder_feature" in arrays else ""
+    trees = ITree.unpack({key: arrays.pop(stem + key)
+                          for key in ("feature", "threshold", "offsets")})
+    for i, tree in enumerate(trees):
         leaf_id = np.full(tree.feature.size, -1, dtype=np.int32)
         stack, seen = [0], 0
         while stack:
@@ -77,9 +79,11 @@ def as_depth_first_release(path, version):
                 leaf_id[node], seen = seen, seen + 1
             else:
                 stack += [tree.left[node] + 1, tree.left[node]]
-        arrays[stem + "left"] = tree.left
-        arrays[stem + "right"] = np.where(tree.left < 0, -1, tree.left + 1)
-        arrays[stem + "leaf_id"] = leaf_id
+        right = np.where(tree.left < 0, -1, tree.left + 1)
+        for key, arr in [("feature", tree.feature),
+                         ("threshold", tree.threshold), ("left", tree.left),
+                         ("right", right), ("leaf_id", leaf_id)]:
+            arrays[f"{stem}part{i}_{key}"] = arr
     np.savez_compressed(path, meta=json.dumps(meta), **arrays)
 
 

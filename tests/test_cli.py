@@ -280,6 +280,16 @@ class TestExitCodes:
         ]) == 2
         assert "data error: line 2" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(b"+1 1:2\n\xff\n")
+        assert run_cli([
+            "fit-map", "--data", str(bad), "--out", str(tmp_path / "m.npz"),
+            "--psi", "2", "--t", "2", "--scheme", "anne",
+        ]) == 2
+        assert "data error: line 2: line is not valid UTF-8" in (
+            capsys.readouterr().err)
+
     def test_unreadable_map_is_a_data_error(self, tmp_path, data_files, capsys):
         train, _ = data_files
         map_path = str(tmp_path / "m.npz")
@@ -287,7 +297,7 @@ class TestExitCodes:
             "fit-map", "--data", train, "--out", map_path, "--psi", "8",
             "--t", "3", "--scheme", "anne", "--seed", "1",
         ]) == 0
-        damage_npz(map_path, drop="part1_offsets")
+        damage_npz(map_path, drop="offsets")
         for path in [map_path, *unreadable_files(tmp_path)]:
             assert run_cli(["inspect", "--map", str(path)]) == 2
         assert "data error" in capsys.readouterr().err

@@ -3,10 +3,12 @@
 import gzip
 import importlib.util
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+import isokernel.dataset as dataset
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
@@ -16,6 +18,7 @@ from isokernel.dataset import (
     l1_distance,
     load_libsvm,
     parse_libsvm_line,
+    ragged_vectors,
     save_libsvm,
     shuffle,
     split_head,
@@ -251,6 +254,45 @@ class TestLabelPolicy:
         path.write_text(f"+1 1:1\n-1 1:2\n+1 1:{token}\n")
         with pytest.raises(ParseError, match="line 3"):
             load_libsvm(path)
+
+
+class TestBlockLoad:
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_non_utf8_line_is_a_parse_error(self, tmp_path, suffix):
+        path = tmp_path / f"d.txt{suffix}"
+        with (gzip.open if suffix else open)(path, "wb") as fh:
+            fh.write(b"+1 1:2\n-1 1:3\n+1 2:\xc3\n")
+        with pytest.raises(ParseError, match="line 3: line is not valid UTF-8"):
+            load_libsvm(path)
+
+    def test_first_bad_line_wins_across_blocks(self, tmp_path):
+        # lines 3 and 6 are bad, in the second and third blocks of two
+        path = tmp_path / "d.txt"
+        path.write_text("+1 1:1\n-1 2:1\n+1 3:1 2:1\n-1 1:1\n+1 1:1\n"
+                        "-1 junk\n")
+        with patch.object(dataset, "_PARSE_BLOCK", 2):
+            with pytest.raises(FormatError, match="line 3: .* increasing"):
+                load_libsvm(path)
+        path.write_text("+1 1:1\n-1 2:nan\n+1 3:\n")
+        with pytest.raises(ParseError, match="line 2: .* not finite"):
+            load_libsvm(path)
+
+    def test_points_are_views_of_their_blocks_arrays(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("+1 1:1 3:2\n\n-1 2:0 4:1\n+1 5:1\n")
+        with patch.object(dataset, "_PARSE_BLOCK", 2):
+            ds = load_libsvm(path)
+        assert [p.x.indices.tolist() for p in ds] == [[1, 3], [4], [5]]
+        assert ds.dim == 5 and all(p.x.dim == 5 for p in ds)
+        # blocks of two lines: the blank line ends the first block
+        first, second, third = (p.x.indices.base for p in ds)
+        assert second is third and second is not None
+        assert first is not second
+
+    @pytest.mark.parametrize("offsets", [[1, 2], [0, 1], [0, 2, 1, 2], []])
+    def test_ragged_offsets_must_cover_the_entries(self, offsets):
+        with pytest.raises(FormatError, match="offsets"):
+            ragged_vectors([1, 2], [1.0, 1.0], offsets, 5)
 
 
 class TestSampleData:

@@ -14,6 +14,7 @@ from isokernel.dataset import (
     SparseVector,
     entries,
     row_blocks,
+    save_npz,
 )
 from isokernel.errors import (
     DataError,
@@ -288,28 +289,26 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "scheme, part_keys",
         [
-            ("iforest", {"feature", "threshold"}),
+            ("iforest", {"feature", "threshold", "offsets"}),
             ("anne", {"cat_indices", "cat_values", "offsets", "dim"}),
         ],
     )
     def test_file_layout(self, tmp_path, scheme, part_keys):
-        # maps saved by earlier releases must keep loading
+        # one ragged set per map, whatever t is
         ds, mapper = fit_small(scheme=scheme, t=3)
         path = tmp_path / "map.npz"
         mapper.save(path)
         with np.load(path) as data:
             files = set(data.files)
             meta = json.loads(str(data["meta"]))
-        assert files == {"meta"} | {
-            f"part{i}_{key}" for i in range(3) for key in part_keys
-        }
+        assert files == {"meta"} | part_keys
         assert set(meta) == {"format_version", "scheme", "t", "psi", "seed",
                              "dim"}
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
 
     @pytest.mark.parametrize(
         "scheme, key",
-        [("iforest", "part1_threshold"), ("anne", "part1_offsets")],
+        [("iforest", "threshold"), ("anne", "offsets")],
     )
     def test_missing_array_is_a_load_error(self, tmp_path, scheme, key):
         _, mapper = fit_small(scheme=scheme, t=3)
@@ -320,7 +319,7 @@ class TestPersistence:
             Mapper.load(path)
 
     @pytest.mark.parametrize(
-        "meta", ["{not json", "[1]", '{"format_version": 2, "t": 3}']
+        "meta", ["{not json", "[1]", '{"format_version": 3, "t": 3}']
     )
     def test_bad_meta_is_a_load_error(self, tmp_path, meta):
         _, mapper = fit_small(t=3)
@@ -372,10 +371,11 @@ class TestPersistence:
         mapper.save(path)
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
+        lo, hi = arrays["offsets"][1:3]  # tree 1
         if damage == "all splits":
-            arrays["part1_feature"][:] = 0
+            arrays["feature"][lo:hi] = 0
         else:
-            arrays["part1_threshold"] = arrays["part1_threshold"][:-1]
+            arrays["threshold"] = np.delete(arrays["threshold"], hi - 1)
         np.savez_compressed(path, **arrays)
         with pytest.raises(LoadError, match="full binary tree"):
             Mapper.load(path)
@@ -388,6 +388,18 @@ class TestPersistence:
         mapper.save(path)
         as_depth_first_release(path, 1)
         with pytest.raises(DataError, match="unsupported map format 1"):
+            Mapper.load(path)
+
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_format_2_map_is_rejected(self, tmp_path, scheme):
+        # it holds each partitioning under its own keys, not one ragged set
+        _, mapper = fit_small(scheme=scheme, t=3)
+        arrays = {f"part{i}_{key}": arr
+                  for i, part in enumerate(mapper.parts)
+                  for key, arr in part.state().items()}
+        path = tmp_path / "map.npz"
+        save_npz(path, 2, mapper.state()[0], arrays)
+        with pytest.raises(DataError, match="unsupported map format 2"):
             Mapper.load(path)
 
     def test_features_csv_row_count(self, tmp_path):

@@ -405,10 +405,10 @@ class TestCheckpoints:
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(str(arrays.pop("meta")))
-        assert meta["format_version"] == FORMAT_VERSION == 3
-        meta["format_version"] = 2
+        assert meta["format_version"] == FORMAT_VERSION == 4
+        meta["format_version"] = 3
         np.savez_compressed(path, meta=json.dumps(meta), **arrays)
-        with pytest.raises(ParameterError, match="format 2"):
+        with pytest.raises(ParameterError, match="format 3"):
             load_checkpoint(path)
 
     def test_depth_first_format_2_checkpoint_is_rejected(self, tmp_path):
@@ -426,8 +426,8 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize(
         "drop, meta",
-        [("model_w", None), ("encoder_part0_feature", None),
-         (None, '{"format_version": 3}')],
+        [("model_w", None), ("encoder_feature", None),
+         (None, '{"format_version": 4}')],
     )
     def test_damaged_checkpoint_is_a_load_error(self, tmp_path, drop, meta):
         rng = np.random.default_rng(12)

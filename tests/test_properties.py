@@ -26,13 +26,18 @@ product is exact in float64 and no result depends on summation order;
 the baseline scorers are tested on values that round as well.
 """
 
+import gzip
 import io
+import os
+import tempfile
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isokernel.dataset as dataset
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
@@ -40,7 +45,9 @@ from isokernel.dataset import (
     dense_rows,
     entries,
     format_libsvm_line,
+    load_libsvm,
     parse_libsvm_line,
+    ragged_vectors,
 )
 import isokernel.partition as partition
 from isokernel.featuremap import Mapper, kernel
@@ -493,6 +500,154 @@ class TestLibsvm:
         q = parse_libsvm_line(format_libsvm_line(p), dim_hint=p.x.dim)
         assert q.c == p.c
         assert q.x == p.x
+
+
+# labels of raw value +1 or -1, for which the file's label policy and a
+# line's own sign policy agree, and labels no line may hold
+LABELS = ["+1", "-1", "1", "-1.0"]
+ODD_LABELS = ["junk", "nan", "1e400", "+5:1", "3:4:"]
+FEATURE_VALUES = ["1", "-2.5", "0", "0.0", "-0.0", "1e-3", "0.1"]
+# feature tokens that are malformed, non-finite, out of range or merely
+# unusual; each is accepted or rejected by ``parse_libsvm_line``
+ODD_TOKENS = [
+    "3:4:", ":5", "3:", "1:2:3", "1:2:3 4", "junk", "+5:1", "1_0:2", "nan", "2:nan",
+    "2:1e400", "0:1", "-4:1", "2147483648:1", "2147483647:0",
+    "12345678901234567890:1", "7:0", "3:4",
+]
+
+
+@st.composite
+def libsvm_lines(draw, odd):
+    """One LIBSVM line with its LF or CRLF ending. An odd line has an odd
+    label or an odd token, or repeats an index; any other line is a valid
+    line of increasing indices, some of them explicit zeros, or a blank or
+    whitespace-only line."""
+    kind = draw(st.sampled_from(["odd label", "odd token", "repeat"] if odd
+                                else ["valid"] * 3 + ["blank"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t ", "  "])) + end
+    feats = [f"{i}:{draw(st.sampled_from(FEATURE_VALUES))}"
+             for i in sorted(draw(st.sets(st.integers(1, 40), max_size=5)))]
+    label = draw(st.sampled_from(
+        ODD_LABELS if kind == "odd label" else LABELS))
+    if kind == "odd token":
+        feats.insert(draw(st.integers(0, len(feats))),
+                     draw(st.sampled_from(ODD_TOKENS)))
+    elif kind == "repeat" and feats:
+        at = draw(st.integers(0, len(feats) - 1))
+        feats.insert(at, feats[at])
+    return draw(st.sampled_from([" ", "\t", "  "])).join([label, *feats]) + end
+
+
+@st.composite
+def libsvm_texts(draw):
+    """Up to ten lines that are not odd, with up to two odd lines among
+    them."""
+    lines = draw(st.lists(libsvm_lines(odd=False), max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(libsvm_lines(odd=True)))
+    return "".join(lines)
+
+
+def outcome(fn):
+    """``fn()``, or the class and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def load_line_by_line(text):
+    """(dim, [(label, point)]) of LIBSVM ``text`` by ``parse_libsvm_line``
+    of each nonblank line in turn, every point at the file's dim."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    points = [parse_libsvm_line(line, lineno=lineno)
+              for lineno, line in enumerate(lines, start=1) if line.strip()]
+    dim = max([p.x.dim for p in points], default=0)
+    return dim, [(p.c, p.x.with_dim(dim)) for p in points]
+
+
+def load_in_blocks(text, block, gz):
+    """(dim, [(label, point)]) of LIBSVM ``text`` by ``load_libsvm`` of a
+    file holding it, gzipped or not, parsed ``block`` lines at a time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.libsvm.gz" if gz else "d.libsvm")
+        with (gzip.open if gz else open)(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        with patch.object(dataset, "_PARSE_BLOCK", block):
+            ds = load_libsvm(path)
+    for p in ds:
+        assert p.x.indices.dtype == np.int32
+        assert p.x.values.dtype == np.float64
+    return ds.dim, [(p.c, p.x) for p in ds]
+
+
+@st.composite
+def ragged_arrays(draw):
+    """(indices, values, offsets, dim) of up to six vectors, which are
+    valid or hold one bad kind of entry: indices out of order or repeated,
+    below 1 or past int32, values zero or not finite, or a dim below the
+    largest index."""
+    dim = draw(st.integers(1, 30))
+    runs = draw(st.lists(
+        st.sets(st.integers(1, dim), max_size=5).map(sorted), max_size=6))
+    indices = [i for run in runs for i in run]
+    values = draw(st.lists(VALUES.filter(bool), min_size=len(indices),
+                           max_size=len(indices)))
+    kind = draw(st.sampled_from(["valid", "valid", "order", "below 1",
+                                 "past int32", "zero", "nan", "inf", "dim"]))
+    if indices and kind != "valid":
+        at = draw(st.integers(0, len(indices) - 1))
+        if kind == "order":
+            indices[at] = draw(st.integers(1, dim))
+        elif kind == "below 1":
+            indices[at] = draw(st.integers(-3, 0))
+        elif kind == "past int32":
+            indices[at] = 2**31 + draw(st.integers(0, 2))
+        elif kind == "dim":
+            dim = draw(st.integers(0, dim))
+        else:
+            values[at] = {"zero": 0.0, "nan": np.nan, "inf": -np.inf}[kind]
+    offsets = np.cumsum([0] + [len(run) for run in runs])
+    return (np.array(indices, dtype=np.int64), np.array(values), offsets,
+            dim)
+
+
+class TestBlockParse:
+    @settings(max_examples=300, deadline=None)
+    @given(libsvm_texts(), st.sampled_from([1, 2, 3, 128]), st.booleans())
+    def test_load_equals_parsing_line_by_line(self, text, block, gz):
+        # the same points, dim and labels, or the first bad line's error,
+        # whichever block it lies in
+        assert outcome(lambda: load_in_blocks(text, block, gz)) == outcome(
+            lambda: load_line_by_line(text))
+
+    @pytest.mark.parametrize(
+        "line", [f"+1 2:1 {token}" for token in ODD_TOKENS]
+        + [f"{label} 1:1" for label in ODD_LABELS])
+    def test_each_odd_line_loads_as_parsed_line_by_line(self, line):
+        # in a block of valid lines, and in a block of its own
+        text = f"+1 1:1 2:2\n-1 3:1\n{line}\n+1 2:1\n"
+        for block in (1, 128):
+            assert outcome(lambda: load_in_blocks(text, block, False)) == (
+                outcome(lambda: load_line_by_line(text)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_arrays())
+    def test_ragged_vectors_equal_sparse_vectors(self, case):
+        indices, values, offsets, dim = case
+        expected = outcome(lambda: [
+            SparseVector(indices[lo:hi], values[lo:hi], dim)
+            for lo, hi in zip(offsets[:-1], offsets[1:])])
+        got = outcome(lambda: ragged_vectors(indices, values, offsets, dim))
+        assert got == expected
+        if isinstance(got, list):
+            for x in got:
+                assert x.indices.dtype == np.int32
+                assert x.values.dtype == np.float64
+                assert type(x.dim) is int
 
 
 class TestDenseRows:
