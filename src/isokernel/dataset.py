@@ -12,8 +12,8 @@ index and value arrays, and its points are views of those arrays, built by
 ``ragged_vectors``, which validates flat ragged arrays in one pass. So the
 parse holds one block's token strings at a time beside the points it has
 built. When a block holds a bad line, its lines are parsed one at a time
-(``_parse_raw_line``), and the first bad line raises the error, class and
-line number it raises when parsed alone.
+(``_parse_raw_line``), so the first bad line raises the error it raises
+when parsed alone: the same class, message and line number.
 """
 
 import gzip
@@ -486,9 +486,9 @@ def _parse_tokens(lines):
     try:
         raws = np.fromiter(map(float, [tokens[0] for tokens in lines]),
                            np.float64, len(lines))
-        indices = np.fromiter(map(int, parts[0::2]), np.int64, len(feats))
+        indices = np.fromiter(map(int, parts[0::2]), np.int32, len(feats))
         values = np.fromiter(map(float, parts[1::2]), np.float64, len(feats))
-    except (ValueError, OverflowError):  # OverflowError: past int64
+    except (ValueError, OverflowError):  # OverflowError: past int32
         return None
     offsets = np.zeros(len(lines) + 1, dtype=np.intp)
     np.cumsum([len(tokens) - 1 for tokens in lines], out=offsets[1:])
@@ -500,7 +500,7 @@ def _parse_tokens(lines):
     if not kept.all():
         offsets = np.append(0, np.cumsum(kept))[offsets]
         indices, values = indices[kept], values[kept]
-    return raws, indices.astype(np.int32), values, offsets, max_index
+    return raws, indices, values, offsets, max_index
 
 
 def _parse_reference(block, first):
