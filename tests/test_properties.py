@@ -14,8 +14,12 @@ kernels on points of any dim, and the landmark Gram is positive
 semidefinite. On random streams the dual model over the indexed kernel
 and the primal IK-OGD model give the same score and make the same
 update at every step, and a LIBSVM line formats and parses back to the
-same point. Sparse rows of any dims densify onto any sorted columns as
-their dense stack restricted to those columns. An iforest fit grows the
+same point. A LIBSVM file, valid or holding bad lines, loads in blocks
+of any size to the points, dim and labels, or the first bad line's
+error, of parsing it line by line, and flat ragged arrays give the
+vectors, or the error, of building each ``SparseVector`` alone. Sparse
+rows of any dims densify onto any sorted columns as their dense stack
+restricted to those columns. An iforest fit grows the
 same trees whatever t, the grouping of trees and the grower's form, and
 every grown tree isolates each distinguishable sample point, is a
 breadth-first list whose links reach every node once, numbers its leaves
@@ -510,8 +514,8 @@ FEATURE_VALUES = ["1", "-2.5", "0", "0.0", "-0.0", "1e-3", "0.1"]
 # feature tokens that are malformed, non-finite, out of range or merely
 # unusual; each is accepted or rejected by ``parse_libsvm_line``
 ODD_TOKENS = [
-    "3:4:", ":5", "3:", "1:2:3", "1:2:3 4", "junk", "+5:1", "1_0:2", "nan", "2:nan",
-    "2:1e400", "0:1", "-4:1", "2147483648:1", "2147483647:0",
+    "3:4:", ":5", "3:", "1:2:3", "1:2:3 4", "junk", "+5:1", "1_0:2", "nan",
+    "2:nan", "2:1e400", "0:1", "-4:1", "2147483648:1", "2147483647:0",
     "12345678901234567890:1", "7:0", "3:4",
 ]
 
