@@ -1,15 +1,18 @@
-"""Time ``Mapper.fit`` of an iforest map in process, in ms per tree, its
-encoder, and ``load_libsvm``.
+"""Time ``Mapper.fit`` in process, in ms per partitioning, an iforest
+map's encoder, and ``load_libsvm``.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
-Each fit shape fits ``t`` trees of ``psi`` points on a fixed-seed dataset
-from ``perfbench/gen.py``; the best of ``--repeats`` fits is reported.
-Shapes: dense d=20 (serve-point's 2000-point head) at psi 64 and 256,
-sparse-hd (d=20000, 20 nonzeros per row) at psi 64 and 256, a9a-shaped
-rows (the stream-a9a workload's data: 123 binary columns, 14 ones per row)
-at its CV grid's psi 16, 64 and 256, and acceptance criterion 6's t=1000,
-psi=256, d=2 uniform pool. An ``encode-`` shape fits one map and times its
+Each fit shape fits ``t`` partitionings of its scheme from ``psi``
+points on a fixed-seed dataset from ``perfbench/gen.py``; the best of
+``--repeats`` fits is reported. iforest shapes: dense d=20 (serve-point's
+2000-point head) at psi 64 and 256, sparse-hd (d=20000, 20 nonzeros per
+row) at psi 64 and 256, a9a-shaped rows (the stream-a9a workload's data:
+123 binary columns, 14 ones per row) at its CV grid's psi 16, 64 and 256,
+and acceptance criterion 6's t=1000, psi=256, d=2 uniform pool. The
+``anne-`` shapes fit anne maps on the dense and the sparse-hd data at
+psi=64, t=100 (batch-sparse-hd's map). An ``encode-`` shape fits one
+iforest map and times its
 encoder instead: the p50 of ``map_point`` over ``ENCODE_POINTS`` points,
 and ``map_many`` of all of them in us per point, each the best of
 ``--repeats``. A ``parse-`` shape writes a workload's LIBSVM file with
@@ -61,17 +64,19 @@ def uniform_2d():
     return dataset(np.ones(len(X)), [([1, 2], row) for row in X], 2)
 
 
-# name: (data, psi, t)
+# name: (data, psi, t, scheme)
 SHAPES = {
-    "dense-64": (dense, 64, 100),
-    "dense-256": (dense, 256, 100),
-    "sparse-hd-64": (sparse_hd, 64, 100),
-    "sparse-hd-256": (sparse_hd, 256, 20),
-    "a9a-16": (a9a, 16, 100),
-    "a9a-64": (a9a, 64, 100),
-    "a9a-256": (a9a, 256, 100),
-    "crit6": (uniform_2d, 256, 1000),
-    "encode-dense-64": (dense, 64, 100),
+    "dense-64": (dense, 64, 100, "iforest"),
+    "dense-256": (dense, 256, 100, "iforest"),
+    "sparse-hd-64": (sparse_hd, 64, 100, "iforest"),
+    "sparse-hd-256": (sparse_hd, 256, 20, "iforest"),
+    "a9a-16": (a9a, 16, 100, "iforest"),
+    "a9a-64": (a9a, 64, 100, "iforest"),
+    "a9a-256": (a9a, 256, 100, "iforest"),
+    "crit6": (uniform_2d, 256, 1000, "iforest"),
+    "anne-dense-64": (dense, 64, 100, "anne"),
+    "anne-sparse-hd-64": (sparse_hd, 64, 100, "anne"),
+    "encode-dense-64": (dense, 64, 100, "iforest"),
 }
 ENCODE_POINTS = 500
 # name: the labels and rows of a workload's LIBSVM file
@@ -82,20 +87,21 @@ PARSE_SHAPES = {
 }
 
 
-def time_fit(ds, psi, t, repeats):
-    """Best wall time of ``repeats`` fits, in ms per tree and in s."""
+def time_fit(ds, psi, t, scheme, repeats):
+    """Best wall time of ``repeats`` fits, in ms per partitioning and in
+    s."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        Mapper.fit(ds, psi, t, "iforest", 7)
+        Mapper.fit(ds, psi, t, scheme, 7)
         best = min(best, time.perf_counter() - start)
     return best / t * 1e3, best
 
 
-def time_encode(ds, psi, t, repeats):
+def time_encode(ds, psi, t, scheme, repeats):
     """Best ``map_point`` p50 and best ``map_many`` cost, both in us per
     point, of one map over the first ``ENCODE_POINTS`` points."""
-    mapper = Mapper.fit(ds, psi, t, "iforest", 7)
+    mapper = Mapper.fit(ds, psi, t, scheme, 7)
     head = ds.subset(range(ENCODE_POINTS))
     point = many = float("inf")
     for _ in range(repeats):
@@ -138,15 +144,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
     names = args.shapes.split(",")
     # one table of the fit shapes, then one of the encode shapes
-    for timer, columns in ((time_fit, "ms/tree | fit s"),
+    for timer, columns in ((time_fit, "ms/partitioning | fit s"),
                            (time_encode, "map_point p50 us | map_many us/pt")):
         chosen = [name for name in names if name in SHAPES
                   and name.startswith("encode-") == (timer is time_encode)]
         if chosen:
             print(f"| shape | psi | t | {columns} |\n|---|---|---|---|---|")
         for name in chosen:
-            data, psi, t = SHAPES[name]
-            a, b = timer(data(), psi, t, args.repeats)
+            data, psi, t, scheme = SHAPES[name]
+            a, b = timer(data(), psi, t, scheme, args.repeats)
             print(f"| {name} | {psi} | {t} | {a:.3f} | {b:.3f} |", flush=True)
     parse = [name for name in names if name in PARSE_SHAPES]
     if parse:

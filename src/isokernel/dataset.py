@@ -197,6 +197,13 @@ def _distinct(a):
     return a[_runs(a)]
 
 
+def _spans(first, count):
+    """Positions ``first[i]``, ..., ``first[i] + count[i] - 1`` of every
+    run i, run after run."""
+    return np.arange(count.sum()) + np.repeat(
+        first - np.cumsum(count) + count, count)
+
+
 def located(packed, cols):
     """The entries packed as ``entries`` packs them that lie in one of the
     sorted columns ``cols``, as ``(row, position in cols, value)``."""
@@ -268,20 +275,154 @@ def l1_distance(a, b):
 # persistence: ragged sparse rows and versioned npz files
 
 
+class Rows:
+    """Sparse rows packed once, or a selection of them. The packing holds
+    row r's 1-based ``indices`` (int32) and ``values`` (float64) at
+    ``offsets[r]:offsets[r + 1]``, as a map file holds them; a ``Rows`` is
+    its rows ``ids`` in that order (all of them, in order, when ``ids`` is
+    None), declared at ``dim``. ``take`` selects rows without copying any
+    entry, so a fit packs its data once and a sample is its row ids; the
+    selected rows' arrays are gathered when asked for. Selections of one
+    packing share its squared row norms, each taken at most once.
+    """
+
+    __slots__ = ("indices", "values", "offsets", "dim", "ids", "_sq")
+
+    def __init__(self, indices, values, offsets, dim, ids=None, sq=None):
+        self.indices, self.values, self.offsets = indices, values, offsets
+        self.dim = int(dim)
+        self.ids = ids
+        # the squared norm of every packed row, NaN until taken
+        self._sq = np.full(offsets.size - 1, np.nan) if sq is None else sq
+
+    @classmethod
+    def of(cls, vectors):
+        """``vectors`` itself if it is a ``Rows``, else the SparseVectors
+        ``vectors`` packed in order, at the largest of their dims."""
+        if isinstance(vectors, Rows):
+            return vectors
+        offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
+        np.cumsum([v.indices.size for v in vectors], out=offsets[1:])
+        return cls(np.concatenate([_NO_INDICES, *(v.indices for v in vectors)]),
+                   np.concatenate([_NO_VALUES, *(v.values for v in vectors)]),
+                   offsets, max((v.dim for v in vectors), default=0))
+
+    @classmethod
+    def checked(cls, indices, values, offsets, dim):
+        """The packing at ``dim`` of flat ragged arrays: row i holds
+        ``indices[lo:hi]`` and ``values[lo:hi]`` for ``lo, hi = offsets[i],
+        offsets[i + 1]``. The entries are checked in one pass over the
+        arrays; when one is bad, the rows are built one at a time as
+        SparseVectors, so the first bad one raises what ``SparseVector``
+        raises."""
+        indices = np.asarray(indices)  # checked before it is cast to int32
+        values = np.asarray(values, dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise FormatError("indices and values must be 1-d and equal length")
+        runs = ragged_runs(offsets, indices.size)
+        if not (_valid_entries(indices, values, offsets) and values.all()
+                and (indices.size == 0 or dim >= indices.max())):
+            return cls.of([SparseVector(indices[lo:hi], values[lo:hi], dim)
+                           for lo, hi in runs])
+        return cls(indices.astype(np.int32, copy=False), values,
+                   np.asarray(offsets), dim)
+
+    def __len__(self):
+        return self.offsets.size - 1 if self.ids is None else self.ids.size
+
+    def _ids(self):
+        return np.arange(len(self)) if self.ids is None else self.ids
+
+    def _extents(self):
+        """Where each selected row's entries start, and how many it has."""
+        ids = self._ids()
+        first = self.offsets[ids]
+        return first, self.offsets[ids + 1] - first
+
+    def take(self, ids):
+        """The rows at positions ``ids`` of this selection, in that order,
+        as a selection of the same packing."""
+        ids = np.asarray(ids, dtype=np.intp)
+        return Rows(self.indices, self.values, self.offsets, self.dim,
+                    ids if self.ids is None else self.ids[ids], self._sq)
+
+    def nnz(self):
+        """Stored entries of the selected rows."""
+        return int(self._extents()[1].sum())
+
+    def ragged(self):
+        """``(indices, values, offsets)`` of the selected rows alone, as
+        ``Rows.checked`` reads them, offsets in int64."""
+        if self.ids is None:
+            return self.indices, self.values, self.offsets
+        first, count = self._extents()
+        pos = _spans(first, count)
+        offsets = np.zeros(count.size + 1, dtype=np.int64)
+        np.cumsum(count, out=offsets[1:])
+        return self.indices[pos], self.values[pos], offsets
+
+    def entries(self):
+        """The selected rows' entries as ``entries`` packs vectors."""
+        indices, values, offsets = self.ragged()
+        row = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(offsets))
+        return row, indices - 1, values
+
+    def vectors(self):
+        """The selected rows as SparseVectors at ``dim``, views of one
+        int32 and one float64 array."""
+        indices, values, offsets = self.ragged()
+        vectors = []
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            x = SparseVector.__new__(SparseVector)
+            x.indices, x.values, x.dim = indices[lo:hi], values[lo:hi], self.dim
+            vectors.append(x)
+        return vectors
+
+    def with_dim(self, dim):
+        """The same rows declared at ``dim``, which no index may exceed."""
+        if dim == self.dim:
+            return self
+        indices = self.ragged()[0]
+        if indices.size and dim < indices.max():
+            raise FormatError(f"dim {dim} smaller than max index {indices.max()}")
+        return Rows(self.indices, self.values, self.offsets, dim, self.ids,
+                    self._sq)
+
+    def sq_norms(self):
+        """The squared norm of each selected row, taken at most once per
+        packed row by the ``np.dot`` of ``SparseVector.sq_norm``: a sum of
+        squares in any other order may round differently."""
+        ids = self._ids()
+        sq = self._sq[ids]
+        todo = ids[np.isnan(sq)]
+        if todo.size:
+            todo = _distinct(todo)
+            lo, hi = self.offsets[todo].tolist(), self.offsets[todo + 1].tolist()
+            rows = [self.values[a:b] for a, b in zip(lo, hi)]
+            self._sq[todo] = list(map(np.dot, rows, rows))
+            sq = self._sq[ids]
+        return sq
+
+    @classmethod
+    def concat(cls, selections):
+        """The rows of each of ``selections`` in turn, as one ``Rows`` at
+        the largest of their dims: a selection of their packing when they
+        share one, else a new packing of them."""
+        first = selections[0]
+        dim = max(rows.dim for rows in selections)
+        if all(rows.values is first.values for rows in selections):
+            ids = np.concatenate([rows._ids() for rows in selections])
+            return cls(first.indices, first.values, first.offsets, dim, ids,
+                       first._sq)
+        return cls.of([x for rows in selections for x in rows.vectors()])
+
+
 def pack_ragged(vectors):
-    """Sparse vectors as flat arrays: concatenated ``cat_indices`` and
-    ``cat_values``, with vector i at ``offsets[i]:offsets[i + 1]``."""
-    offsets = np.zeros(len(vectors) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(v) for v in vectors])
-    return {
-        "cat_indices": np.concatenate(
-            [v.indices for v in vectors] or [np.empty(0, dtype=np.int32)]
-        ),
-        "cat_values": np.concatenate(
-            [v.values for v in vectors] or [np.empty(0)]
-        ),
-        "offsets": offsets,
-    }
+    """Sparse vectors, or ``Rows``, as flat arrays: concatenated
+    ``cat_indices`` and ``cat_values``, with vector i at ``offsets[i]:
+    offsets[i + 1]``."""
+    indices, values, offsets = Rows.of(vectors).ragged()
+    return {"cat_indices": indices, "cat_values": values, "offsets": offsets}
 
 
 def unpack_ragged(arrays, dim):
@@ -313,29 +454,11 @@ def _valid_entries(indices, values, offsets):
 
 
 def ragged_vectors(indices, values, offsets, dim):
-    """SparseVectors at ``dim`` of flat ragged arrays: vector i holds
-    ``indices[lo:hi]`` and ``values[lo:hi]`` for ``lo, hi = offsets[i],
-    offsets[i + 1]``, as views of one int32 and one float64 array. The
-    entries are checked in one pass over the arrays; when one is bad, the
-    vectors are built one at a time, so the first bad one raises what
-    ``SparseVector`` raises."""
-    indices = np.asarray(indices)  # checked before it is cast to int32
-    values = np.asarray(values, dtype=np.float64)
-    if indices.ndim != 1 or indices.shape != values.shape:
-        raise FormatError("indices and values must be 1-d and equal length")
-    runs = ragged_runs(offsets, indices.size)
-    if not (_valid_entries(indices, values, offsets) and values.all()
-            and (indices.size == 0 or dim >= indices.max())):
-        return [SparseVector(indices[lo:hi], values[lo:hi], dim)
-                for lo, hi in runs]
-    indices = indices.astype(np.int32, copy=False)
-    dim = int(dim)
-    vectors = []
-    for lo, hi in runs:
-        x = SparseVector.__new__(SparseVector)
-        x.indices, x.values, x.dim = indices[lo:hi], values[lo:hi], dim
-        vectors.append(x)
-    return vectors
+    """SparseVectors at ``dim`` of flat ragged arrays, checked as
+    ``Rows.checked`` checks them: vector i holds ``indices[lo:hi]`` and
+    ``values[lo:hi]`` for ``lo, hi = offsets[i], offsets[i + 1]``, as
+    views of one int32 and one float64 array."""
+    return Rows.checked(indices, values, offsets, dim).vectors()
 
 
 def by_prefix(arrays):

@@ -65,6 +65,9 @@ class ProtocolConfig:
             raise ConfigError(f"normalize must be a bool, got {self.normalize!r}")
         if not self.psi_grid:
             raise ConfigError("psi grid must be nonempty")
+        for psi in self.psi_grid:
+            if isinstance(psi, bool) or not isinstance(psi, numbers.Integral):
+                raise ConfigError(f"psi grid entries must be integers, got {psi!r}")
         for name in _INT_FIELDS + _OPTIONAL_SIZES:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL_SIZES:

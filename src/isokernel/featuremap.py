@@ -29,11 +29,13 @@ centres as the average column has about nnz * fill of them per score, and
 the fill is below ``DENSE_FILL`` wherever the index is used.
 """
 
+import numbers
+
 import numpy as np
 
-from .dataset import entries, load_npz, row_blocks, save_npz
+from .dataset import Rows, entries, load_npz, row_blocks, save_npz
 from .errors import ParameterError, ProvenanceError, ShapeError
-from .partition import SCHEMES, sample_psi
+from .partition import SCHEMES, sample_rows
 
 FORMAT_VERSION = 3
 # elements in the widest array of one encoding block: its (row, tree)
@@ -73,7 +75,12 @@ class Mapper:
         Partitioning i draws its sample (and any split randomness) from a
         generator seeded by (seed, i), so fitting is reproducible and the
         partitionings could be built in parallel without changing results.
+        The dataset is packed once, and each sample is the ids of its rows
+        in that packing.
         """
+        # numpy would take a float psi, or a bool as 0 or 1
+        if isinstance(psi, bool) or not isinstance(psi, numbers.Integral):
+            raise ParameterError(f"psi must be an integer, got {psi!r}")
         if t < 1:
             raise ParameterError(f"t must be >= 1, got {t}")
         if scheme not in SCHEMES:
@@ -92,7 +99,7 @@ class Mapper:
             raise ParameterError(
                 f"seed must be a non-negative integer, got {seed!r}") from exc
         parts = SCHEMES[scheme].build_many(
-            _draws(dataset, psi, t, seed))
+            _draws(Rows.of([p.x for p in dataset]), psi, t, seed))
         return cls(parts, psi, t, scheme, seed, dataset.dim)
 
     def map_point(self, x):
@@ -150,12 +157,13 @@ class Mapper:
         return load_npz(path, FORMAT_VERSION, "map", cls.from_state)
 
 
-def _draws(dataset, psi, t, seed):
+def _draws(rows, psi, t, seed):
     """The ``(sample, rng)`` pair of each partitioning i < t, drawn from
-    the generator seeded by (seed, i) as the pair is asked for."""
+    the generator seeded by (seed, i) as the pair is asked for: the sample
+    is the ``Rows`` of the rows that ``sample_rows`` draws."""
     for i in range(t):
         rng = np.random.default_rng((seed, i))
-        yield sample_psi(dataset, psi, rng), rng
+        yield rows.take(sample_rows(len(rows), psi, rng)), rng
 
 
 def kernel(fa, fb):

@@ -110,7 +110,8 @@ class _Model:
     def from_state(cls, meta, arrays, encoder):
         # primal models take the shape of w, then their encoder
         model = cls(*arrays["w"].shape, encoder)
-        model.w = arrays["w"]
+        # contiguous, so that IKOGDModel's flat view of w is no copy
+        model.w = np.ascontiguousarray(arrays["w"])
         model.updates = meta["updates"]
         return model
 
@@ -196,6 +197,7 @@ class IKOGDModel(_Model):
     The weight update on violation adds eta*c at the t cells the feature
     indexes, which is exactly the dual update expressed through the feature
     map; prediction reads t weights regardless of psi or update count.
+    Both read the weights through their flat offsets in ``w``.
     """
 
     def __init__(self, t, psi, mapper=None):
@@ -204,7 +206,8 @@ class IKOGDModel(_Model):
         self.psi = psi
         self.mapper = mapper
         self.w = new_weights(t, psi)
-        self._rows = np.arange(t)  # row i of w holds partitioning i's cells
+        # the flat offset in w of partitioning i's cell 0
+        self._at = np.arange(t) * psi
 
     @property
     def encoder(self):
@@ -218,7 +221,7 @@ class IKOGDModel(_Model):
 
     def predict(self, f):
         self._check(f)
-        score = float(self.w[self._rows, f].sum()) / self.t
+        score = float(self.w.reshape(-1)[self._at + f].sum()) / self.t
         self._count(1, self.t)
         return score
 
@@ -230,10 +233,10 @@ class IKOGDModel(_Model):
                 f"feature length {F.shape[1]} does not match model t={self.t}"
             )
         self._count(F.shape[0], self.t)
-        return self.w[self._rows, F].sum(axis=1) / self.t
+        return self.w.reshape(-1)[self._at + F].sum(axis=1) / self.t
 
     def _update(self, f, c, eta):
-        self.w[self._rows, f] += eta * c
+        self.w.reshape(-1)[self._at + f] += eta * c
 
 
 class NOGDModel(_Model):

@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import SampleError
 from .dataset import (
-    _distinct, _runs, dense_rows, entries, located, pack_ragged, row_blocks,
-    ragged_runs, unpack_ragged,
+    Rows, _distinct, _runs, _spans, dense_rows, located, pack_ragged,
+    row_blocks, ragged_runs,
 )
 
 # The least fill, stored centre entries over the cells of the dense
@@ -86,18 +86,23 @@ _GROW_BUDGET = 1 << 15
 GROW_FILL = 1 / 4
 
 
-def sample_psi(dataset, psi, rng):
-    """Draw psi distinct points uniformly without replacement.
-
-    Returns the sampled SparseVectors in draw order.
-    """
-    n = len(dataset)
+def sample_rows(n, psi, rng):
+    """Draw the ids of psi distinct rows of n uniformly without
+    replacement, in draw order."""
     if psi < 1:
         raise SampleError(f"sample size must be >= 1, got {psi}")
     if psi > n:
         raise SampleError(f"cannot sample {psi} points from {n}")
-    idx = rng.choice(n, size=psi, replace=False)
-    return [dataset[int(i)].x for i in idx]
+    return rng.choice(n, size=psi, replace=False)
+
+
+def sample_psi(dataset, psi, rng):
+    """Draw psi distinct points uniformly without replacement.
+
+    Returns the sampled SparseVectors in draw order: those of the rows
+    ``sample_rows`` draws with the same generator.
+    """
+    return [dataset[int(i)].x for i in sample_rows(len(dataset), psi, rng)]
 
 
 class ITree:
@@ -127,15 +132,16 @@ class ITree:
 
     @classmethod
     def build(cls, sample, rng):
-        """Grow a tree isolating every distinguishable point of ``sample``:
-        ``build_many`` of one sample."""
-        return cls.build_many([(sample, rng)])[0]
+        """Grow a tree isolating every distinguishable point of ``sample``,
+        a list of SparseVectors or their ``Rows``: ``build_many`` of one
+        sample."""
+        return cls.build_many([(Rows.of(sample), rng)])[0]
 
     @classmethod
     def build_many(cls, pairs):
         """One tree per ``(sample, rng)`` pair, each isolating every
-        distinguishable point of its sample and drawing only from its own
-        generator.
+        distinguishable point of its sample, a ``Rows``, and drawing only
+        from its own generator.
 
         Split attributes are drawn uniformly among attributes whose value
         range within the node is non-degenerate; the split value is uniform
@@ -149,7 +155,7 @@ class ITree:
         """
         trees, group, size = [], [], 0
         for sample, rng in pairs:
-            cost = len(sample) + sum(v.indices.size for v in sample)
+            cost = len(sample) + sample.nnz()
             if group and size + cost > _GROW_BUDGET:
                 trees += _grow(group)
                 group, size = [], 0
@@ -224,7 +230,7 @@ def _grow(group):
     uniforms = np.concatenate([np.empty((0, 2))] + [
         rng.random((n - 1, 2)) for rng, n in zip(rngs, sizes)])
     next_pair = np.cumsum(sizes) - sizes - np.arange(g)  # first of each tree
-    packed = entries([v for sample in samples for v in sample])
+    packed = Rows.concat(samples).entries()
     cols = _distinct(packed[1])
     rows = np.arange(sizes.sum())  # rows at nodes not yet leaves, by node
     members = sizes  # rows at each node of the level
@@ -323,20 +329,28 @@ def _grow(group):
 
 class VoronoiPartition:
     """Voronoi cells of a point sample: a point's cell is its nearest
-    center, ties to the lowest center index. The squared center norms are
-    precomputed for the scorer ``join`` builds."""
+    center, ties to the lowest center index. The centres are held as
+    ``rows``, the ``Rows`` of the sample, with their squared norms
+    ``sq_norms`` for the scorer ``join`` builds."""
 
     scheme = "anne"
 
     def __init__(self, centers):
-        self.centers = list(centers)
-        self.dim = max(c.dim for c in self.centers)
-        self.sq_norms = np.array([c.sq_norm() for c in self.centers])
-        self.n_cells = len(self.centers)
+        """``centers``: a list of SparseVectors or their ``Rows``."""
+        self.rows = Rows.of(centers)
+        self.dim = self.rows.dim
+        self.sq_norms = self.rows.sq_norms()
+        self.n_cells = len(self.rows)
+
+    @property
+    def centers(self):
+        """The centres as SparseVectors, built on every call."""
+        return self.rows.vectors()
 
     @classmethod
     def build(cls, sample, rng=None):
-        """Voronoi cells of ``sample``; ``rng`` is unused."""
+        """Voronoi cells of ``sample``, a list of SparseVectors or their
+        ``Rows``; ``rng`` is unused."""
         return cls(sample)
 
     @classmethod
@@ -349,8 +363,7 @@ class VoronoiPartition:
         the benchmark's tie check reads it (``perfbench/workloads.py``,
         ``_both_nearest``): a map scores the centres that ``join`` joins."""
         return dense_rows(
-            entries(self.centers), self.n_cells, np.arange(self.dim)
-        )
+            self.rows.entries(), self.n_cells, np.arange(self.dim))
 
     @classmethod
     def join(cls, parts):
@@ -358,7 +371,7 @@ class VoronoiPartition:
         a ``CentreStack`` when they fill their dense matrix on the union of
         their supports to at least ``DENSE_FILL``, a ``CentreIndex``
         otherwise."""
-        packed = entries([c for part in parts for c in part.centers])
+        packed = Rows.concat([part.rows for part in parts]).entries()
         cols = _distinct(packed[1])
         sq = np.concatenate([part.sq_norms for part in parts])
         dense = packed[1].size >= DENSE_FILL * sq.size * cols.size
@@ -366,14 +379,11 @@ class VoronoiPartition:
         return form(packed, cols, sq, len(parts))
 
     def state(self):
-        return {
-            **pack_ragged(self.centers),
-            "dim": np.array([self.dim], dtype=np.int64),
-        }
+        return self.pack([self])
 
     @classmethod
     def from_state(cls, state):
-        return cls(unpack_ragged(state, int(state["dim"][0])))
+        return cls.unpack(state)[0]
 
     @classmethod
     def pack(cls, parts):
@@ -381,22 +391,22 @@ class VoronoiPartition:
         all their centres as one ragged set (``pack_ragged``), partitioning
         i's the i-th run of psi, and each partitioning's ``dim``."""
         return {
-            **pack_ragged([c for part in parts for c in part.centers]),
+            **pack_ragged(Rows.concat([part.rows for part in parts])),
             "dim": np.array([part.dim for part in parts], dtype=np.int64),
         }
 
     @classmethod
     def unpack(cls, arrays):
-        """The partitionings ``pack`` packed into ``arrays``."""
+        """The partitionings ``pack`` packed into ``arrays``, each holding
+        its run of the file's centres."""
         dims = arrays["dim"].tolist()
-        centres = unpack_ragged(arrays, max(dims))
-        psi, rest = divmod(len(centres), len(dims))
+        rows = Rows.checked(arrays["cat_indices"], arrays["cat_values"],
+                            arrays["offsets"], max(dims))
+        psi, rest = divmod(len(rows), len(dims))
         if rest:
-            raise ValueError(f"{len(centres)} centres in {len(dims)} parts")
-        return [
-            cls([c.with_dim(dim) for c in centres[i * psi : (i + 1) * psi]])
-            for i, dim in enumerate(dims)
-        ]
+            raise ValueError(f"{len(rows)} centres in {len(dims)} parts")
+        return [cls(rows.take(np.arange(i * psi, (i + 1) * psi)).with_dim(dim))
+                for i, dim in enumerate(dims)]
 
 
 class Forest:
@@ -461,15 +471,18 @@ class CentreStack:
 class CentreIndex:
     """The same centres as ``CentreStack`` holds, indexed by column: the
     centres' entries sorted by column (``centre``, ``value``), those in
-    ``cols[j]`` at ``ptr[j]:ptr[j + 1]``. A row's dot with every centre
-    costs one product per (row entry, centre entry) pair sharing a
-    column."""
+    ``cols[j]`` at ``ptr[j]:ptr[j + 1]``, where ``cols`` are the distinct
+    columns of the entries. A row's dot with every centre costs one
+    product per (row entry, centre entry) pair sharing a column."""
 
     def __init__(self, packed, cols, sq, k):
         row, col, val = packed
-        order = np.argsort(col, kind="stable")
+        # a stable argsort by column at the cost of one plain sort, as the
+        # keys (column, position) are distinct: 4x faster at t*psi = 6400
+        n = col.size
+        order = np.sort(col.astype(np.int64) * n + np.arange(n)) % n
         self.cols = cols
-        self.ptr = np.append(np.searchsorted(col[order], cols), col.size)
+        self.ptr = np.append(_runs(col[order]), n)
         self.centre = row[order]
         self.value = val[order]
         self.sq = sq
@@ -483,8 +496,7 @@ class CentreIndex:
         count = self.ptr[at + 1] - first
         # positions in ``centre`` of every centre entry in each row
         # entry's column, run after run
-        pos = np.arange(count.sum()) + np.repeat(
-            first - np.cumsum(count) + count, count)
+        pos = _spans(first, count)
         dots = np.bincount(
             np.repeat(row * np.intp(self.width), count) + self.centre[pos],
             np.repeat(val, count) * self.value[pos],

@@ -75,6 +75,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             ProtocolConfig(learner="ik-ogd-anne", **{key: value})
 
+    @pytest.mark.parametrize("psi", [64.5, 8.0, True, "8", None])
+    def test_rejects_a_psi_grid_entry_that_is_not_an_integer(self, psi):
+        # a float psi reached numpy's sampler for the IK learners and ran
+        # the baselines at psi 64.5; a string failed in the grid's sort
+        with pytest.raises(ConfigError, match="psi grid"):
+            ProtocolConfig(learner="ogd", psi_grid=(16, psi))
+
     def test_rejects_a_negative_seed(self):
         # numpy's generators raise a bare ValueError for one
         with pytest.raises(ConfigError, match="seed must be >= 0"):

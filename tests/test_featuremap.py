@@ -1,8 +1,11 @@
 """Feature map geometry, kernel estimation, and indexed dot products."""
 
+import hashlib
 import json
 import tracemalloc
 from collections.abc import Mapping
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ import isokernel.featuremap as featuremap
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
+    Rows,
     SparseVector,
     entries,
+    load_libsvm,
     row_blocks,
     save_npz,
 )
@@ -85,12 +90,49 @@ class TestFit:
         with pytest.raises(ParameterError):
             Mapper.fit(ds, psi=2, t=2, scheme="grid", seed=0)
 
+    @pytest.mark.parametrize("psi", [4.0, 4.5, True, np.bool_(True), "4"])
+    def test_rejects_a_psi_that_is_not_an_integer(self, psi):
+        ds = rand_dataset(np.random.default_rng(3), 10, 3)
+        with pytest.raises(ParameterError, match="psi"):
+            Mapper.fit(ds, psi=psi, t=2, scheme="anne", seed=0)
+
+    def test_takes_a_numpy_integer_psi(self):
+        ds = rand_dataset(np.random.default_rng(3), 10, 3)
+        assert Mapper.fit(ds, psi=np.int64(4), t=2, scheme="anne",
+                          seed=0).cell_counts() == [4, 4]
+
     @pytest.mark.parametrize("seed", [True, np.bool_(True), (3, False)])
     def test_rejects_a_bool_seed(self, seed):
         # numpy would take it as the integer 1 (or 0)
         ds = rand_dataset(np.random.default_rng(3), 10, 3)
         with pytest.raises(ParameterError, match="seed"):
             Mapper.fit(ds, psi=2, t=2, scheme="iforest", seed=seed)
+
+
+# sha256 (first 16 hex digits) of the int32 map_many cells of each fitted
+# set under fits at psi=16, t=50, seed=7, as recorded when each
+# partitioning was still built from a list of its sampled points: how a fit
+# packs and samples its data must not move a cell. The dense file takes the
+# grower's dense form and a CentreStack, the sparse set the entries form
+# and a CentreIndex.
+PINNED_CELLS = {
+    ("sample_train", "iforest"): "47012cc6f58e9836",
+    ("sample_train", "anne"): "d0952e9fc12649a7",
+    ("sparse", "iforest"): "3036357d8d9986b0",
+    ("sparse", "anne"): "884a76a8eef19f13",
+}
+
+
+@pytest.mark.parametrize("name, scheme", sorted(PINNED_CELLS))
+def test_cells_of_fixed_seed_fits_are_pinned(name, scheme):
+    if name == "sample_train":
+        root = Path(__file__).resolve().parent.parent
+        ds = load_libsvm(root / "data" / "sample_train.libsvm")
+    else:
+        ds = rand_dataset(np.random.default_rng(15), 300, 2000, density=0.01)
+    cells = Mapper.fit(ds, 16, 50, scheme, 7).map_many(ds)
+    digest = hashlib.sha256(cells.astype("<i4").tobytes()).hexdigest()
+    assert digest[:16] == PINNED_CELLS[name, scheme]
 
 
 class TestMapPoint:
@@ -361,6 +403,16 @@ class TestPersistence:
         for mine, theirs in zip(clone.parts, mapper.parts):
             for key, arr in mine.state().items():
                 assert np.array_equal(arr, theirs.state()[key])
+
+    def test_anne_load_builds_no_vector_per_centre(self, tmp_path):
+        _, mapper = fit_small(scheme="anne", t=40)
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        with patch.object(Rows, "vectors", side_effect=AssertionError):
+            clone = Mapper.load(path)
+        for mine, theirs in zip(clone.parts, mapper.parts):
+            assert mine.centers == theirs.centers
+            assert np.array_equal(mine.sq_norms, theirs.sq_norms)
 
     @pytest.mark.parametrize("damage", ["all splits", "short thresholds"])
     def test_tree_that_is_not_full_is_a_load_error(self, tmp_path, damage):

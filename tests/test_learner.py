@@ -385,6 +385,26 @@ class TestCheckpoints:
             f = mapper.map_point(p.x)
             assert clone.predict(f) == m.predict(f)
 
+    def test_restored_ik_model_steps_on_its_restored_weights(self, tmp_path):
+        # the model reads and updates w through a flat view, which must be
+        # a view of the w the checkpoint restored, not of the one it built
+        rng = np.random.default_rng(11)
+        ds = rand_dataset(rng, 80, 4)
+        mapper = Mapper.fit(ds, psi=8, t=12, scheme="anne", seed=12)
+        m = IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
+        for p in ds.points[:30]:
+            m.step(mapper.map_point(p.x), p.c, eta=0.5)
+        path = tmp_path / "ik.npz"
+        save_checkpoint(path, "ik-ogd-anne", m, {"eta": 0.5})
+        _, clone, _ = load_checkpoint(path)
+        for p in ds.points[30:]:
+            f = mapper.map_point(p.x)
+            assert clone.step(f, p.c, eta=0.5) == m.step(f, p.c, eta=0.5)
+        assert clone.updates == m.updates > 0
+        assert np.array_equal(clone.w, m.w)
+        F = mapper.map_many(ds)
+        assert np.array_equal(clone.predict_many(F), m.predict_many(F))
+
     def test_ogd_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         m = DualModel(Laplacian(psi=16, dim=5))

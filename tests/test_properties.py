@@ -23,7 +23,10 @@ restricted to those columns. An iforest fit grows the
 same trees whatever t, the grouping of trees and the grower's form, and
 every grown tree isolates each distinguishable sample point, is a
 breadth-first list whose links reach every node once, numbers its leaves
-densely in node order, and cuts strictly inside its node's range.
+densely in node order, and cuts strictly inside its node's range. Every
+partitioning of a fit, which samples row ids of its data packed once, is
+the one built from the list of points ``sample_psi`` draws with the same
+generator, and its centres' squared norms are ``SparseVector.sq_norm``'s.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order;
@@ -38,7 +41,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import isokernel.dataset as dataset
@@ -65,7 +68,7 @@ from isokernel.learner import (
     save_checkpoint,
 )
 from isokernel.nystrom import NystromMap, fit_nystrom
-from isokernel.partition import sample_psi
+from isokernel.partition import SCHEMES as BUILDERS, sample_psi
 
 from helpers import cell, centre_forms, walk_tree
 
@@ -80,11 +83,12 @@ bounded = settings(max_examples=25, deadline=None)
 
 
 @st.composite
-def datasets(draw, min_size=2, max_size=20, dims=st.integers(1, 5)):
+def datasets(draw, min_size=2, max_size=20, dims=st.integers(1, 5),
+             values=VALUES):
     dim = draw(dims)
     n = draw(st.integers(min_size, max_size))
     rows = draw(st.lists(
-        st.lists(VALUES, min_size=dim, max_size=dim), min_size=n, max_size=n
+        st.lists(values, min_size=dim, max_size=dim), min_size=n, max_size=n
     ))
     labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     points = []
@@ -96,7 +100,8 @@ def datasets(draw, min_size=2, max_size=20, dims=st.integers(1, 5)):
 
 
 @st.composite
-def sparse_datasets(draw, min_size=1, max_size=12, dims=st.integers(30, 3000)):
+def sparse_datasets(draw, min_size=1, max_size=12, dims=st.integers(30, 3000),
+                    values=VALUES):
     """Points of one to three nonzeros at a high dim, so that distinct
     points rarely share a column."""
     dim = draw(dims)
@@ -104,7 +109,7 @@ def sparse_datasets(draw, min_size=1, max_size=12, dims=st.integers(30, 3000)):
     points = []
     for _ in range(n):
         entries = draw(st.dictionaries(
-            st.integers(1, dim), VALUES.filter(bool), min_size=1, max_size=3))
+            st.integers(1, dim), values.filter(bool), min_size=1, max_size=3))
         idx = sorted(entries)
         x = SparseVector(idx, [entries[i] for i in idx], dim)
         points.append(LabeledPoint(x, draw(st.sampled_from([-1, 1]))))
@@ -435,6 +440,65 @@ class TestGrowth:
                 go_left = vals < tree.threshold[node]
                 stack += [(tree.left[node], members[go_left]),
                           (tree.left[node] + 1, members[~go_left])]
+
+
+@st.composite
+def packed_fits(draw, schemes=SCHEMES):
+    """(sparse, (dataset, psi, t, scheme, seed)) of a fit on values that
+    round: dense points of up to 40 dims, so that a norm sums enough
+    squares for its order to matter, or sparse points at a high dim."""
+    sparse = draw(st.booleans())
+    if sparse:
+        ds = draw(sparse_datasets(min_size=2, max_size=30, values=ROUNDING))
+    else:
+        ds = draw(datasets(min_size=2, max_size=30, dims=st.integers(1, 40),
+                           values=ROUNDING))
+    psi = draw(st.integers(1, len(ds)))
+    t = draw(st.integers(1, 6))
+    return sparse, (ds, psi, t, draw(schemes), draw(st.integers(0, 2**16)))
+
+
+def fit_forms(ds, psi, t, scheme, seed):
+    """The forms a fit took: for iforest, "dense" if the grower densified
+    a group's samples and "entries" if it grew one from stored entries;
+    for anne, the name of the scorer the map joined its centres into."""
+    with patch.object(partition, "dense_rows", wraps=partition.dense_rows
+                      ) as dense, patch.object(
+            partition, "located", wraps=partition.located) as located:
+        mapper = Mapper.fit(ds, psi, t, scheme, seed)
+    if scheme == "anne":
+        return {type(mapper._joined).__name__}
+    return {form for form, spy in (("dense", dense), ("entries", located))
+            if spy.called}
+
+
+class TestPackedFit:
+    @bounded
+    @given(packed_fits())
+    def test_a_partitioning_is_the_one_built_from_its_sample(self, case):
+        ds, psi, t, scheme, seed = case[1]
+        mapper = Mapper.fit(ds, psi, t, scheme, seed)
+        for i, part in enumerate(mapper.parts):
+            rng = np.random.default_rng((seed, i))
+            sample = sample_psi(ds, psi, rng)
+            built = BUILDERS[scheme].build(sample, rng)
+            if scheme == "iforest":
+                assert_same_trees([part.state()], [built.state()])
+                continue
+            assert part.centers == built.centers == sample
+            assert part.sq_norms.tolist() == built.sq_norms.tolist() == [
+                x.sq_norm() for x in sample]
+
+    @pytest.mark.parametrize("scheme, sparse, form", [
+        ("iforest", False, "dense"), ("iforest", True, "entries"),
+        ("anne", False, "CentreStack"), ("anne", True, "CentreIndex"),
+    ])
+    def test_the_draws_reach_every_form(self, scheme, sparse, form):
+        # any example will do, so none is shrunk
+        find(packed_fits(schemes=st.just(scheme)),
+             lambda case: case[0] == sparse and form in fit_forms(*case[1]),
+             settings=settings(max_examples=200, database=None,
+                               phases=[Phase.generate]))
 
 
 class TestBaselineKernels:
