@@ -213,6 +213,15 @@ class IKOGDModel(_Model):
     def encoder(self):
         return self.mapper
 
+    @classmethod
+    def from_state(cls, meta, arrays, encoder):
+        model = super().from_state(meta, arrays, encoder)
+        # at a flat offset, a cell past psi reads the next partitioning's
+        if (encoder.t, encoder.psi) != model.w.shape:
+            raise ValueError(f"weights of shape {model.w.shape} for a map "
+                             f"of t={encoder.t}, psi={encoder.psi}")
+        return model
+
     def _check(self, f):
         if f.size != self.t:
             raise ProvenanceError(

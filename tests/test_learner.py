@@ -405,6 +405,20 @@ class TestCheckpoints:
         F = mapper.map_many(ds)
         assert np.array_equal(clone.predict_many(F), m.predict_many(F))
 
+    def test_weights_that_do_not_fit_the_map_are_a_load_error(self, tmp_path):
+        rng = np.random.default_rng(13)
+        mapper = Mapper.fit(rand_dataset(rng, 30, 4), psi=4, t=3,
+                            scheme="anne", seed=1)
+        path = tmp_path / "ik.npz"
+        save_checkpoint(path, "ik-ogd-anne",
+                        IKOGDModel(mapper.t, mapper.psi, mapper=mapper), {})
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["model_w"] = arrays["model_w"][:, :3]
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(LoadError, match="for a map of t=3, psi=4"):
+            load_checkpoint(path)
+
     def test_ogd_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         m = DualModel(Laplacian(psi=16, dim=5))

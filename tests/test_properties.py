@@ -30,7 +30,8 @@ generator, and its centres' squared norms are ``SparseVector.sq_norm``'s.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order;
-the baseline scorers are tested on values that round as well.
+the baseline scorers and the packed fits are tested on values that round
+as well.
 """
 
 import gzip
