@@ -3,15 +3,16 @@
 Points are stored sparsely as (index, value) pairs with 1-based indices, the
 convention of the LIBSVM text format. A zero value and an absent index are
 semantically identical, so explicit ``idx:0`` tokens are dropped on parse and
-never stored. Datasets are immutable after construction and safe to share
-across readers; slicing operations reuse the underlying point objects.
+never stored. A dataset is one packing of its rows (``Rows``) and its
+labels, immutable and safe to share across readers; slicing selects rows of
+the same packing, and a point object is built only when one is asked for.
 
 ``load_libsvm`` parses a file ``_PARSE_BLOCK`` lines at a time: a block's
 lines are split into tokens once, checked and converted together into flat
-index and value arrays, and its points are views of those arrays, built by
-``ragged_vectors``, which validates flat ragged arrays in one pass. So the
-parse holds one block's token strings at a time beside the points it has
-built. When a block holds a bad line, its lines are parsed one at a time
+index and value arrays, and the blocks' arrays are joined into one
+packing, which ``Rows.checked`` validates in one pass. So the parse holds
+one block's token strings at a time beside the arrays it has built. When a
+block holds a bad line, its lines are parsed one at a time
 (``_parse_raw_line``), so the first bad line raises the error it raises
 when parsed alone: the same class, message and line number.
 """
@@ -76,13 +77,6 @@ class SparseVector:
             and np.array_equal(self.values, other.values)
         )
 
-    def get(self, index):
-        """Value at 1-based attribute ``index`` (0.0 when absent)."""
-        pos = np.searchsorted(self.indices, index)
-        if pos < self.indices.size and self.indices[pos] == index:
-            return float(self.values[pos])
-        return 0.0
-
     def with_dim(self, dim):
         """Same entries re-declared at dimensionality ``dim``."""
         if dim == self.dim:
@@ -116,49 +110,48 @@ class LabeledPoint:
 
 
 class Dataset:
-    """An immutable sequence of labeled points sharing one dimensionality."""
+    """Labeled points sharing one dimensionality, as one ``Rows`` and an
+    int8 label array; ``ds[i]`` and iteration build views of the rows."""
 
     def __init__(self, points, dim=None, name=""):
-        max_dim = max((p.x.dim for p in points), default=0)
-        self.dim = max(max_dim, dim or 0)
-        self.points = [
-            p if p.x.dim == self.dim else LabeledPoint(p.x.with_dim(self.dim), p.c)
-            for p in points
-        ]
+        rows = Rows.of([p.x for p in points])
+        self.rows = rows.with_dim(max(rows.dim, dim or 0))
+        self._labels = np.array([p.c for p in points], dtype=np.int8)
         self.name = name
-        self._labels = None
+
+    @classmethod
+    def _of(cls, rows, labels, name):
+        """The dataset of ``rows`` labelled by the int8 array ``labels``."""
+        ds = cls.__new__(cls)
+        ds.rows, ds._labels, ds.name = rows, labels, name
+        return ds
+
+    @property
+    def dim(self):
+        return self.rows.dim
 
     def __len__(self):
-        return len(self.points)
+        return len(self.rows)
 
     def __getitem__(self, i):
-        return self.points[i]
+        return LabeledPoint(self.rows.vector(i), self._labels[i])
 
     def __iter__(self):
-        return iter(self.points)
+        return map(LabeledPoint, self.rows.vectors(), self._labels.tolist())
 
     def labels(self):
         """Labels as an int8 array of +1/-1."""
-        if self._labels is None:
-            self._labels = np.array([p.c for p in self.points], dtype=np.int8)
         return self._labels
 
     def dense(self):
         """Dense (n, dim) float64 matrix of all points."""
-        return dense_rows(
-            entries([p.x for p in self.points]), len(self.points),
-            np.arange(self.dim),
-        )
+        return dense_rows(self.rows.entries(), len(self), np.arange(self.dim))
 
     def subset(self, indices, name=None):
-        """Dataset restricted to ``indices`` (point objects are shared)."""
+        """Dataset restricted to ``indices``, selected from this packing."""
         idx = np.asarray(indices, dtype=np.intp)
-        sub = Dataset.__new__(Dataset)
-        sub.dim = self.dim
-        sub.points = [self.points[i] for i in idx]
-        sub.name = self.name if name is None else name
-        sub._labels = None if self._labels is None else self._labels[idx]
-        return sub
+        return Dataset._of(self.rows.take(idx), self._labels[idx],
+                           self.name if name is None else name)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +159,6 @@ class Dataset:
 
 _NO_INDICES = np.empty(0, dtype=np.int32)
 _NO_VALUES = np.empty(0)
-
-
-def entries(vectors):
-    """The stored entries of the SparseVectors ``vectors`` as three flat
-    arrays ``(row, column, value)``: vector i's entries in order, at their
-    0-based columns, with row i. Rows and columns are int32, which halves
-    their bytes against numpy's default int64."""
-    row = np.repeat(np.arange(len(vectors), dtype=np.int32),
-                    [v.indices.size for v in vectors])
-    col = np.concatenate([_NO_INDICES, *(v.indices for v in vectors)])
-    col -= 1
-    return row, col, np.concatenate([_NO_VALUES, *(v.values for v in vectors)])
 
 
 def _runs(*keys):
@@ -205,8 +186,8 @@ def _spans(first, count):
 
 
 def located(packed, cols):
-    """The entries packed as ``entries`` packs them that lie in one of the
-    sorted columns ``cols``, as ``(row, position in cols, value)``."""
+    """The entries packed as ``Rows.entries`` packs them that lie in one of
+    the sorted columns ``cols``, as ``(row, position in cols, value)``."""
     row, col, val = packed
     at = np.searchsorted(cols, col)
     hit = np.append(cols, -1)[at] == col
@@ -215,8 +196,9 @@ def located(packed, cols):
 
 def dense_rows(packed, n, cols):
     """Dense ``(n, len(cols))`` block of rows ``0..n-1`` packed as
-    ``entries`` packs them: X[i, j] is row i's value at column ``cols[j]``.
-    ``cols`` is sorted; entries at other columns are dropped."""
+    ``Rows.entries`` packs them: X[i, j] is row i's value at column
+    ``cols[j]``. ``cols`` is sorted; entries at other columns are
+    dropped."""
     row, at, val = located(packed, cols)
     X = np.zeros((n, len(cols)))
     X[row, at] = val
@@ -224,8 +206,8 @@ def dense_rows(packed, n, cols):
 
 
 def row_blocks(packed, n, step):
-    """Blocks ``(lo, m, block)`` of ``n`` rows packed as ``entries`` packs
-    them, ``step`` rows at a time: block packs the m rows from lo on,
+    """Blocks ``(lo, m, block)`` of ``n`` rows packed as ``Rows.entries``
+    packs them, ``step`` rows at a time: block packs the m rows from lo on,
     renumbered from 0; ``packed`` itself when all n > 0 rows fit in one."""
     if 0 < n <= step:
         yield 0, n, packed
@@ -240,12 +222,14 @@ def row_blocks(packed, n, step):
 def from_dense(X, labels, name):
     """Dataset of the rows of dense X, labelled ``labels``; each row keeps
     only its nonzeros."""
-    dim = X.shape[1]
-    points = []
-    for row, c in zip(X, labels):
-        nz = np.flatnonzero(row)
-        points.append(LabeledPoint(SparseVector(nz + 1, row[nz], dim), int(c)))
-    return Dataset(points, dim=dim, name=name)
+    n, dim = X.shape
+    row, col = np.nonzero(X)  # row by row, each row's in column order
+    offsets = np.searchsorted(row, np.arange(n + 1))
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or not np.isin(labels, (1, -1)).all():
+        raise FormatError(f"expected {n} labels of +1 or -1")
+    return Dataset._of(Rows.checked(col + 1, X[row, col], offsets, dim),
+                       labels.astype(np.int8), name)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +239,7 @@ def from_dense(X, labels, name):
 def _difference(a, b):
     """a - b on the union of both supports, as a dense row; dims may
     differ, and indices missing from either side count as zeros."""
-    packed = entries([a, b])
+    packed = Rows.of([a, b]).entries()
     X = dense_rows(packed, 2, _distinct(packed[1]))
     return X[0] - X[1]
 
@@ -281,9 +265,10 @@ class Rows:
     ``offsets[r]:offsets[r + 1]``, as a map file holds them; a ``Rows`` is
     its rows ``ids`` in that order (all of them, in order, when ``ids`` is
     None), declared at ``dim``. ``take`` selects rows without copying any
-    entry, so a fit packs its data once and a sample is its row ids; the
-    selected rows' arrays are gathered when asked for. Selections of one
-    packing share its squared row norms, each taken at most once.
+    entry, so a dataset, its slices and folds, and a fit's samples are all
+    selections of the one packing its rows were loaded into; the selected
+    rows' arrays are gathered when asked for. Selections of one packing
+    share its squared row norms, each taken at most once.
     """
 
     __slots__ = ("indices", "values", "offsets", "dim", "ids", "_sq")
@@ -362,21 +347,28 @@ class Rows:
         return self.indices[pos], self.values[pos], offsets
 
     def entries(self):
-        """The selected rows' entries as ``entries`` packs vectors."""
+        """The selected rows' stored entries as three flat arrays ``(row,
+        column, value)``: the i-th row's entries in order, at their 0-based
+        columns, with row i. Rows and columns are int32, which halves their
+        bytes against numpy's default int64."""
         indices, values, offsets = self.ragged()
         row = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(offsets))
         return row, indices - 1, values
+
+    def vector(self, i):
+        """The i-th selected row as a SparseVector view of the packing."""
+        r = range(len(self))[i]  # a negative i counts from the end
+        if self.ids is not None:
+            r = self.ids[r]
+        lo, hi = self.offsets[r : r + 2].tolist()
+        return _view(self.indices[lo:hi], self.values[lo:hi], self.dim)
 
     def vectors(self):
         """The selected rows as SparseVectors at ``dim``, views of one
         int32 and one float64 array."""
         indices, values, offsets = self.ragged()
-        vectors = []
-        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-            x = SparseVector.__new__(SparseVector)
-            x.indices, x.values, x.dim = indices[lo:hi], values[lo:hi], self.dim
-            vectors.append(x)
-        return vectors
+        return [_view(indices[lo:hi], values[lo:hi], self.dim)
+                for lo, hi in ragged_runs(offsets, indices.size)]
 
     def with_dim(self, dim):
         """The same rows declared at ``dim``, which no index may exceed."""
@@ -417,6 +409,13 @@ class Rows:
         return cls.of([x for rows in selections for x in rows.vectors()])
 
 
+def _view(indices, values, dim):
+    """The SparseVector of checked ``indices`` and ``values``, unchecked."""
+    x = SparseVector.__new__(SparseVector)
+    x.indices, x.values, x.dim = indices, values, dim
+    return x
+
+
 def pack_ragged(vectors):
     """Sparse vectors, or ``Rows``, as flat arrays: concatenated
     ``cat_indices`` and ``cat_values``, with vector i at ``offsets[i]:
@@ -427,8 +426,8 @@ def pack_ragged(vectors):
 
 def unpack_ragged(arrays, dim):
     """The vectors packed by ``pack_ragged``, each declared at ``dim``."""
-    return ragged_vectors(
-        arrays["cat_indices"], arrays["cat_values"], arrays["offsets"], dim)
+    return Rows.checked(arrays["cat_indices"], arrays["cat_values"],
+                        arrays["offsets"], dim).vectors()
 
 
 def ragged_runs(offsets, size):
@@ -453,14 +452,6 @@ def _valid_entries(indices, values, offsets):
         and np.isfinite(values).all())
 
 
-def ragged_vectors(indices, values, offsets, dim):
-    """SparseVectors at ``dim`` of flat ragged arrays, checked as
-    ``Rows.checked`` checks them: vector i holds ``indices[lo:hi]`` and
-    ``values[lo:hi]`` for ``lo, hi = offsets[i], offsets[i + 1]``, as
-    views of one int32 and one float64 array."""
-    return Rows.checked(indices, values, offsets, dim).vectors()
-
-
 def by_prefix(arrays):
     """The entries of ``arrays`` grouped in one pass by the part of their
     key before its first ``_``: ``{"a": {"b_c": x}}`` from ``{"a_b_c": x}``."""
@@ -474,7 +465,7 @@ def by_prefix(arrays):
 def save_npz(path, version, meta, arrays):
     """Write ``arrays`` and a JSON ``meta`` header led by ``format_version``."""
     header = json.dumps({"format_version": version, **meta})
-    np.savez_compressed(path, meta=header, **arrays)
+    np.savez(path, meta=header, **arrays)
 
 
 def load_npz(path, version, what, decode):
@@ -558,19 +549,6 @@ def parse_libsvm_line(line, dim_hint=None, lineno=None):
     return LabeledPoint(SparseVector(indices, values, dim), c)
 
 
-def _map_raw_labels(raws):
-    """Fix the file-level label mapping policy. Returns raw -> {+1,-1}."""
-    distinct = sorted(set(raws))
-    if len(distinct) > 2:
-        raise LoadError(
-            f"expected at most two distinct raw labels, found {len(distinct)}: "
-            f"{distinct[:5]}..."
-        )
-    if len(distinct) == 2:
-        return {distinct[0]: -1, distinct[1]: 1}
-    return {raw: (1 if raw > 0 else -1) for raw in distinct}
-
-
 def _open_text(path):
     # an invalid byte decodes to a lone surrogate, which no token converts
     # and ``_parse_reference`` reports with its line
@@ -652,11 +630,11 @@ def load_libsvm(path, dim_hint=None, name=None):
     with two distinct raw labels the larger maps to +1; with one, sign
     decides. More than two distinct raw labels is a load error.
 
-    Lines are parsed ``_PARSE_BLOCK`` at a time into flat arrays, and each
-    point is a view of its block's arrays. When a block holds a bad line,
-    ``_parse_reference`` parses it line by line, so the first bad line
-    raises what ``parse_libsvm_line`` raises for it; a line that is not
-    UTF-8 is a ParseError.
+    Lines are parsed ``_PARSE_BLOCK`` at a time into flat arrays, which
+    are joined into one packing and checked once (``Rows.checked``). When a
+    block holds a bad line, ``_parse_reference`` parses it line by line, so
+    the first bad line raises what ``parse_libsvm_line`` raises for it; a
+    line that is not UTF-8 is a ParseError.
     """
     blocks = []
     with _open_text(path) as fh:
@@ -666,14 +644,25 @@ def load_libsvm(path, dim_hint=None, name=None):
                 [tokens for tokens in map(str.split, block) if tokens])
             blocks.append(parsed or _parse_reference(block, first))
             first += len(block)
-    raws = [raw for block in blocks for raw in block[0].tolist()]
-    mapping = _map_raw_labels(raws)
+    raws = np.concatenate([np.empty(0)] + [block[0] for block in blocks])
+    distinct, which = np.unique(raws, return_inverse=True)
+    if distinct.size > 2:
+        raise LoadError(
+            f"expected at most two distinct raw labels, found {distinct.size}: "
+            f"{distinct[:5].tolist()}...")
+    # two raw labels are ranked; one is mapped by its sign
+    signs = np.where(distinct > 0, 1, -1) if distinct.size < 2 else [-1, 1]
+    labels = np.array(signs, dtype=np.int8)[which]
     dim = max([dim_hint or 0] + [block[4] for block in blocks])
-    xs = chain.from_iterable(
-        ragged_vectors(indices, values, offsets, dim)
-        for _, indices, values, offsets, _ in blocks)
-    points = [LabeledPoint(x, mapping[raw]) for x, raw in zip(xs, raws)]
-    return Dataset(points, dim=dim, name=name or str(path))
+    # each block's offsets, past its leading 0, moved to where it starts
+    starts = np.cumsum([0] + [block[1].size for block in blocks])
+    offsets = np.concatenate([[0]] + [
+        block[3][1:] + start for block, start in zip(blocks, starts)])
+    indices = np.concatenate([_NO_INDICES] + [block[1] for block in blocks])
+    values = np.concatenate([_NO_VALUES] + [block[2] for block in blocks])
+    blocks.clear()  # freed before the check makes its temporaries
+    rows = Rows.checked(indices, values, offsets, dim)
+    return Dataset._of(rows, labels, name or str(path))
 
 
 def format_libsvm_line(point):
@@ -723,10 +712,8 @@ def unify_dims(a, b):
     if a.dim == b.dim:
         return a, b
     dim = max(a.dim, b.dim)
-    return (
-        Dataset(a.points, dim=dim, name=a.name),
-        Dataset(b.points, dim=dim, name=b.name),
-    )
+    return tuple(Dataset._of(ds.rows.with_dim(dim), ds.labels(), ds.name)
+                 for ds in (a, b))
 
 
 def kfold(dataset, k, seed):

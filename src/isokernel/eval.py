@@ -147,7 +147,7 @@ def fit_learner(train, psi, config, seed):
 
 
 def _raw_points(ds):
-    return [p.x for p in ds]
+    return ds.rows.vectors()
 
 
 def _train_pass(model, encoded, labels, eta):

@@ -33,7 +33,7 @@ import numbers
 
 import numpy as np
 
-from .dataset import Rows, entries, load_npz, row_blocks, save_npz
+from .dataset import load_npz, row_blocks, save_npz
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .partition import SCHEMES, sample_rows
 
@@ -75,8 +75,7 @@ class Mapper:
         Partitioning i draws its sample (and any split randomness) from a
         generator seeded by (seed, i), so fitting is reproducible and the
         partitionings could be built in parallel without changing results.
-        The dataset is packed once, and each sample is the ids of its rows
-        in that packing.
+        Each sample is the ids of its rows in the dataset's packing.
         """
         # numpy would take a float psi, or a bool as 0 or 1
         if isinstance(psi, bool) or not isinstance(psi, numbers.Integral):
@@ -99,26 +98,28 @@ class Mapper:
             raise ParameterError(
                 f"seed must be a non-negative integer, got {seed!r}") from exc
         parts = SCHEMES[scheme].build_many(
-            _draws(Rows.of([p.x for p in dataset]), psi, t, seed))
+            _draws(dataset.rows, psi, t, seed))
         return cls(parts, psi, t, scheme, seed, dataset.dim)
 
     def map_point(self, x):
         """Indexed feature of x: entry i is the cell id under partitioning i."""
-        return self._encode([x])[0]
+        row = np.zeros(x.indices.size, dtype=np.int32)
+        return self._encode((row, x.indices - 1, x.values), 1)[0]
 
     def map_many(self, dataset):
         """Indexed features for a whole dataset as an (n, t) int32 matrix,
         equal to stacking ``map_point`` over all points."""
-        return self._encode([p.x for p in dataset])
+        return self._encode(dataset.rows.entries(), len(dataset))
 
-    def _encode(self, xs):
-        """Cell ids of the SparseVectors ``xs``, block by block."""
-        out = np.empty((len(xs), self.t), dtype=np.int32)
+    def _encode(self, packed, n):
+        """Cell ids of the ``n`` rows ``packed`` as ``Rows.entries`` packs
+        them, block by block."""
+        out = np.empty((n, self.t), dtype=np.int32)
         # at most _BLOCK elements of a width-wide array per row in a
         # block, or one row when a row has more
         step = max(1, _BLOCK // self._joined.width)
-        for lo, n, block in row_blocks(entries(xs), len(xs), step):
-            out[lo : lo + n] = self._joined.assign_many(block, n)
+        for lo, m, block in row_blocks(packed, n, step):
+            out[lo : lo + m] = self._joined.assign_many(block, m)
         self.encode_ops += out.size
         return out
 

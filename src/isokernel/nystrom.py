@@ -9,7 +9,10 @@ the inverse square root explodes on them.
 
 import numpy as np
 
-from .dataset import load_npz, pack_ragged, save_npz, unpack_ragged
+from .dataset import (
+    Dataset, Rows, load_npz, pack_ragged, ragged_runs, save_npz,
+    unpack_ragged,
+)
 from .errors import (
     ContractError,
     DegenerateKernelError,
@@ -81,16 +84,18 @@ class NystromMap:
         return self.map_many([x])[0]
 
     def map_many(self, points):
-        """Feature matrix (n, effective_r) for a list or Dataset of points."""
-        K = self._kernel_rows(points)
+        """Feature matrix (n, effective_r) of a Dataset or a point list."""
+        rows = points.rows if isinstance(points, Dataset) else Rows.of(points)
+        K = self._kernel_rows(rows)
         self.encode_ops += K.size
         return K @ self.proj.T
 
-    def _kernel_rows(self, points):
-        """(n, b) matrix of ``kernel_row`` over a list or Dataset."""
-        K = np.empty((len(points), len(self.landmarks)))
-        for i, p in enumerate(points):
-            K[i] = self.kernel_row(p.x if hasattr(p, "x") else p)
+    def _kernel_rows(self, rows):
+        """(n, b) matrix of ``kernel_row`` of each of ``rows``, a ``Rows``."""
+        indices, values, offsets = rows.ragged()
+        K = np.empty((len(rows), len(self.landmarks)))
+        for i, (lo, hi) in enumerate(ragged_runs(offsets, indices.size)):
+            K[i] = self._store.scores(indices[lo:hi], values[lo:hi])
         return K
 
     def state(self):
@@ -133,7 +138,7 @@ def fit_nystrom(dataset, b, r, kernel_fn, seed):
     # the map scores its own Gram: proj is set once the Gram is known
     nm = NystromMap(sample_psi(dataset, b, rng), kernel_fn, np.empty((0, b)),
                     b, r, seed)
-    G = nm._kernel_rows(nm.landmarks)
+    G = nm._kernel_rows(Rows.of(nm.landmarks))
     G = 0.5 * (G + G.T)  # scrub asymmetric rounding from the scorer
     vals, vecs = sym_eigen(G)
     vals = vals[:r]

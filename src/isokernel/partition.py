@@ -102,7 +102,7 @@ def sample_psi(dataset, psi, rng):
     Returns the sampled SparseVectors in draw order: those of the rows
     ``sample_rows`` draws with the same generator.
     """
-    return [dataset[int(i)].x for i in sample_rows(len(dataset), psi, rng)]
+    return dataset.rows.take(sample_rows(len(dataset), psi, rng)).vectors()
 
 
 class ITree:
@@ -430,8 +430,8 @@ class Forest:
         self.width = max(len(trees), self.cols.size)
 
     def assign_many(self, packed, n):
-        """(n, k) cell ids of ``n`` rows packed as ``entries`` packs them.
-        All (row, tree) pairs go down a level at a time, each to child
+        """(n, k) cell ids of ``n`` rows packed by ``Rows.entries``. All
+        (row, tree) pairs go down a level at a time, each to child
         ``left + (x >= threshold)``, and a pair leaves the active set at a
         leaf."""
         X = dense_rows(packed, n, self.cols)
@@ -450,7 +450,7 @@ class CentreStack:
     """The centres of ``k`` partitionings as the rows of one dense ``(k*psi,
     len(cols))`` matrix ``Z`` over the sorted columns ``cols`` they use,
     with their squared norms ``sq``. Built from the centres packed as
-    ``entries`` packs them."""
+    ``Rows.entries`` packs them."""
 
     def __init__(self, packed, cols, sq, k):
         self.cols = cols
@@ -463,7 +463,7 @@ class CentreStack:
         self.width = max(sq.size, cols.size)
 
     def assign_many(self, packed, n):
-        """(n, k) cell ids of ``n`` rows packed as ``entries`` packs them."""
+        """(n, k) cell ids of ``n`` rows packed by ``Rows.entries``."""
         X = dense_rows(packed, n, self.cols)
         return _cells(X @ self.Z.T, self.sq, self.k)
 
@@ -490,7 +490,7 @@ class CentreIndex:
         self.width = sq.size
 
     def assign_many(self, packed, n):
-        """(n, k) cell ids of ``n`` rows packed as ``entries`` packs them."""
+        """(n, k) cell ids of ``n`` rows packed by ``Rows.entries``."""
         row, at, val = located(packed, self.cols)
         first = self.ptr[at]
         count = self.ptr[at + 1] - first

@@ -8,8 +8,8 @@ import numpy as np
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
+    Rows,
     SparseVector,
-    entries,
     from_dense,
 )
 from isokernel.featuremap import Mapper
@@ -121,7 +121,7 @@ def _one_map(part, dim):
 def centre_forms(parts):
     """A ``CentreStack`` and a ``CentreIndex`` of the centres of the
     Voronoi partitionings ``parts``, whichever ``join`` would choose."""
-    packed = entries([c for part in parts for c in part.centers])
+    packed = Rows.of([c for part in parts for c in part.centers]).entries()
     cols = np.unique(packed[1])
     sq = np.concatenate([part.sq_norms for part in parts])
     return [form(packed, cols, sq, len(parts))

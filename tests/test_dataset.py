@@ -12,13 +12,13 @@ import isokernel.dataset as dataset
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
+    Rows,
     SparseVector,
     format_libsvm_line,
     kfold,
     l1_distance,
     load_libsvm,
     parse_libsvm_line,
-    ragged_vectors,
     save_libsvm,
     shuffle,
     split_head,
@@ -131,10 +131,8 @@ class TestSparseVector:
         v = SparseVector(np.array([2**31 - 1]), [1.0], 2**31 - 1)
         assert v.indices.dtype == np.int32 and v.indices[0] == 2**31 - 1
 
-    def test_get_and_densify(self):
+    def test_densify(self):
         v = SparseVector([2, 5], [1.5, -2.0], 6)
-        assert v.get(2) == 1.5
-        assert v.get(3) == 0.0
         assert v.densify().tolist() == [0, 1.5, 0, 0, -2.0, 0]
 
 
@@ -214,7 +212,8 @@ class TestFileRoundTrip:
             fh.write("+1 1:2.5\n-1 2:1\n")
         ds = load_libsvm(path)
         assert len(ds) == 2
-        assert ds[0].x.get(1) == 2.5
+        assert ds[0].x.indices.tolist() == [1]
+        assert ds[0].x.values.tolist() == [2.5]
 
 
 class TestLabelPolicy:
@@ -277,22 +276,22 @@ class TestBlockLoad:
         with pytest.raises(ParseError, match="line 2: .* not finite"):
             load_libsvm(path)
 
-    def test_points_are_views_of_their_blocks_arrays(self, tmp_path):
+    def test_points_are_views_of_one_packing(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("+1 1:1 3:2\n\n-1 2:0 4:1\n+1 5:1\n")
         with patch.object(dataset, "_PARSE_BLOCK", 2):
             ds = load_libsvm(path)
         assert [p.x.indices.tolist() for p in ds] == [[1, 3], [4], [5]]
         assert ds.dim == 5 and all(p.x.dim == 5 for p in ds)
-        # blocks of two lines: the blank line ends the first block
+        # blocks of two lines, the blank line ending the first, are joined
+        # into one packing
         first, second, third = (p.x.indices.base for p in ds)
-        assert second is third and second is not None
-        assert first is not second
+        assert first is second is third and first is not None
 
     @pytest.mark.parametrize("offsets", [[1, 2], [0, 1], [0, 2, 1, 2], []])
     def test_ragged_offsets_must_cover_the_entries(self, offsets):
         with pytest.raises(FormatError, match="offsets"):
-            ragged_vectors([1, 2], [1.0, 1.0], offsets, 5)
+            Rows.checked([1, 2], [1.0, 1.0], offsets, 5).vectors()
 
 
 class TestSampleData:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import zipfile
 from collections.abc import Mapping
 from pathlib import Path
 from unittest.mock import patch
@@ -16,7 +17,6 @@ from isokernel.dataset import (
     LabeledPoint,
     Rows,
     SparseVector,
-    entries,
     load_libsvm,
     row_blocks,
     save_npz,
@@ -199,7 +199,7 @@ class TestKernel:
 
     def test_gram_is_positive_semidefinite(self):
         ds, mapper = fit_small(n=80, t=40)
-        F = [mapper.map_point(p.x) for p in ds.points[:50]]
+        F = [mapper.map_point(p.x) for p in list(ds)[:50]]
         G = np.array([[kernel(a, b) for b in F] for a in F])
         assert np.linalg.eigvalsh(G).min() >= -1e-8
 
@@ -414,6 +414,26 @@ class TestPersistence:
             assert mine.centers == theirs.centers
             assert np.array_equal(mine.sq_norms, theirs.sq_norms)
 
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_compressed_map_file_loads_to_the_same_cells(self, tmp_path,
+                                                         scheme):
+        # maps are saved uncompressed, as np.savez writes them; files that
+        # np.savez_compressed wrote, as earlier releases did, still load
+        ds, mapper = fit_small(scheme=scheme, t=10)
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_STORED}
+        np.savez_compressed(path, **arrays)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_DEFLATED}
+        assert np.array_equal(Mapper.load(path).map_many(ds),
+                              mapper.map_many(ds))
+
     @pytest.mark.parametrize("damage", ["all splits", "short thresholds"])
     def test_tree_that_is_not_full_is_a_load_error(self, tmp_path, damage):
         # a tree of splits alone links past its last node, and every node
@@ -522,7 +542,7 @@ class TestBlocks:
 
     def test_rows_that_fit_one_block_are_the_packing_itself(self):
         xs = [rand_sparse(np.random.default_rng(i), 9) for i in range(5)]
-        packed = entries(xs)
+        packed = Rows.of(xs).entries()
         (lo, n, block), = row_blocks(packed, 5, 5)
         assert (lo, n) == (0, 5) and block is packed
         pieces = list(row_blocks(packed, 5, 2))

@@ -373,7 +373,7 @@ class TestCheckpoints:
         ds = rand_dataset(rng, 80, 4)
         mapper = Mapper.fit(ds, psi=8, t=12, scheme="iforest", seed=10)
         m = IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
-        for p in ds.points[:30]:
+        for p in list(ds)[:30]:
             m.step(mapper.map_point(p.x), p.c, eta=0.5)
         path = tmp_path / "ik.npz"
         save_checkpoint(path, "ik-ogd-iforest", m, {"eta": 0.5})
@@ -381,7 +381,7 @@ class TestCheckpoints:
         assert kind == "ik-ogd-iforest"
         assert hyper == {"eta": 0.5}
         assert clone.updates == m.updates
-        for p in ds.points[30:50]:
+        for p in list(ds)[30:50]:
             f = mapper.map_point(p.x)
             assert clone.predict(f) == m.predict(f)
 
@@ -392,12 +392,12 @@ class TestCheckpoints:
         ds = rand_dataset(rng, 80, 4)
         mapper = Mapper.fit(ds, psi=8, t=12, scheme="anne", seed=12)
         m = IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
-        for p in ds.points[:30]:
+        for p in list(ds)[:30]:
             m.step(mapper.map_point(p.x), p.c, eta=0.5)
         path = tmp_path / "ik.npz"
         save_checkpoint(path, "ik-ogd-anne", m, {"eta": 0.5})
         _, clone, _ = load_checkpoint(path)
-        for p in ds.points[30:]:
+        for p in list(ds)[30:]:
             f = mapper.map_point(p.x)
             assert clone.step(f, p.c, eta=0.5) == m.step(f, p.c, eta=0.5)
         assert clone.updates == m.updates > 0
@@ -486,7 +486,7 @@ class TestCheckpoints:
 
         nm = fit_nystrom(ds, b=10, r=4, kernel_fn=Laplacian(8, 4), seed=1)
         m = NOGDModel(nm.effective_r, nystrom=nm)
-        for p in ds.points[:20]:
+        for p in list(ds)[:20]:
             m.step(nm.map_point(p.x), p.c, eta=0.5)
         path = tmp_path / "nogd.npz"
         save_checkpoint(path, "nogd", m, {"eta": 0.5})

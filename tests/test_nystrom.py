@@ -117,7 +117,7 @@ class TestFitNystrom:
         rng = np.random.default_rng(4)
         ds = rand_dataset(rng, 120, 5, density=1.0)
         kern = Gaussian(gamma=0.25, dim=5)
-        held = [p.x for p in ds.points[60:110]]
+        held = [p.x for p in list(ds)[60:110]]
         G = np.array([[kern(a, b) for b in held] for a in held])
         errors = []
         for r in (5, 10, 20, 50):
@@ -132,7 +132,7 @@ class TestFitNystrom:
         base = rand_dataset(rng, 1, 3, density=1.0)
         from isokernel.dataset import Dataset
 
-        ds = Dataset([base.points[0]] * 6, dim=3)
+        ds = Dataset([list(base)[0]] * 6, dim=3)
         nm = fit_nystrom(ds, b=6, r=6, kernel_fn=Gaussian(0.5, 3), seed=11)
         assert nm.effective_r == 1
         assert nm.r == 6

@@ -9,8 +9,8 @@ import pytest
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
+    Rows,
     SparseVector,
-    entries,
     sq_distance,
 )
 from isokernel.errors import SampleError
@@ -199,7 +199,7 @@ class TestJoin:
             set(splits[splits >= 0].tolist()))
         queries = [rand_sparse(rng, 40, density=0.5) for _ in range(50)]
         X = np.stack([q.densify(40) for q in queries])
-        cells = forest.assign_many(entries(queries), 50)
+        cells = forest.assign_many(Rows.of(queries).entries(), 50)
         for i, tree in enumerate(trees):
             assert np.array_equal(cells[:, i], cells_of(tree, X))
 
@@ -258,7 +258,8 @@ class TestJoin:
         queries = [rand_sparse(rng, 60, density=0.4) for _ in range(40)]
         X = np.stack([q.densify(60) for q in queries])
         for scorer in centre_forms(parts):
-            cells = scorer.assign_many(entries(queries), len(queries))
+            cells = scorer.assign_many(Rows.of(queries).entries(),
+                                       len(queries))
             assert cells.shape == (len(queries), len(parts))
             for j, part in enumerate(parts):
                 assert np.array_equal(cells[:, j], cells_of(part, X))

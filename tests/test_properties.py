@@ -49,13 +49,17 @@ import isokernel.dataset as dataset
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
+    Rows,
     SparseVector,
     dense_rows,
-    entries,
     format_libsvm_line,
+    from_dense,
+    kfold,
     load_libsvm,
     parse_libsvm_line,
-    ragged_vectors,
+    shuffle,
+    split_head,
+    unify_dims,
 )
 import isokernel.partition as partition
 from isokernel.featuremap import Mapper, kernel
@@ -340,7 +344,7 @@ class TestEncoding:
         mapper, sets = case
         stack, index = centre_forms(mapper.parts)
         for ds in sets:
-            rows = entries([p.x for p in ds])
+            rows = Rows.of([p.x for p in ds]).entries()
             cells = stack.assign_many(rows, len(ds))
             assert np.array_equal(index.assign_many(rows, len(ds)), cells)
             assert np.array_equal(mapper.map_many(ds), cells)
@@ -710,7 +714,8 @@ class TestBlockParse:
         expected = outcome(lambda: [
             SparseVector(indices[lo:hi], values[lo:hi], dim)
             for lo, hi in zip(offsets[:-1], offsets[1:])])
-        got = outcome(lambda: ragged_vectors(indices, values, offsets, dim))
+        got = outcome(
+            lambda: Rows.checked(indices, values, offsets, dim).vectors())
         assert got == expected
         if isinstance(got, list):
             for x in got:
@@ -729,6 +734,90 @@ class TestDenseRows:
         # columns run past every row's dim, and may be none at all
         cols = np.array(sorted(picked), dtype=np.intp)
         stack = np.array([x.densify(12) for x in xs]).reshape(len(xs), 12)
-        X = dense_rows(entries(xs), len(xs), cols)
+        X = dense_rows(Rows.of(xs).entries(), len(xs), cols)
         assert X.shape == (len(xs), cols.size)
         assert np.array_equal(X, stack[:, cols])
+
+
+@st.composite
+def point_lists(draw):
+    """(points, declared dim): up to eight labeled points of mixed dims,
+    some of them empty, and a dim to declare that may lie above every
+    point's index or be None."""
+    xs = draw(st.lists(sparse_points(st.integers(1, 8)), max_size=8))
+    points = [LabeledPoint(x, draw(st.sampled_from([-1, 1]))) for x in xs]
+    return points, draw(st.one_of(st.none(), st.integers(1, 12)))
+
+
+def tags(n):
+    """A dataset whose row i holds its own id, i + 1, so that a slice of it
+    names the rows that the same slice of another n-row dataset takes."""
+    return Dataset([LabeledPoint(SparseVector([i + 1], [1.0], n), 1)
+                    for i in range(n)])
+
+
+def assert_views_of(ds, points, dim):
+    """Every view of ``ds``, by iteration and by index, is the point of
+    ``points`` it came from, declared at ``dim``."""
+    assert len(ds) == len(points) and ds.dim == dim
+    for i, (view, p) in enumerate(zip(ds, points)):
+        for got in (view, ds[i], ds[i - len(ds)]):
+            assert got.x == SparseVector(p.x.indices, p.x.values, dim)
+            assert got.c == p.c and got.x.dim == dim
+    assert ds.labels().tolist() == [p.c for p in points]
+
+
+class TestPackedDataset:
+    @bounded
+    @given(point_lists(), st.data())
+    def test_every_slice_views_the_points_it_came_from(self, case, data):
+        points, declared = case
+        n = len(points)
+        ds = Dataset(points, dim=declared)
+        dim = max([declared or 0] + [p.x.dim for p in points])
+        assert_views_of(ds, points, dim)
+
+        def came_from(tagged):
+            return [points[int(tag.x.indices[0]) - 1] for tag in tagged]
+
+        ids = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                 max_size=2 * n if n else 0))
+        assert_views_of(ds.subset(ids), [points[i] for i in ids], dim)
+        seed = data.draw(st.integers(0, 2**16))
+        shuffled = shuffle(ds, seed)
+        assert_views_of(shuffled, came_from(shuffle(tags(n), seed)), dim)
+        k = data.draw(st.integers(0, n))
+        head, rest = split_head(ds, k)
+        assert_views_of(head, points[:k], dim)
+        assert_views_of(rest, points[k:], dim)
+        if n >= 2:
+            folds = data.draw(st.integers(2, n))
+            for pair, tag_pair in zip(kfold(ds, folds, seed),
+                                      kfold(tags(n), folds, seed)):
+                for part, tagged in zip(pair, tag_pair):
+                    assert_views_of(part, came_from(tagged), dim)
+        other = Dataset(points[:1], dim=data.draw(st.integers(1, 14)))
+        wide = max(dim, other.dim)
+        for unified, ps in zip(unify_dims(ds, other), [points, points[:1]]):
+            assert_views_of(unified, ps, wide)
+
+    @bounded
+    @given(st.integers(0, 6), st.integers(1, 6), st.data())
+    def test_from_dense_keeps_each_rows_nonzeros(self, n, dim, data):
+        X = np.array(data.draw(st.lists(
+            st.lists(VALUES, min_size=dim, max_size=dim),
+            min_size=n, max_size=n)), dtype=np.float64).reshape(n, dim)
+        labels = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n,
+                                    max_size=n))
+        if n and data.draw(st.booleans()):
+            X[data.draw(st.integers(0, n - 1)),
+              data.draw(st.integers(0, dim - 1))] = np.nan
+        expected = outcome(lambda: [
+            LabeledPoint(SparseVector(np.flatnonzero(row) + 1,
+                                      row[np.flatnonzero(row)], dim), c)
+            for row, c in zip(X, labels)])
+        got = outcome(lambda: from_dense(X, labels, "dense"))
+        if isinstance(expected, tuple):  # the error of the first bad row
+            assert got == expected
+        else:
+            assert_views_of(got, expected, dim)
