@@ -364,11 +364,12 @@ class Rows:
         return _view(self.indices[lo:hi], self.values[lo:hi], self.dim)
 
     def vectors(self):
-        """The selected rows as SparseVectors at ``dim``, views of one
-        int32 and one float64 array."""
-        indices, values, offsets = self.ragged()
-        return [_view(indices[lo:hi], values[lo:hi], self.dim)
-                for lo, hi in ragged_runs(offsets, indices.size)]
+        """The selected rows as SparseVectors at ``dim``, views of the
+        packing."""
+        first, count = self._extents()
+        return [_view(self.indices[lo : lo + n], self.values[lo : lo + n],
+                      self.dim)
+                for lo, n in zip(first.tolist(), count.tolist())]
 
     def with_dim(self, dim):
         """The same rows declared at ``dim``, which no index may exceed."""
