@@ -27,6 +27,10 @@ densely in node order, and cuts strictly inside its node's range. Every
 partitioning of a fit, which samples row ids of its data packed once, is
 the one built from the list of points ``sample_psi`` draws with the same
 generator, and its centres' squared norms are ``SparseVector.sq_norm``'s.
+Every point view of a dataset, which packs its rows once, and of its
+subsets, shuffles, heads, folds and dim-unified copies, is the point it
+came from at the dataset's dim; ``from_dense`` keeps each row's nonzeros,
+or raises what the first bad row's ``SparseVector`` raises.
 
 Point values are multiples of 1/4 in [-4, 4], so every distance and dot
 product is exact in float64 and no result depends on summation order;
