@@ -209,10 +209,8 @@ def _cmd_train(args):
     if len(config.psi_grid) != 1:
         raise UsageError("train requires a single --psi value")
     ds = load_libsvm(args.data)
-    psi = config.psi_grid[0]
-    _, model = evalmod.fit_learner(
-        shuffle(ds, config.seed), psi, config, (config.seed, 229)
-    )
+    psi, model, _ = evalmod.select_and_fit(ds, shuffle(ds, config.seed),
+                                           config)
     hyper = config.resolved()
     hyper["psi"] = psi
     save_checkpoint(args.out, config.learner, model, hyper)

@@ -426,9 +426,9 @@ def pack_ragged(vectors):
 
 
 def unpack_ragged(arrays, dim):
-    """The vectors packed by ``pack_ragged``, each declared at ``dim``."""
+    """The ``Rows`` at ``dim`` of the vectors packed by ``pack_ragged``."""
     return Rows.checked(arrays["cat_indices"], arrays["cat_values"],
-                        arrays["offsets"], dim).vectors()
+                        arrays["offsets"], dim)
 
 
 def ragged_runs(offsets, size):

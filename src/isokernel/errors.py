@@ -15,24 +15,22 @@ class DataError(IsoKernelError):
     """Bad input data, parameters, or mismatched objects."""
 
 
-class ParseError(DataError):
+class LineError(DataError):
+    """Bad input that may name the line of the file it was found on."""
+
+    def __init__(self, message, lineno=None):
+        if lineno is not None:
+            message = f"line {lineno}: {message}"
+        super().__init__(message)
+        self.lineno = lineno
+
+
+class ParseError(LineError):
     """A line of an input file could not be parsed."""
 
-    def __init__(self, message, lineno=None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
 
-
-class FormatError(DataError):
+class FormatError(LineError):
     """Structurally invalid input (e.g. non-increasing feature indices)."""
-
-    def __init__(self, message, lineno=None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
 
 
 class LoadError(DataError):

@@ -13,6 +13,7 @@ import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .dataset import from_dense, kfold, shuffle, split_head, unify_dims
 from .errors import ConfigError
 from .featuremap import Mapper
 from .kernels import Laplacian
-from .learner import DualModel, IKOGDModel, NOGDModel, predict_label
+from .learner import DualModel, IKOGDModel, NOGDModel
 from .nystrom import fit_nystrom
 
 SCHEMA_VERSION = 1
@@ -125,29 +126,33 @@ class Metrics:
 def fit_learner(train, psi, config, seed):
     """Fit ``config.learner`` on ``train`` and train it with one pass.
 
-    Returns ``(encode, model)``. ``encode`` turns a Dataset into what
-    ``model.step`` and ``model.predict_many`` take: indexed features for
-    IK-OGD, landmark features for NOGD, the raw sparse points for dual OGD.
-    The model holds its fitted encoder, so a checkpoint of it stands alone.
+    The model holds its fitted encoder (indexed features for IK-OGD,
+    landmark features for NOGD, none for dual OGD, which learns on the raw
+    sparse points), so it encodes its own input and a checkpoint of it
+    stands alone.
     """
     if config.learner == "ogd":
-        encode, model = _raw_points, DualModel(Laplacian(psi, train.dim))
+        model = DualModel(Laplacian(psi, train.dim))
     elif config.learner == "nogd":
         kernel = Laplacian(psi, train.dim)
         nystrom = fit_nystrom(train, config.b, config.r, kernel, seed)
-        encode = nystrom.map_many
         model = NOGDModel(nystrom.effective_r, nystrom=nystrom)
     else:
         scheme = config.learner[len("ik-ogd-") :]
         mapper = Mapper.fit(train, psi, config.t, scheme, seed)
-        encode = mapper.map_many
         model = IKOGDModel(config.t, psi, mapper=mapper)
-    _train_pass(model, encode(train), train.labels(), config.eta)
-    return encode, model
+    _train_pass(model, model.encode(train), train.labels(), config.eta)
+    return model
 
 
-def _raw_points(ds):
-    return ds.rows.vectors()
+def select_and_fit(cv_set, train, config):
+    """``(psi, model, seconds)``: psi selected by cross-validation on
+    ``cv_set``, the model ``fit_learner`` fits and trains on ``train`` at
+    that psi, and the seconds both took."""
+    t0 = time.perf_counter()
+    psi = cv_select_psi(cv_set, config)
+    model = fit_learner(train, psi, config, (config.seed, 229))
+    return psi, model, time.perf_counter() - t0
 
 
 def _train_pass(model, encoded, labels, eta):
@@ -180,11 +185,30 @@ def minmax_scale(train, other):
 
 
 def _n_correct(scores, labels):
-    """How many scores predict their label."""
-    preds = np.fromiter(
-        (predict_label(s) for s in scores), dtype=np.int64, count=len(scores)
-    )
-    return int(np.sum(preds == np.asarray(labels)))
+    """How many scores predict their label (ties at zero predict +1)."""
+    return int(np.count_nonzero((scores >= 0) == (labels > 0)))
+
+
+def _test_then_train(model, blocks, eta=None):
+    """Score each of ``blocks``, Datasets, with the latest model, then, when
+    ``eta`` is given, train on it.
+
+    Returns ``(counts, test_time, train_time)``: the ``(correct, points)``
+    of each block, and the seconds spent encoding and scoring, and
+    training.
+    """
+    counts, test_time, train_time = [], 0.0, 0.0
+    for block in blocks:
+        t0 = time.perf_counter()
+        encoded = model.encode(block)
+        scores = model.predict_many(encoded)
+        test_time += time.perf_counter() - t0
+        counts.append((_n_correct(scores, block.labels()), len(block)))
+        if eta is not None:
+            t0 = time.perf_counter()
+            _train_pass(model, encoded, block.labels(), eta)
+            train_time += time.perf_counter() - t0
+    return counts, test_time, train_time
 
 
 def _metrics(config, model, encoded_points, **fields):
@@ -204,9 +228,9 @@ def _metrics(config, model, encoded_points, **fields):
 
 
 def _fold_accuracy(fold_train, fold_val, psi, config, seed):
-    encode, model = fit_learner(fold_train, psi, config, seed)
-    scores = model.predict_many(encode(fold_val))
-    return _n_correct(scores, fold_val.labels()) / len(fold_val)
+    model = fit_learner(fold_train, psi, config, seed)
+    [(correct, n)], _, _ = _test_then_train(model, [fold_val])
+    return correct / n
 
 
 def cv_select_psi(train, config):
@@ -275,32 +299,13 @@ def run_online(dataset, config):
     if config.normalize:
         head, tail = minmax_scale(head, tail)
 
-    t_train = time.perf_counter()
-    psi = cv_select_psi(head, config)
-    encode, model = fit_learner(head, psi, config, (config.seed, 229))
-    train_time = time.perf_counter() - t_train
-
-    test_time = 0.0
-    seen = correct = 0
-    block_accuracy, cumulative_accuracy = [], []
-    labels = tail.labels()
-    for lo_i in range(0, len(tail), config.block_size):
-        hi_i = min(lo_i + config.block_size, len(tail))
-        block_labels = labels[lo_i:hi_i]
-
-        t0 = time.perf_counter()
-        encoded = encode(tail.subset(np.arange(lo_i, hi_i)))
-        scores = model.predict_many(encoded)
-        test_time += time.perf_counter() - t0
-        block_correct = _n_correct(scores, block_labels)
-        seen += len(block_labels)
-        correct += block_correct
-        block_accuracy.append(block_correct / len(block_labels))
-        cumulative_accuracy.append(correct / seen)
-
-        t0 = time.perf_counter()
-        _train_pass(model, encoded, block_labels, config.eta)
-        train_time += time.perf_counter() - t0
+    psi, model, train_time = select_and_fit(head, head, config)
+    size = config.block_size
+    blocks = (tail.subset(np.arange(lo, min(lo + size, len(tail))))
+              for lo in range(0, len(tail), size))
+    counts, test_time, stream_time = _test_then_train(model, blocks,
+                                                      config.eta)
+    correct, seen = (list(accumulate(column)) for column in zip(*counts))
 
     return _metrics(
         config,
@@ -309,14 +314,14 @@ def run_online(dataset, config):
         dataset=dataset.name,
         protocol="online",
         psi=psi,
-        block_accuracy=block_accuracy,
-        cumulative_accuracy=cumulative_accuracy,
-        final_accuracy=correct / seen,
-        n_predictions=seen,
-        n_correct=correct,
-        train_time=train_time,
+        block_accuracy=[c / n for c, n in counts],
+        cumulative_accuracy=[c / n for c, n in zip(correct, seen)],
+        final_accuracy=correct[-1] / seen[-1],
+        n_predictions=seen[-1],
+        n_correct=correct[-1],
+        train_time=train_time + stream_time,
         test_time=test_time,
-        degenerate=len(tail) < config.block_size,
+        degenerate=len(tail) < size,
     )
 
 
@@ -333,26 +338,19 @@ def run_batch(train, test, config):
     if config.normalize:
         train, test = minmax_scale(train, test)
 
-    t0 = time.perf_counter()
-    psi = cv_select_psi(train, config)
-    stream = shuffle(train, config.seed)
-    encode, model = fit_learner(stream, psi, config, (config.seed, 229))
-    train_time = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    scores = model.predict_many(encode(test))
-    test_time = time.perf_counter() - t0
-    correct = _n_correct(scores, test.labels())
+    psi, model, train_time = select_and_fit(
+        train, shuffle(train, config.seed), config)
+    [(correct, n)], test_time, _ = _test_then_train(model, [test])
 
     return _metrics(
         config,
         model,
-        len(stream) + len(test),
+        len(train) + n,
         dataset=f"{train.name}->{test.name}",
         protocol="batch",
         psi=psi,
-        final_accuracy=correct / len(test),
-        n_predictions=len(test),
+        final_accuracy=correct / n,
+        n_predictions=n,
         n_correct=correct,
         train_time=train_time,
         test_time=test_time,
@@ -369,16 +367,12 @@ def sweep(axis, values, config, train, test):
     if not values:
         raise ConfigError("sweep needs at least one value")
 
-    def one(value):
-        if axis == "t":
-            cfg = replace(config, t=int(value))
-        elif axis == "b":
-            cfg = replace(config, b=int(value))
-        else:
-            cfg = replace(config, psi_grid=(int(value),))
-        return run_batch(train, test, cfg)
-
-    return [one(value) for value in values]
+    runs = []
+    for value in values:
+        value = int(value)
+        change = {"psi_grid": (value,)} if axis == "psi" else {axis: value}
+        runs.append(run_batch(train, test, replace(config, **change)))
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,4 @@ def accumulate(w, f, coeff):
 
 def write_features_csv(path, features):
     """Export indexed features as integer CSV, one row per point."""
-    features = np.asarray(features)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in features:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+    np.savetxt(path, features, fmt="%d", delimiter=",")

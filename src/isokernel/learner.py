@@ -93,6 +93,14 @@ class _Model:
         self.last_predict_ops = ops
         self.total_ops += ops * points
 
+    def encode(self, dataset):
+        """What ``step`` and ``predict_many`` take of ``dataset``'s points:
+        the encoder's ``map_many`` of them, or the points themselves as
+        SparseVectors when the model learns on raw points."""
+        if self.encoder is None:
+            return dataset.rows.vectors()
+        return self.encoder.map_many(dataset)
+
     def step(self, x, c, eta):
         """Predict, then on a margin violation apply the model's own
         ``_update(x, c, eta)``; returns the score."""
@@ -184,7 +192,7 @@ class DualModel(_Model):
     @classmethod
     def from_state(cls, meta, arrays, encoder=None):
         model = cls(make_kernel(meta["kernel"]))
-        points = unpack_ragged(arrays, meta["dim"])
+        points = unpack_ragged(arrays, meta["dim"]).vectors()
         for point, c, alpha in zip(points, arrays["cs"], arrays["alphas"]):
             model._update(point, int(c), float(alpha))
         model.updates = meta["updates"]

@@ -112,7 +112,8 @@ class NystromMap:
     @classmethod
     def from_state(cls, meta, arrays):
         return cls(
-            unpack_ragged(arrays, meta["dim"]), make_kernel(meta["kernel"]),
+            unpack_ragged(arrays, meta["dim"]).vectors(),
+            make_kernel(meta["kernel"]),
             arrays["proj"], meta["b"], meta["r"], meta["seed"],
         )
 

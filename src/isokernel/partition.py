@@ -49,7 +49,7 @@ import numpy as np
 from .errors import SampleError
 from .dataset import (
     Rows, _distinct, _runs, _spans, dense_rows, located, pack_ragged,
-    row_blocks, ragged_runs,
+    row_blocks, ragged_runs, unpack_ragged,
 )
 
 # The least fill, stored centre entries over the cells of the dense
@@ -114,8 +114,8 @@ class ITree:
     order from 0, the k-th split's children are ``left[i] = 2k + 1`` and
     ``left[i] + 1``, and the k-th leaf is cell ``leaf_id[i] = k`` (-1 marks
     the other nodes in both). Descent rule: go left iff x[feature] <
-    threshold. ``state`` is the two stored arrays; a map file holds those
-    of all its trees as one ragged set (``pack``).
+    threshold. A map file holds the two stored arrays of all its trees as
+    one ragged set (``pack``).
     """
 
     scheme = "iforest"
@@ -169,18 +169,6 @@ class ITree:
         ``Forest``."""
         return Forest(trees)
 
-    def state(self):
-        return {"feature": self.feature, "threshold": self.threshold}
-
-    @classmethod
-    def from_state(cls, state):
-        tree = cls(state["feature"], state["threshold"])
-        # one leaf more than splits, or the links run past the last node
-        if (tree.threshold.shape != tree.feature.shape
-                or tree.feature.size != 2 * tree.n_cells - 1):
-            raise ValueError("not the node list of a full binary tree")
-        return tree
-
     @classmethod
     def pack(cls, trees):
         """The arrays a map file holds of ``trees``: their ``feature`` and
@@ -198,11 +186,12 @@ class ITree:
         feature, threshold = arrays["feature"], arrays["threshold"]
         if threshold.shape != feature.shape:
             raise ValueError("not the node lists of full binary trees")
-        return [
-            cls.from_state({"feature": feature[lo:hi],
-                            "threshold": threshold[lo:hi]})
-            for lo, hi in ragged_runs(arrays["offsets"], feature.size)
-        ]
+        trees = [cls(feature[lo:hi], threshold[lo:hi])
+                 for lo, hi in ragged_runs(arrays["offsets"], feature.size)]
+        # one leaf more than splits, or the links run past the last node
+        if any(tree.feature.size != 2 * tree.n_cells - 1 for tree in trees):
+            raise ValueError("not the node list of a full binary tree")
+        return trees
 
 
 def _grow(group):
@@ -378,13 +367,6 @@ class VoronoiPartition:
         form = CentreStack if dense else CentreIndex
         return form(packed, cols, sq, len(parts))
 
-    def state(self):
-        return self.pack([self])
-
-    @classmethod
-    def from_state(cls, state):
-        return cls.unpack(state)[0]
-
     @classmethod
     def pack(cls, parts):
         """The arrays a map file holds of ``parts``, which have equal psi:
@@ -400,8 +382,7 @@ class VoronoiPartition:
         """The partitionings ``pack`` packed into ``arrays``, each holding
         its run of the file's centres."""
         dims = arrays["dim"].tolist()
-        rows = Rows.checked(arrays["cat_indices"], arrays["cat_values"],
-                            arrays["offsets"], max(dims))
+        rows = unpack_ragged(arrays, max(dims))
         psi, rest = divmod(len(rows), len(dims))
         if rest:
             raise ValueError(f"{len(rows)} centres in {len(dims)} parts")

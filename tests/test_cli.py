@@ -1,5 +1,6 @@
 """CLI wiring: subcommands, config files, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import isokernel.cli as cli
 from isokernel.dataset import save_libsvm
 from isokernel.errors import NumericError
-from isokernel.eval import make_two_gaussians
+from isokernel.eval import LEARNERS, make_two_gaussians
 from isokernel.learner import load_checkpoint
 
 from helpers import as_depth_first_release, damage_npz, unreadable_files
@@ -89,6 +90,34 @@ class TestTrain:
             "train", "--data", train, "--learner", "ogd",
             "--psi", "4,8", "--out", str(tmp_path / "m.npz"),
         ]) == 1
+
+
+# sha256 (first 16 hex digits) of every array of a ``train`` checkpoint,
+# by key, with its dtype and shape, as recorded when ``train`` ran a fit of
+# its own rather than the protocols' one fit.
+PINNED_CHECKPOINTS = {
+    "ogd": "5f87affa2b023140",
+    "ik-ogd-iforest": "e6f2ef7c5fc819a1",
+    "ik-ogd-anne": "0b28d37e513c99d2",
+    "nogd": "af330709a14eaf8b",
+}
+
+
+@pytest.mark.parametrize("learner", LEARNERS)
+def test_train_checkpoint_arrays_are_pinned(tmp_path, data_files, learner):
+    train, _ = data_files
+    ckpt = str(tmp_path / "model.npz")
+    assert run_cli([
+        "train", "--data", train, "--learner", learner, "--psi", "16",
+        "--t", "20", "--b", "20", "--r", "8", "--seed", "5", "--out", ckpt,
+    ]) == 0
+    digest = hashlib.sha256()
+    with np.load(ckpt) as data:
+        for key in sorted(set(data.files) - {"meta"}):
+            arr = data[key]
+            digest.update(f"{key}:{arr.dtype.str}:{arr.shape}".encode())
+            digest.update(arr.tobytes())
+    assert digest.hexdigest()[:16] == PINNED_CHECKPOINTS[learner]
 
 
 class TestEvalCommands:

@@ -1,6 +1,7 @@
 """Protocol machinery: psi selection, online and batch runs, sweeps."""
 
 import csv
+import hashlib
 import json
 import time
 
@@ -396,6 +397,47 @@ class TestEmission:
         assert loaded["config"]["eta"] == 0.5
         assert loaded["config"]["psi_grid"] == [8]
         assert loaded["config"]["b"] == 30
+
+
+# sha256 (first 16 hex digits) of each run's Metrics as sorted-key JSON,
+# wall times aside, as recorded when the online blocks, the batch test and
+# each CV fold were scored by loops of their own and each protocol ran its
+# own fit: how a protocol is put together must not move a single metric.
+PINNED_RUNS = {
+    ("online", "ogd", False): "f83a4ce705f03d53",
+    ("online", "ogd", True): "be822de42e7b1bac",
+    ("online", "ik-ogd-iforest", False): "e6017c8b46977fad",
+    ("online", "ik-ogd-iforest", True): "13f462a222979e04",
+    ("online", "ik-ogd-anne", False): "23a30cf6cfe2d568",
+    ("online", "ik-ogd-anne", True): "1017d9f20ba58c09",
+    ("online", "nogd", False): "130a6fa5617a0f1e",
+    ("online", "nogd", True): "32e5fa18f7f4ec6c",
+    ("batch", "ogd", False): "b0a6289945ab5e6e",
+    ("batch", "ogd", True): "d69cc31f0029f9dc",
+    ("batch", "ik-ogd-iforest", False): "84c483403d1a9f86",
+    ("batch", "ik-ogd-iforest", True): "f5ae9a1956c627f7",
+    ("batch", "ik-ogd-anne", False): "cdf15fee0dc4a0a8",
+    ("batch", "ik-ogd-anne", True): "837ee10d1bf3e11f",
+    ("batch", "nogd", False): "dda857cf5a06b44c",
+    ("batch", "nogd", True): "609ea3797af21dac",
+}
+
+
+@pytest.mark.parametrize("protocol, learner, normalize", sorted(PINNED_RUNS))
+def test_metrics_of_fixed_seed_runs_are_pinned(protocol, learner, normalize):
+    # a three-value grid, so that every run selects psi by CV
+    cfg = ProtocolConfig(
+        learner=learner, psi_grid=(4, 8, 16), t=20, b=20, r=8,
+        block_size=40, seed=9, train_size=80, normalize=normalize,
+    )
+    if protocol == "online":
+        metrics = run_online(make_two_gaussians(240, 4, 2.0, seed=31), cfg)
+    else:
+        metrics = run_batch(make_two_gaussians(160, 4, 2.0, seed=32),
+                            make_two_gaussians(80, 4, 2.0, seed=33), cfg)
+    text = json.dumps(_strip_times(metrics), sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest[:16] == PINNED_RUNS[protocol, learner, normalize]
 
 
 class TestTiming:

@@ -401,8 +401,8 @@ class TestPersistence:
         clone = Mapper.from_state(meta, Counted())
         assert Counted.reads <= 2 * len(arrays)
         for mine, theirs in zip(clone.parts, mapper.parts):
-            for key, arr in mine.state().items():
-                assert np.array_equal(arr, theirs.state()[key])
+            for key, arr in type(mine).pack([mine]).items():
+                assert np.array_equal(arr, type(theirs).pack([theirs])[key])
 
     def test_anne_load_builds_no_vector_per_centre(self, tmp_path):
         _, mapper = fit_small(scheme="anne", t=40)
@@ -468,7 +468,7 @@ class TestPersistence:
         _, mapper = fit_small(scheme=scheme, t=3)
         arrays = {f"part{i}_{key}": arr
                   for i, part in enumerate(mapper.parts)
-                  for key, arr in part.state().items()}
+                  for key, arr in type(part).pack([part]).items()}
         path = tmp_path / "map.npz"
         save_npz(path, 2, mapper.state()[0], arrays)
         with pytest.raises(DataError, match="unsupported map format 2"):

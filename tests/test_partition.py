@@ -179,9 +179,9 @@ class TestITree:
         rng = np.random.default_rng(51)
         sample = [rand_sparse(rng, 5) for _ in range(20)]
         tree = ITree.build(sample, np.random.default_rng(52))
-        clone = ITree.from_state(tree.state())
-        for key, arr in tree.state().items():
-            assert np.array_equal(arr, clone.state()[key])
+        [clone] = ITree.unpack(ITree.pack([tree]))
+        for key, arr in ITree.pack([tree]).items():
+            assert np.array_equal(arr, ITree.pack([clone])[key])
 
 
 class TestJoin:
@@ -348,7 +348,7 @@ class TestVoronoi:
         rng = np.random.default_rng(59)
         centers = [rand_sparse(rng, 5, density=0.4) for _ in range(10)]
         part = VoronoiPartition.build(centers)
-        clone = VoronoiPartition.from_state(part.state())
+        [clone] = VoronoiPartition.unpack(VoronoiPartition.pack([part]))
         assert clone.n_cells == part.n_cells
         for _ in range(50):
             x = rand_sparse(rng, 5)

@@ -233,7 +233,7 @@ class TestSaveLoad:
             mapper.scheme, mapper.t, mapper.psi, mapper.dim,
         )
         for part, copy in zip(mapper.parts, clone.parts):
-            state, copied = part.state(), copy.state()
+            state, copied = type(part).pack([part]), type(copy).pack([copy])
             assert state.keys() == copied.keys()
             for key, arr in state.items():
                 assert arr.dtype == copied[key].dtype
@@ -368,7 +368,7 @@ def iforest_fits(draw):
 
 
 def iforest_states(ds, psi, t, seed):
-    return [part.state()
+    return [partition.ITree.pack([part])
             for part in Mapper.fit(ds, psi, t, "iforest", seed).parts]
 
 
@@ -492,7 +492,8 @@ class TestPackedFit:
             sample = sample_psi(ds, psi, rng)
             built = BUILDERS[scheme].build(sample, rng)
             if scheme == "iforest":
-                assert_same_trees([part.state()], [built.state()])
+                assert_same_trees([partition.ITree.pack([part])],
+                                  [partition.ITree.pack([built])])
                 continue
             assert part.centers == built.centers == sample
             assert part.sq_norms.tolist() == built.sq_norms.tolist() == [
