@@ -7,6 +7,7 @@ inspect. Options may come from a config file of ``key = value`` lines
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -51,9 +52,9 @@ def read_config_file(path):
                 raise DataError(f"{path}:{lineno}: expected key=value")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key in ("psi", "psi_grid"):
+            if key in ("psi", "psi_grid"):  # both spellings of one field
                 try:
-                    out[key] = tuple(int(v) for v in value.split(","))
+                    out["psi_grid"] = _int_list(value)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad {key} {value!r}")
             else:
@@ -62,17 +63,19 @@ def read_config_file(path):
 
 
 def _int_list(text):
-    return [int(v) for v in text.split(",")]
+    return tuple(int(v) for v in text.split(","))
 
 
 def _add_protocol_flags(sub):
+    """One flag per ``ProtocolConfig`` field, whose dest is the field's
+    name, and ``--config``."""
     sub.add_argument("--learner", choices=evalmod.LEARNERS)
     sub.add_argument("--eta", type=float)
     sub.add_argument("--t", type=int)
     sub.add_argument("--b", type=int)
     sub.add_argument("--r", type=int)
     sub.add_argument(
-        "--psi", type=_int_list, metavar="P1[,P2,...]",
+        "--psi", dest="psi_grid", type=_int_list, metavar="P1[,P2,...]",
         help="psi grid; a single value pins the parameter",
     )
     sub.add_argument("--block-size", type=int)
@@ -86,26 +89,12 @@ def _add_protocol_flags(sub):
     sub.add_argument("--config", help="key=value config file; flags win")
 
 
-_FLAG_KEYS = (
-    "learner", "eta", "t", "b", "r", "block_size", "folds", "seed",
-    "train_size", "cv_max_points", "normalize",
-)
-
-
 def build_protocol_config(args):
-    merged = {}
-    if args.config:
-        merged.update(read_config_file(args.config))
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
+    merged = read_config_file(args.config) if args.config else {}
+    for field in dataclasses.fields(ProtocolConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            merged[key] = value
-    if getattr(args, "psi", None) is not None:
-        merged["psi_grid"] = tuple(args.psi)
-    elif "psi" in merged:  # config-file spelling, as for --psi
-        merged["psi_grid"] = merged.pop("psi")
-    if "psi_grid" in merged:
-        merged["psi_grid"] = tuple(merged["psi_grid"])
+            merged[field.name] = value
     if "learner" not in merged:
         raise UsageError("--learner is required (flag or config file)")
     try:

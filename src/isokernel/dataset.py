@@ -21,6 +21,7 @@ import gzip
 import io
 import json
 import math
+import zlib
 from itertools import chain, islice, repeat
 from operator import contains
 from zipfile import BadZipFile
@@ -481,7 +482,8 @@ def load_npz(path, version, what, decode):
                 )
             arrays = {key: data[key] for key in data.files if key != "meta"}
         return decode(meta, arrays)
-    except (KeyError, IndexError, TypeError, ValueError, BadZipFile) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, BadZipFile,
+            EOFError) as exc:  # EOFError: an empty file
         raise LoadError(f"cannot read {what} file {path}: {exc!r}") from exc
 
 
@@ -638,13 +640,16 @@ def load_libsvm(path, dim_hint=None, name=None):
     line that is not UTF-8 is a ParseError.
     """
     blocks = []
-    with _open_text(path) as fh:
-        first = 1
-        while block := list(islice(fh, _PARSE_BLOCK)):
-            parsed = _parse_tokens(
-                [tokens for tokens in map(str.split, block) if tokens])
-            blocks.append(parsed or _parse_reference(block, first))
-            first += len(block)
+    try:
+        with _open_text(path) as fh:
+            first = 1
+            while block := list(islice(fh, _PARSE_BLOCK)):
+                parsed = _parse_tokens(
+                    [tokens for tokens in map(str.split, block) if tokens])
+                blocks.append(parsed or _parse_reference(block, first))
+                first += len(block)
+    except (EOFError, zlib.error) as exc:  # a truncated or corrupted .gz
+        raise LoadError(f"cannot read LIBSVM file {path}: {exc!r}") from exc
     raws = np.concatenate([np.empty(0)] + [block[0] for block in blocks])
     distinct, which = np.unique(raws, return_inverse=True)
     if distinct.size > 2:

@@ -77,9 +77,10 @@ class Mapper:
         partitionings could be built in parallel without changing results.
         Each sample is the ids of its rows in the dataset's packing.
         """
-        # numpy would take a float psi, or a bool as 0 or 1
-        if isinstance(psi, bool) or not isinstance(psi, numbers.Integral):
-            raise ParameterError(f"psi must be an integer, got {psi!r}")
+        # numpy would take a float psi, and numpy or range a bool as 0 or 1
+        for name, value in (("psi", psi), ("t", t)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if t < 1:
             raise ParameterError(f"t must be >= 1, got {t}")
         if scheme not in SCHEMES:

@@ -116,8 +116,15 @@ class _Model:
 
     @classmethod
     def from_state(cls, meta, arrays, encoder):
-        # primal models take the shape of w, then their encoder
-        model = cls(*arrays["w"].shape, encoder)
+        # a primal model is sized by its encoder's ``_dims``, and its saved
+        # weights must fit them: at a flat offset, IK-OGD would read a cell
+        # past psi from the next partitioning
+        dims = {name: getattr(encoder, name) for name in cls._dims}
+        model = cls(*dims.values(), encoder)
+        if arrays["w"].shape != model.w.shape:
+            sizes = ", ".join(f"{name}={n}" for name, n in dims.items())
+            raise ValueError(f"weights of shape {arrays['w'].shape} for a "
+                             f"map of {sizes}")
         # contiguous, so that IKOGDModel's flat view of w is no copy
         model.w = np.ascontiguousarray(arrays["w"])
         model.updates = meta["updates"]
@@ -208,6 +215,8 @@ class IKOGDModel(_Model):
     Both read the weights through their flat offsets in ``w``.
     """
 
+    _dims = ("t", "psi")
+
     def __init__(self, t, psi, mapper=None):
         super().__init__()
         self.t = t
@@ -220,15 +229,6 @@ class IKOGDModel(_Model):
     @property
     def encoder(self):
         return self.mapper
-
-    @classmethod
-    def from_state(cls, meta, arrays, encoder):
-        model = super().from_state(meta, arrays, encoder)
-        # at a flat offset, a cell past psi reads the next partitioning's
-        if (encoder.t, encoder.psi) != model.w.shape:
-            raise ValueError(f"weights of shape {model.w.shape} for a map "
-                             f"of t={encoder.t}, psi={encoder.psi}")
-        return model
 
     def _check(self, f):
         if f.size != self.t:
@@ -258,6 +258,8 @@ class IKOGDModel(_Model):
 
 class NOGDModel(_Model):
     """Linear model over dense approximate features: f = <w, xhat>."""
+
+    _dims = ("effective_r",)
 
     def __init__(self, r, nystrom=None):
         super().__init__()

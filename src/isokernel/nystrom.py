@@ -55,7 +55,8 @@ class NystromMap:
     """
 
     def __init__(self, landmarks, kernel_fn, proj, b, r, seed):
-        self.landmarks = list(landmarks)
+        # packed once, so that views of a dataset's packing do not keep it
+        self.landmarks = Rows.of(list(landmarks)).vectors()
         self.kernel = kernel_fn
         self.proj = np.asarray(proj, dtype=np.float64)
         self.b = b

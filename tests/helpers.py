@@ -88,8 +88,8 @@ def as_depth_first_release(path, version):
 
 
 def unreadable_files(tmp_path):
-    """Paths of files that are not npz: LIBSVM text, a bare .npy array and
-    a truncated npz."""
+    """Paths of files that are not npz: LIBSVM text, a bare .npy array, a
+    truncated npz and an empty file."""
     text = tmp_path / "text.npz"
     text.write_text("+1 1:0.5\n")
     bare = tmp_path / "bare.npy"
@@ -98,7 +98,9 @@ def unreadable_files(tmp_path):
     np.savez_compressed(whole, meta="{}", a=np.arange(100))
     cut = tmp_path / "cut.npz"
     cut.write_bytes(whole.read_bytes()[:40])
-    return [text, bare, cut]
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    return [text, bare, cut, empty]
 
 
 def cell(part, x):

@@ -1,5 +1,8 @@
 """CLI wiring: subcommands, config files, exit codes."""
 
+import argparse
+import dataclasses
+import gzip
 import hashlib
 import json
 
@@ -9,7 +12,7 @@ import pytest
 import isokernel.cli as cli
 from isokernel.dataset import save_libsvm
 from isokernel.errors import NumericError
-from isokernel.eval import LEARNERS, make_two_gaussians
+from isokernel.eval import LEARNERS, ProtocolConfig, make_two_gaussians
 from isokernel.learner import load_checkpoint
 
 from helpers import as_depth_first_release, damage_npz, unreadable_files
@@ -208,6 +211,67 @@ class TestConfigFile:
         assert summary["psi"] in (4, 16)
 
 
+    @pytest.mark.parametrize("lines, flags, grid", [
+        ("psi = 4,8\n", ["--psi", "16"], [16]),
+        ("psi_grid = 4,8\n", ["--psi", "16"], [16]),
+        ("psi = 4\npsi_grid = 8\n", [], [8]),
+        ("psi_grid = 8\npsi = 4\n", [], [4]),
+    ], ids=["flag-over-psi", "flag-over-psi-grid", "later-psi-grid",
+            "later-psi"])
+    def test_psi_spellings_and_flag(
+        self, tmp_path, data_files, capsys, lines, flags, grid
+    ):
+        # --psi wins over either spelling; of both, the later line wins
+        train, test = data_files
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"learner = ik-ogd-anne\nt = 5\n{lines}")
+        assert run_cli([
+            "eval-batch", "--train", train, "--test", test,
+            "--config", str(cfg_path), "--cv-max-points", "100", *flags,
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out.strip())
+        assert summary["config"]["psi_grid"] == grid
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d", "--out", "o"],
+        ["eval-online", "--data", "d"],
+        ["eval-batch", "--train", "a", "--test", "b"],
+        ["sweep", "--axis", "t", "--values", "1", "--train", "a",
+         "--test", "b"],
+    ], ids=lambda argv: argv[0])
+    def test_every_config_field_is_a_flag_and_a_file_key(self, tmp_path, argv):
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        flags = {action.dest for action in commands.choices[argv[0]]._actions
+                 if action.option_strings}
+        fields = dataclasses.fields(ProtocolConfig)
+        assert {field.name for field in fields} <= flags
+        # a file that sets every field off its default reaches each one
+        values = {field.name: _other_value(field) for field in fields}
+        cfg_path = tmp_path / "all.cfg"
+        cfg_path.write_text("".join(
+            f"{name} = {text}\n" for name, (text, _) in values.items()))
+        config = cli.build_protocol_config(
+            parser.parse_args([*argv, "--config", str(cfg_path)]))
+        for name, (_, value) in values.items():
+            assert getattr(config, name) == value, name
+
+
+def _other_value(field):
+    """(config-file text, ProtocolConfig value) of a valid value of
+    ``field`` other than its default."""
+    if field.name == "learner":
+        return "nogd", "nogd"
+    if isinstance(field.default, bool):
+        return str(not field.default).lower(), not field.default
+    if isinstance(field.default, tuple):
+        return "4,8", (4, 8)
+    if isinstance(field.default, float):
+        return "0.25", 0.25
+    return "7", 7  # the integers, and the sizes that default to None
+
+
 class TestExitCodes:
     def test_usage_errors(self, data_files, capsys):
         assert run_cli(["no-such-command"]) == 1
@@ -318,6 +382,26 @@ class TestExitCodes:
         ]) == 2
         assert "data error: line 2: line is not valid UTF-8" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+    def test_unreadable_gzip_input_is_a_data_error(
+        self, tmp_path, data_files, capsys, damage
+    ):
+        train, _ = data_files
+        with open(train, "rb") as fh:
+            packed = gzip.compress(fh.read())
+        if damage == "truncated":
+            packed = packed[: len(packed) // 2]
+        else:  # the deflate stream past the 10-byte gzip header
+            packed = packed[:10] + b"\xff" * 8 + packed[18:]
+        bad = tmp_path / "bad.libsvm.gz"
+        bad.write_bytes(packed)
+        assert run_cli([
+            "fit-map", "--data", str(bad), "--out", str(tmp_path / "m.npz"),
+            "--psi", "2", "--t", "2", "--scheme", "anne",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error: cannot read LIBSVM file" in err and str(bad) in err
 
     def test_unreadable_map_is_a_data_error(self, tmp_path, data_files, capsys):
         train, _ = data_files

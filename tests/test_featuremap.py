@@ -96,6 +96,13 @@ class TestFit:
         with pytest.raises(ParameterError, match="psi"):
             Mapper.fit(ds, psi=psi, t=2, scheme="anne", seed=0)
 
+    @pytest.mark.parametrize("t", [2.5, np.float64(3.0), True, "3"])
+    def test_rejects_a_t_that_is_not_an_integer(self, t):
+        # range(t) would raise a TypeError, or take a bool as 1
+        ds = rand_dataset(np.random.default_rng(3), 10, 3)
+        with pytest.raises(ParameterError, match="t must be an integer"):
+            Mapper.fit(ds, psi=2, t=t, scheme="anne", seed=0)
+
     def test_takes_a_numpy_integer_psi(self):
         ds = rand_dataset(np.random.default_rng(3), 10, 3)
         assert Mapper.fit(ds, psi=np.int64(4), t=2, scheme="anne",

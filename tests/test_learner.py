@@ -419,6 +419,26 @@ class TestCheckpoints:
         with pytest.raises(LoadError, match="for a map of t=3, psi=4"):
             load_checkpoint(path)
 
+    def test_nogd_weights_that_do_not_fit_the_map_are_a_load_error(
+        self, tmp_path
+    ):
+        # they would first fail at a predict, with a ShapeError
+        from isokernel.nystrom import fit_nystrom
+
+        ds = rand_dataset(np.random.default_rng(13), 40, 4)
+        nm = fit_nystrom(ds, b=12, r=10, kernel_fn=Laplacian(8, 4), seed=1)
+        path = tmp_path / "nogd.npz"
+        save_checkpoint(path, "nogd", NOGDModel(nm.effective_r, nystrom=nm),
+                        {})
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["model_w"] = arrays["model_w"][:3]
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(
+            LoadError, match=f"for a map of effective_r={nm.effective_r}"
+        ):
+            load_checkpoint(path)
+
     def test_ogd_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         m = DualModel(Laplacian(psi=16, dim=5))

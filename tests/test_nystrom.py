@@ -16,6 +16,7 @@ from isokernel.errors import (
 )
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.nystrom import EIGEN_FLOOR, NystromMap, fit_nystrom, sym_eigen
+from isokernel.partition import sample_psi
 
 from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
 
@@ -271,6 +272,18 @@ class TestCounters:
 
 
 class TestMemory:
+    def test_landmarks_hold_their_own_packing(self):
+        # a map that outlives its training set must not keep it alive
+        rng = np.random.default_rng(16)
+        ds = rand_dataset(rng, 40, 5)
+        nm = fit_nystrom(ds, b=10, r=4, kernel_fn=Laplacian(8, 5), seed=2)
+        sample = sample_psi(ds, 10, np.random.default_rng(2))
+        for z, x in zip(nm.landmarks, sample, strict=True):
+            assert np.array_equal(z.indices, x.indices)
+            assert np.array_equal(z.values, x.values) and z.dim == x.dim
+            assert not np.shares_memory(z.indices, ds.rows.indices)
+            assert not np.shares_memory(z.values, ds.rows.values)
+
     def test_fit_and_map_peak_is_independent_of_dim(self):
         # 500 rows of 10 nonzeros at d=50000: 60 kB of sparse input, where
         # one dense n x d copy alone would be 200 MB
