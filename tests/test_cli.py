@@ -210,7 +210,6 @@ class TestConfigFile:
         assert summary["config"]["psi_grid"] == [4, 16]
         assert summary["psi"] in (4, 16)
 
-
     @pytest.mark.parametrize("lines, flags, grid", [
         ("psi = 4,8\n", ["--psi", "16"], [16]),
         ("psi_grid = 4,8\n", ["--psi", "16"], [16]),
