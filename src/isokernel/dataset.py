@@ -648,7 +648,8 @@ def load_libsvm(path, dim_hint=None, name=None):
                     [tokens for tokens in map(str.split, block) if tokens])
                 blocks.append(parsed or _parse_reference(block, first))
                 first += len(block)
-    except (EOFError, zlib.error) as exc:  # a truncated or corrupted .gz
+    # a truncated .gz, a corrupted deflate stream, or a damaged header or CRC
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise LoadError(f"cannot read LIBSVM file {path}: {exc!r}") from exc
     raws = np.concatenate([np.empty(0)] + [block[0] for block in blocks])
     distinct, which = np.unique(raws, return_inverse=True)

@@ -21,12 +21,12 @@ from .dataset import from_dense, kfold, shuffle, split_head, unify_dims
 from .errors import ConfigError
 from .featuremap import Mapper
 from .kernels import Laplacian
-from .learner import DualModel, IKOGDModel, NOGDModel
+from .learner import _KINDS, DualModel, IKOGDModel, NOGDModel
 from .nystrom import fit_nystrom
 
 SCHEMA_VERSION = 1
 
-LEARNERS = ("ogd", "ik-ogd-iforest", "ik-ogd-anne", "nogd")
+LEARNERS = tuple(_KINDS)
 
 # psi search range: powers of two from 2^2 to 2^12
 DEFAULT_GRID = tuple(2**m for m in range(2, 13))
@@ -138,7 +138,7 @@ def fit_learner(train, psi, config, seed):
         nystrom = fit_nystrom(train, config.b, config.r, kernel, seed)
         model = NOGDModel(nystrom.effective_r, nystrom=nystrom)
     else:
-        scheme = config.learner[len("ik-ogd-") :]
+        scheme = _KINDS[config.learner][2]
         mapper = Mapper.fit(train, psi, config.t, scheme, seed)
         model = IKOGDModel(config.t, psi, mapper=mapper)
     _train_pass(model, model.encode(train), train.labels(), config.eta)
@@ -161,7 +161,7 @@ def _train_pass(model, encoded, labels, eta):
 
 
 def _needs_psi_sample(learner):
-    return learner.startswith("ik-ogd")
+    return _KINDS[learner][2] is not None  # an IK scheme samples psi points
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,8 @@ class FeatureMatchKernel:
 
 class _Model:
     """The hinge step, the counters every model keeps, and persistence for
-    a model whose whole state is its weight array ``w``.
+    a model whose whole state is its weight array ``w``. A model scores one
+    point and a batch through its one ``_scores``.
 
     ``last_predict_ops`` and ``total_ops`` count kernel evaluations (dual)
     or weight reads (primal). ``encoder`` is the fitted map that turns raw
@@ -100,6 +101,14 @@ class _Model:
         if self.encoder is None:
             return dataset.rows.vectors()
         return self.encoder.map_many(dataset)
+
+    def predict(self, x):
+        """Score of one point."""
+        return float(self._scores(x))
+
+    def predict_many(self, points):
+        """Scores of many points against the frozen model."""
+        return self._scores(points)
 
     def step(self, x, c, eta):
         """Predict, then on a margin violation apply the model's own
@@ -168,21 +177,15 @@ class DualModel(_Model):
         self.svs.append((point, c, alpha))
 
     def predict(self, x):
-        """Score of one point; costs len(self) kernel evaluations."""
-        s = len(self.svs)
-        self._count(1, s)
-        if s == 0:
-            return 0.0
-        return float(self._coeffs[:s] @ self._store.scores(*_entries(x)))
+        """Score of one point, as a batch of one."""
+        return self._scores([x])[0]
 
-    def predict_many(self, points):
-        """Scores for many points against the frozen support set."""
+    def _scores(self, points):
+        """Scores of ``points``; each costs len(self) kernel evaluations."""
         s = len(self.svs)
         self._count(len(points), s)
-        if s == 0:
-            return np.zeros(len(points))
         coeffs = self._coeffs[:s]
-        return np.array([float(coeffs @ self._store.scores(*_entries(p)))
+        return np.array([coeffs @ self._store.scores(*_entries(p))
                          for p in points])
 
     def state(self):
@@ -230,27 +233,15 @@ class IKOGDModel(_Model):
     def encoder(self):
         return self.mapper
 
-    def _check(self, f):
-        if f.size != self.t:
-            raise ProvenanceError(
-                f"feature length {f.size} does not match model t={self.t}"
-            )
-
-    def predict(self, f):
-        self._check(f)
-        score = float(self.w.reshape(-1)[self._at + f].sum()) / self.t
-        self._count(1, self.t)
-        return score
-
-    def predict_many(self, F):
-        """Scores for an (n, t) feature matrix against frozen weights."""
+    def _scores(self, F):
+        """Score of a feature, or scores of an (n, t) feature matrix."""
         F = np.asarray(F)
-        if F.shape[1] != self.t:
+        if F.shape[-1] != self.t:
             raise ProvenanceError(
-                f"feature length {F.shape[1]} does not match model t={self.t}"
+                f"feature length {F.shape[-1]} does not match model t={self.t}"
             )
-        self._count(F.shape[0], self.t)
-        return self.w.reshape(-1)[self._at + F].sum(axis=1) / self.t
+        self._count(F.size // self.t, self.t)
+        return self.w.reshape(-1)[self._at + F].sum(-1) / self.t
 
     def _update(self, f, c, eta):
         self.w.reshape(-1)[self._at + f] += eta * c
@@ -271,25 +262,17 @@ class NOGDModel(_Model):
     def encoder(self):
         return self.nystrom
 
-    def _check(self, xhat):
-        if xhat.shape != (self.r,):
+    def _scores(self, X):
+        """Score of a feature, or scores of an (n, r) feature matrix."""
+        X = np.asarray(X)
+        if X.shape[-1] != self.r:
             raise ShapeError(
-                f"feature shape {xhat.shape} does not match model r={self.r}"
+                f"feature width {X.shape[-1]} does not match model r={self.r}"
             )
-
-    def predict(self, xhat):
-        self._check(xhat)
-        self._count(1, self.r)
-        return float(self.w @ xhat)
-
-    def predict_many(self, Xhat):
-        Xhat = np.asarray(Xhat)
-        if Xhat.shape[1] != self.r:
-            raise ShapeError(
-                f"feature width {Xhat.shape[1]} does not match model r={self.r}"
-            )
-        self._count(Xhat.shape[0], self.r)
-        return Xhat @ self.w
+        self._count(X.size // self.r, self.r)
+        # not X @ w: a matrix-vector product sums in another order than a
+        # dot, and one point must score as its row in a batch
+        return np.vecdot(X, self.w)
 
     def _update(self, xhat, c, eta):
         self.w += (eta * c) * xhat
@@ -298,12 +281,13 @@ class NOGDModel(_Model):
 # ---------------------------------------------------------------------------
 # checkpointing
 
-# checkpoint kind -> (model class, encoder class or None for raw points)
+# learner kind -> (model class, encoder class, IK scheme); the encoder is
+# None for a model that learns on raw points, the scheme None without a map
 _KINDS = {
-    "ogd": (DualModel, None),
-    "ik-ogd-iforest": (IKOGDModel, Mapper),
-    "ik-ogd-anne": (IKOGDModel, Mapper),
-    "nogd": (NOGDModel, NystromMap),
+    "ogd": (DualModel, None, None),
+    "ik-ogd-iforest": (IKOGDModel, Mapper, "iforest"),
+    "ik-ogd-anne": (IKOGDModel, Mapper, "anne"),
+    "nogd": (NOGDModel, NystromMap, None),
 }
 
 
@@ -316,14 +300,21 @@ def _classes(kind):
 def save_checkpoint(path, kind, model, hyper):
     """Write a self-contained model checkpoint (npz).
 
-    ``kind`` is one of ogd | ik-ogd-iforest | ik-ogd-anne | nogd. The
-    checkpoint is the state of the model's encoder (its feature map or
-    landmark map; ogd has none), with arrays under ``encoder_``, plus the
-    model's own state, with arrays under ``model_``.
+    ``kind`` is one of ogd | ik-ogd-iforest | ik-ogd-anne | nogd, and must
+    name what ``model`` and its encoder are. The checkpoint is the state of
+    the model's encoder (its feature map or landmark map; ogd has none),
+    with arrays under ``encoder_``, plus the model's own state, with arrays
+    under ``model_``.
     """
-    _classes(kind)
+    encoder = model.encoder
+    got = (type(model), encoder if encoder is None else type(encoder),
+           getattr(encoder, "scheme", None))
+    if got != _classes(kind):
+        raise ParameterError(
+            f"a {type(model).__name__} with encoder {type(encoder).__name__}"
+            f" and scheme {got[2]} is not a {kind!r} learner")
     encoder_meta, encoder_arrays = (
-        (None, {}) if model.encoder is None else model.encoder.state()
+        (None, {}) if encoder is None else encoder.state()
     )
     model_meta, model_arrays = model.state()
     arrays = {f"encoder_{key}": arr for key, arr in encoder_arrays.items()}
@@ -343,7 +334,7 @@ def load_checkpoint(path):
 
 
 def _decode_checkpoint(meta, arrays):
-    model_cls, encoder_cls = _classes(meta["kind"])
+    model_cls, encoder_cls, _ = _classes(meta["kind"])
     groups = by_prefix(arrays)
     encoder = None
     if encoder_cls is not None:

@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .kernels import RowStore, make_kernel
-from .partition import sample_psi
+from .partition import sample_rows
 
 EIGEN_FLOOR = 1e-10
 FORMAT_VERSION = 1
@@ -50,13 +50,17 @@ def sym_eigen(M):
 class NystromMap:
     """Fitted landmark map: x -> proj @ (k(x, landmark_1..b)).
 
-    The landmarks are held once as the rows of a ``RowStore``, which the
-    kernel's ``sparse_row_scores`` reads on each point's own columns.
+    The landmarks, SparseVectors or a ``Rows``, are held as one packing of
+    the map's own, of which ``landmarks`` are views (a selection's rows are
+    gathered once, so the map does not keep its dataset's packing), and as
+    the rows of a ``RowStore``, which the kernel's ``sparse_row_scores``
+    reads on each point's own columns.
     """
 
     def __init__(self, landmarks, kernel_fn, proj, b, r, seed):
-        # packed once, so that views of a dataset's packing do not keep it
-        self.landmarks = Rows.of(list(landmarks)).vectors()
+        rows = Rows.of(landmarks)
+        self._rows = Rows(*rows.ragged(), rows.dim)
+        self.landmarks = self._rows.vectors()
         self.kernel = kernel_fn
         self.proj = np.asarray(proj, dtype=np.float64)
         self.b = b
@@ -106,14 +110,14 @@ class NystromMap:
             "b": self.b,
             "r": self.r,
             "seed": self.seed,
-            "dim": max(z.dim for z in self.landmarks),
+            "dim": self._rows.dim,
         }
-        return meta, {"proj": self.proj, **pack_ragged(self.landmarks)}
+        return meta, {"proj": self.proj, **pack_ragged(self._rows)}
 
     @classmethod
     def from_state(cls, meta, arrays):
         return cls(
-            unpack_ragged(arrays, meta["dim"]).vectors(),
+            unpack_ragged(arrays, meta["dim"]),
             make_kernel(meta["kernel"]),
             arrays["proj"], meta["b"], meta["r"], meta["seed"],
         )
@@ -138,9 +142,9 @@ def fit_nystrom(dataset, b, r, kernel_fn, seed):
         raise ParameterError(f"rank must satisfy 1 <= r <= b, got r={r} b={b}")
     rng = np.random.default_rng(seed)
     # the map scores its own Gram: proj is set once the Gram is known
-    nm = NystromMap(sample_psi(dataset, b, rng), kernel_fn, np.empty((0, b)),
-                    b, r, seed)
-    G = nm._kernel_rows(Rows.of(nm.landmarks))
+    nm = NystromMap(dataset.rows.take(sample_rows(len(dataset), b, rng)),
+                    kernel_fn, np.empty((0, b)), b, r, seed)
+    G = nm._kernel_rows(nm._rows)
     G = 0.5 * (G + G.T)  # scrub asymmetric rounding from the scorer
     vals, vecs = sym_eigen(G)
     vals = vals[:r]

@@ -1,6 +1,7 @@
 """Shared generators for randomized tests (all take an explicit rng), and
 oracles that reach a partitioning's cells."""
 
+import gzip
 import json
 
 import numpy as np
@@ -55,6 +56,21 @@ def damage_npz(path, drop=None, meta=None):
     if meta is not None:
         arrays["meta"] = meta
     np.savez_compressed(path, **arrays)
+
+
+GZIP_DAMAGE = ("truncated", "corrupted", "crc")
+
+
+def damaged_gzip(data, damage):
+    """``data`` gzipped, then cut in half, with 8 bytes of its deflate
+    stream overwritten (past the 10-byte header), or with its CRC zeroed
+    (the first 4 of the last 8 bytes), by ``damage``."""
+    packed = gzip.compress(data)
+    if damage == "truncated":
+        return packed[: len(packed) // 2]
+    if damage == "corrupted":
+        return packed[:10] + b"\xff" * 8 + packed[18:]
+    return packed[:-8] + bytes(4) + packed[-4:]
 
 
 def as_depth_first_release(path, version):

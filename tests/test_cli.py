@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import gzip
 import hashlib
 import json
 
@@ -15,7 +14,13 @@ from isokernel.errors import NumericError
 from isokernel.eval import LEARNERS, ProtocolConfig, make_two_gaussians
 from isokernel.learner import load_checkpoint
 
-from helpers import as_depth_first_release, damage_npz, unreadable_files
+from helpers import (
+    GZIP_DAMAGE,
+    as_depth_first_release,
+    damage_npz,
+    damaged_gzip,
+    unreadable_files,
+)
 
 
 @pytest.fixture
@@ -382,17 +387,13 @@ class TestExitCodes:
         assert "data error: line 2: line is not valid UTF-8" in (
             capsys.readouterr().err)
 
-    @pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
     def test_unreadable_gzip_input_is_a_data_error(
         self, tmp_path, data_files, capsys, damage
     ):
         train, _ = data_files
         with open(train, "rb") as fh:
-            packed = gzip.compress(fh.read())
-        if damage == "truncated":
-            packed = packed[: len(packed) // 2]
-        else:  # the deflate stream past the 10-byte gzip header
-            packed = packed[:10] + b"\xff" * 8 + packed[18:]
+            packed = damaged_gzip(fh.read(), damage)
         bad = tmp_path / "bad.libsvm.gz"
         bad.write_bytes(packed)
         assert run_cli([

@@ -33,7 +33,7 @@ from isokernel.errors import (
     SizeError,
 )
 
-from helpers import rand_sparse
+from helpers import GZIP_DAMAGE, damaged_gzip, rand_sparse
 
 
 class TestParseLine:
@@ -214,6 +214,14 @@ class TestFileRoundTrip:
         assert len(ds) == 2
         assert ds[0].x.indices.tolist() == [1]
         assert ds[0].x.values.tolist() == [2.5]
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_damaged_gzip_is_a_load_error(self, tmp_path, damage):
+        path = tmp_path / "d.libsvm.gz"
+        path.write_bytes(damaged_gzip(b"+1 1:1\n-1 2:3\n" * 200, damage))
+        with pytest.raises(LoadError,
+                           match=r"cannot read LIBSVM file .*d\.libsvm\.gz"):
+            load_libsvm(path)
 
 
 class TestLabelPolicy:

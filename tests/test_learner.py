@@ -110,15 +110,12 @@ class TestDualModel:
                 svs.append((x, c, 0.5))
         assert len(m) == violations
 
-    def test_predict_many_matches_predict(self):
-        rng = np.random.default_rng(2)
-        m = DualModel(Laplacian(psi=8, dim=4))
-        for _ in range(25):
-            m.step(rand_sparse(rng, 4), int(rng.choice([-1, 1])), 0.5)
-        queries = [rand_sparse(rng, 4) for _ in range(15)]
-        batch = m.predict_many(queries)
-        for q, s in zip(queries, batch):
-            assert m.predict(q) == pytest.approx(float(s), abs=1e-12)
+    def test_empty_feature_match_model_rejects_a_wrong_length_feature(self):
+        # an empty support set still scores through the kernel's check
+        m = DualModel(FeatureMatchKernel(10))
+        with pytest.raises(ProvenanceError):
+            m.predict(np.zeros(9, dtype=np.int32))
+        assert m.predict(np.zeros(10, dtype=np.int32)) == 0.0
 
 
 def scalar_score(model, x):
@@ -278,18 +275,6 @@ class TestIKOGD:
         with pytest.raises(ProvenanceError):
             m.predict(np.zeros(9, dtype=np.int32))
 
-    def test_predict_many_matches_predict(self):
-        mapper, rng = self._mapper()
-        m = IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
-        F = np.stack(
-            [mapper.map_point(rand_sparse(rng, 5)) for _ in range(30)]
-        )
-        for f in F[:10]:
-            m.step(f, int(rng.choice([-1, 1])), 0.5)
-        batch = m.predict_many(F)
-        for f, s in zip(F, batch):
-            assert m.predict(f) == pytest.approx(float(s), abs=1e-12)
-
 
 class TestNOGD:
     def test_cold_start(self):
@@ -324,6 +309,57 @@ class TestNOGD:
         m = NOGDModel(4)
         with pytest.raises(ShapeError):
             m.predict(np.zeros(5))
+
+
+def trained(kind):
+    """A model of ``kind`` after 25 steps, 15 queries for it, and an input
+    of the wrong width with the error both scoring paths raise for it:
+    None for a dual model over raw points, which scores a wider point."""
+    rng = np.random.default_rng(2)
+    if kind == "ogd":
+        m = DualModel(Laplacian(psi=8, dim=4))
+        points = [rand_sparse(rng, 4) for _ in range(40)]
+        bad, error = SparseVector([1, 6], [0.5, 1.0], 6), None
+    elif kind == "nogd":
+        m = NOGDModel(6)
+        points = rng.standard_normal((40, 6))
+        bad, error = np.zeros(7), ShapeError
+    else:
+        ds = rand_dataset(rng, 150, 5, density=0.9)
+        mapper = Mapper.fit(ds, psi=8, t=50, scheme="anne", seed=3)
+        points = np.stack(
+            [mapper.map_point(rand_sparse(rng, 5)) for _ in range(40)]
+        )
+        m = (IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
+             if kind == "ik-ogd" else DualModel(FeatureMatchKernel(mapper.t)))
+        bad, error = np.zeros(mapper.t - 1, dtype=np.int32), ProvenanceError
+    for x in points[:25]:
+        m.step(x, int(rng.choice([-1, 1])), 0.5)
+    return m, points[25:], bad, error
+
+
+class TestScorer:
+    """A point scores as its row in a batch: one scorer per model."""
+
+    @pytest.mark.parametrize(
+        "kind", ["ogd", "ogd-feature-match", "ik-ogd", "nogd"])
+    def test_predict_many_matches_predict(self, kind):
+        m, queries, bad, error = trained(kind)
+        assert [m.predict(q) for q in queries] == (
+            m.predict_many(queries).tolist())
+        costs = []
+        for score in (m.predict, lambda q: m.predict_many([q])):
+            before = m.total_ops
+            score(queries[0])
+            costs.append((m.last_predict_ops, m.total_ops - before))
+        assert costs[0] == costs[1] and costs[0][0] > 0
+        if error is None:
+            assert m.predict(bad) == m.predict_many([bad])[0]
+        else:
+            with pytest.raises(error):
+                m.predict(bad)
+            with pytest.raises(error):
+                m.predict_many([bad])
 
 
 class TestCostCounters:
@@ -438,6 +474,22 @@ class TestCheckpoints:
             LoadError, match=f"for a map of effective_r={nm.effective_r}"
         ):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, scheme", [
+        ("nogd", "iforest"), ("ogd", "anne"), ("ik-ogd-iforest", None),
+        ("ik-ogd-anne", "iforest"),
+    ])
+    def test_kind_must_name_the_model(self, tmp_path, kind, scheme):
+        # each would write a checkpoint that fails to load, or loads under
+        # the wrong learner
+        mapper = None
+        if scheme is not None:
+            mapper = Mapper.fit(rand_dataset(np.random.default_rng(14), 30, 4),
+                                psi=4, t=3, scheme=scheme, seed=1)
+        path = tmp_path / "ik.npz"
+        with pytest.raises(ParameterError, match=f"not a '{kind}' learner"):
+            save_checkpoint(path, kind, IKOGDModel(3, 4, mapper=mapper), {})
+        assert not path.exists()
 
     def test_ogd_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

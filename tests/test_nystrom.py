@@ -284,6 +284,18 @@ class TestMemory:
             assert not np.shares_memory(z.indices, ds.rows.indices)
             assert not np.shares_memory(z.values, ds.rows.values)
 
+    def test_loaded_landmarks_are_views_of_the_given_arrays(self):
+        # a load keeps the file's one packing, with no copy of its rows
+        ds = rand_dataset(np.random.default_rng(17), 40, 5, density=1.0)
+        meta, arrays = fit_nystrom(ds, b=10, r=4, kernel_fn=Laplacian(8, 5),
+                                   seed=2).state()
+        nm = NystromMap.from_state(meta, arrays)
+        assert len(nm.landmarks) == 10
+        for z in nm.landmarks:
+            assert z.values.size
+            assert np.shares_memory(z.values, arrays["cat_values"])
+            assert np.shares_memory(z.indices, arrays["cat_indices"])
+
     def test_fit_and_map_peak_is_independent_of_dim(self):
         # 500 rows of 10 nonzeros at d=50000: 60 kB of sparse input, where
         # one dense n x d copy alone would be 200 MB
