@@ -1,5 +1,5 @@
 """Time ``Mapper.fit`` in process, in ms per partitioning, an iforest
-map's encoder, and ``load_libsvm``.
+map's encoder, ``load_libsvm``, and the baselines' kernel scoring.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
@@ -19,9 +19,16 @@ and ``map_many`` of all of them in us per point, each the best of
 ``perfbench/gen.py`` to a temporary directory and reports the best of
 ``--repeats`` loads in us per line, and the traced peak of one more load
 (serve-point's 10000 dense lines, batch-sparse-hd's 2000 training lines,
-baselines-online's 8000 a9a-shaped lines). The package and the
-generators are imported from the checkout that holds this script, so a
-copy of it in another checkout times that checkout's code.
+baselines-online's 8000 a9a-shaped lines). A ``score-`` shape scores
+baselines-online's a9a-shaped rows under its Laplacian kernel (psi=64)
+against ``stored`` rows, each figure the best of ``--repeats``: for dual
+OGD with that many support vectors, the p50 of ``predict`` (the step
+path) over ``ENCODE_POINTS`` points and ``predict_many`` of a
+1000-point block in us per point; for NOGD with that many landmarks
+(r=20), the p50 of ``map_point``, ``map_many`` of the block in us per
+point, and ``fit_nystrom`` in ms. The package and the generators are
+imported from the checkout that holds this script, so a copy of it in
+another checkout times that checkout's code.
 """
 import argparse
 import os
@@ -40,6 +47,9 @@ from isokernel.dataset import (  # noqa: E402
     Dataset, LabeledPoint, SparseVector, load_libsvm,
 )
 from isokernel.featuremap import Mapper  # noqa: E402
+from isokernel.kernels import Laplacian  # noqa: E402
+from isokernel.learner import DualModel  # noqa: E402
+from isokernel.nystrom import fit_nystrom  # noqa: E402
 
 
 def dataset(labels, rows, dim):
@@ -85,6 +95,13 @@ PARSE_SHAPES = {
     "parse-sparse-hd": lambda: gen.sparse_hd(2000, 221),
     "parse-a9a": lambda: gen.a9a_like(8000, 221),
 }
+# name: (learner, stored rows: support vectors or landmarks)
+SCORE_SHAPES = {
+    "score-dual-50": ("ogd", 50),
+    "score-dual-1000": ("ogd", 1000),
+    "score-nogd": ("nogd", 100),
+}
+SCORE_BLOCK_POINTS = 1000
 
 
 def time_fit(ds, psi, t, scheme, repeats):
@@ -135,10 +152,58 @@ def time_parse(labels, rows, repeats):
     return best / len(labels) * 1e6, peak / 2**20
 
 
+def best_p50(score, points, repeats):
+    """Best over ``repeats`` of the median wall time of ``score(x)`` over
+    ``points``, in us."""
+    best = float("inf")
+    for _ in range(repeats):
+        walls = []
+        for x in points:
+            start = time.perf_counter()
+            score(x)
+            walls.append(time.perf_counter() - start)
+        best = min(best, float(np.median(walls)))
+    return best * 1e6
+
+
+def best_wall(call, repeats):
+    """Best wall time of ``repeats`` calls of ``call()``, in s."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def time_score(learner, stored, repeats):
+    """``(one point us, block us/pt, fit ms)`` of a ``SCORE_SHAPES``
+    shape; the fit is None for dual OGD, which fits nothing."""
+    ds = dataset(*gen.a9a_like(stored + SCORE_BLOCK_POINTS, 301), gen.A9A_DIM)
+    kernel = Laplacian(64, ds.dim)
+    train, block = ds.subset(range(stored)), ds.subset(range(stored, len(ds)))
+    points = block.rows.vectors()
+    if learner == "ogd":
+        # as the protocol scores them: the block's points, encoded by the
+        # model as SparseVectors
+        model = DualModel(kernel)
+        for p in train:
+            model._update(p.x, p.c, 0.5)
+        one, many, block, fit = model.predict, model.predict_many, points, None
+    else:
+        nm = fit_nystrom(train, stored, 20, kernel, 7)
+        one, many = nm.map_point, nm.map_many
+        fit = best_wall(lambda: fit_nystrom(train, stored, 20, kernel, 7),
+                        repeats) * 1e3
+    point = best_p50(one, points[:ENCODE_POINTS], repeats)
+    per_point = best_wall(lambda: many(block), repeats) / len(points) * 1e6
+    return point, per_point, fit
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
-    every = [*SHAPES, *PARSE_SHAPES]
+    every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES]
     ap.add_argument("--shapes", default=",".join(every),
                     help="comma list of " + ", ".join(every))
     args = ap.parse_args(argv)
@@ -161,6 +226,16 @@ def main(argv=None):
         labels, rows = PARSE_SHAPES[name]()
         us, mb = time_parse(labels, rows, args.repeats)
         print(f"| {name} | {len(labels)} | {us:.2f} | {mb:.2f} |", flush=True)
+    score = [name for name in names if name in SCORE_SHAPES]
+    if score:
+        print("| shape | stored | one point p50 us | block us/pt | fit ms |"
+              "\n|---|---|---|---|---|")
+    for name in score:
+        learner, stored = SCORE_SHAPES[name]
+        one, many, fit = time_score(learner, stored, args.repeats)
+        fit = "-" if fit is None else f"{fit:.2f}"
+        print(f"| {name} | {stored} | {one:.2f} | {many:.2f} | {fit} |",
+              flush=True)
     return 0
 
 

@@ -16,10 +16,34 @@ from .errors import ParameterError
 # elements per |X - Z| broadcast block; bounds peak memory
 _BLOCK_ELEMS = 16_000_000
 
+# Elements of the widest temporary that ``RowStore.scores`` makes for one
+# block of rows: a block of m rows, each padded to the widest row's w
+# entries, against n stored rows gathers m*w*n of them, so a block holds
+# SCORE_BLOCK // (w*n) rows, or one row when a row needs more. Measured on
+# baselines-online's data (8000 a9a-shaped rows of 14 entries, seed 301;
+# NOGD has b=100 landmarks, so 23 rows per block at 2^15), one
+# ``run_online`` each, best of 5 (numpy 2.4, 2-vCPU VM):
+#
+# | budget | NOGD run | dual OGD run |
+# |---|---|---|
+# | 2^10 | 0.43 s | 1.43 s |
+# | 2^12 | 0.37 s | 1.43 s |
+# | 2^14 | 0.21 s | 1.43 s |
+# | 2^15 | 0.19 s | 1.42 s |
+# | 2^16 | 0.18 s | 1.41 s |
+# | 2^18 | 0.23 s | 1.70 s |
+#
+# Dual OGD's run is mostly its one-point steps, a block of one row each;
+# its batch scores slow down once a block outgrows the cache (2^18).
+# 2^15 float64 elements are 256 KB: near the best, at half the memory of
+# 2^16.
+SCORE_BLOCK = 1 << 15
+
 
 class RowStore:
     """Rows held column-major on the union of their supports, plus one zero
-    column, and scored against a query by ``kernel.sparse_row_scores``.
+    column, and scored against a block of queries by
+    ``kernel.sparse_row_scores``.
 
     ``slot`` maps each attribute from 0 to one past the largest stored to
     its store column. Column 0 is the zero column: attributes outside the
@@ -67,13 +91,60 @@ class RowStore:
         self.norms[self.n] = self.kernel.row_norm(values)
         self.n += 1
 
-    def scores(self, indices, values):
-        """k(x, z) for every stored row z, in order, where x has the
-        1-based attributes ``indices`` and the ``values``."""
+    def scores(self, indices, values, offsets, weights=None):
+        """k(x, z) for every row x of the flat ragged rows ``(indices,
+        values, offsets)``, with 1-based attributes, and every stored row z,
+        in order: an (m, n) array. With ``weights``, one per stored row,
+        each x's sum of ``weights[z] * k(x, z)`` instead, an (m,) array,
+        one dot per row, taken as soon as its block is scored.
+
+        Rows are scored a block at a time within ``SCORE_BLOCK``, and one
+        after another on a store of one row: there numpy sums each row's
+        terms pairwise, so that a row padded in a block would round
+        otherwise. ``norms`` reach the kernel as a (1, n) row, which adds
+        to a block of one row without broadcasting.
+        """
         at = self.slot.take(indices, mode="clip")
-        return self.kernel.sparse_row_scores(
-            (at, values), self.Z[:self.n], self.norms[:self.n]
-        )
+        Z, norms = self.Z[:self.n], self.norms[None, :self.n]
+        m = offsets.size - 1
+        step = m
+        if m > 1 and self.n:
+            wide = max(1, int(np.diff(offsets).max()) * self.n)
+            step = 1 if self.n == 1 else min(m, max(1, SCORE_BLOCK // wide))
+        if step == m:
+            K = self.kernel.sparse_row_scores((at, values, offsets), Z, norms)
+            return K if weights is None else np.vecdot(K, weights)
+        parts = []
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            a, b = offsets[lo], offsets[hi]
+            K = self.kernel.sparse_row_scores(
+                (at[a:b], values[a:b], offsets[lo:hi + 1] - a), Z, norms)
+            parts.append(K if weights is None else np.vecdot(K, weights))
+        return np.concatenate(parts)
+
+
+def _padded(x):
+    """``(columns, values, m, w)`` of a block of m rows x = ``(columns,
+    values, offsets)``, each row's entries padded at the end to the widest
+    row's w with column 0 (the store's zero column) and the value 0. A
+    padded entry adds a term of 0 after a row's own, so summing a row's w
+    terms in order, as ``reshape(m, w, n).sum(axis=1)`` does on a store of
+    more than one row, rounds as summing its own."""
+    at, values, offsets = x
+    m = offsets.size - 1
+    if m == 1:
+        return at, values, 1, at.size
+    count = np.diff(offsets)
+    w = int(count.max(initial=0))
+    if at.size == m * w:  # every row has w entries
+        return at, values, m, w
+    keep = np.arange(w) < count[:, None]
+    pad_at = np.zeros((m, w), dtype=at.dtype)
+    pad_values = np.zeros((m, w))
+    pad_at[keep] = at
+    pad_values[keep] = values
+    return pad_at.reshape(-1), pad_values.reshape(-1), m, w
 
 
 def laplacian(x, y, psi, dim):
@@ -113,19 +184,20 @@ class Laplacian:
         return float(np.abs(values).sum())
 
     def sparse_row_scores(self, x, Z, norms):
-        """k(x, z) for every row z of a column-major store Z, whose
-        ``row_norm`` values are ``norms``, reading only x's own columns:
+        """k(x, z) for every row x of a block and every row z of a
+        column-major store Z, whose ``row_norm`` values are the (1, n) row
+        ``norms``, as an (m, n) array, reading only each x's own columns:
         l1(x, z) = ||z||_1 + sum_{j in supp x} (|x_j - z_j| - |z_j|).
-        x is ``(columns, values)``: its entries' columns of Z, and their
-        values.
+        x is ``(columns, values, offsets)``: its rows' entries' columns of
+        Z and their values, row i's at ``offsets[i]:offsets[i + 1]``.
         """
-        at, values = x
+        at, values, m, w = _padded(x)
         cols = Z.T[at]
         abs_z = np.abs(cols)
         cols -= values[:, None]
         np.abs(cols, out=cols)
         cols -= abs_z
-        d1 = cols.sum(axis=0)
+        d1 = cols.reshape(m, w, Z.shape[0]).sum(axis=1)
         d1 += norms
         d1 *= -self.lam
         return np.exp(d1, out=d1)
@@ -166,15 +238,20 @@ class Gaussian:
         return float(values @ values)
 
     def sparse_row_scores(self, x, Z, norms):
-        """k(x, z) for every row z of a column-major store Z, whose
-        ``row_norm`` values are ``norms``, reading only x's own columns:
-        ||x - z||^2 = ||z||^2 + ||x||^2 - 2 sum_{j in supp x} x_j z_j,
-        clamped at 0. x is ``(columns, values)``, as for ``Laplacian``."""
-        at, values = x
-        sq = values @ Z.T[at]
-        sq *= -2.0
+        """k(x, z) for every row x of a block and every row z of a
+        column-major store Z, whose ``row_norm`` values are the (1, n) row
+        ``norms``, as an (m, n) array, reading only each x's own columns:
+        ||x - z||^2 = ||z||^2 + sum_{j in supp x} ((x_j - z_j)^2 - z_j^2),
+        clamped at 0. x is ``(columns, values, offsets)``, as for
+        ``Laplacian``."""
+        at, values, m, w = _padded(x)
+        cols = Z.T[at]
+        sq_z = np.square(cols)
+        cols -= values[:, None]
+        np.square(cols, out=cols)
+        cols -= sq_z
+        sq = cols.reshape(m, w, Z.shape[0]).sum(axis=1)
         sq += norms
-        sq += values @ values
         np.maximum(sq, 0.0, out=sq)
         sq *= -self.gamma
         return np.exp(sq, out=sq)

@@ -14,6 +14,7 @@ prediction).
 import numpy as np
 
 from .dataset import (
+    Rows,
     SparseVector,
     by_prefix,
     load_npz,
@@ -63,13 +64,17 @@ class FeatureMatchKernel:
         return 0.0
 
     def sparse_row_scores(self, x, F, norms):
-        """k(f, g) for every stored feature g, a row of the column-major
-        store F, where x is ``(columns, f)``: the columns of F that f's
-        positions map to, and f; ``norms`` is unused."""
-        at, f = x
-        if f.size != self.t:
+        """k(f, g) for every feature f of a block and every stored feature
+        g, a row of the column-major store F, as an (m, n) array, where x
+        is ``(columns, values, offsets)``: the columns of F that the
+        features' positions map to, and the features' cells, feature i's
+        at ``offsets[i]:offsets[i + 1]``; ``norms`` is unused."""
+        at, f, offsets = x
+        if (np.diff(offsets) != self.t).any():
             raise ProvenanceError("feature length does not match kernel t")
-        return np.count_nonzero(F.T[at] == f[:, None], axis=0) / self.t
+        same = F.T[at] == f[:, None]
+        same = same.reshape(offsets.size - 1, self.t, F.shape[0])
+        return np.count_nonzero(same, axis=1) / self.t
 
 
 class _Model:
@@ -148,13 +153,25 @@ def _entries(x):
     return np.arange(1, x.size + 1), x
 
 
+def _ragged(points):
+    """Flat ragged ``(indices, values, offsets)`` of points: SparseVectors,
+    or features (an (n, t) array, or a list of arrays of length t) as their
+    ``_entries``."""
+    if len(points) and not isinstance(points[0], SparseVector):
+        F = np.asarray(points)
+        n, t = F.shape
+        return (np.tile(np.arange(1, t + 1), n), F.reshape(-1),
+                np.arange(0, n * t + 1, t))
+    return Rows.of(points).ragged()
+
+
 class DualModel(_Model):
     """Support-vector model with f(x) = sum_i alpha_i c_i k(x_i, x).
 
     The support set grows without budget; prediction cost is one kernel
     evaluation per stored vector. The stored vectors are the rows of a
-    ``RowStore``, which the kernel's ``sparse_row_scores`` reads on each
-    query's own columns only.
+    ``RowStore``, which the kernel's ``sparse_row_scores`` scores against a
+    block of queries at a time, on each query's own columns only.
     """
 
     def __init__(self, kernel_fn):
@@ -177,16 +194,22 @@ class DualModel(_Model):
         self.svs.append((point, c, alpha))
 
     def predict(self, x):
-        """Score of one point, as a batch of one."""
-        return self._scores([x])[0]
+        """Score of one point, as a block of one."""
+        indices, values = _entries(x)
+        return self._block_scores(indices, values,
+                                  np.array([0, values.size]))[0]
 
     def _scores(self, points):
-        """Scores of ``points``; each costs len(self) kernel evaluations."""
+        return self._block_scores(*_ragged(points))
+
+    def _block_scores(self, indices, values, offsets):
+        """Scores of the flat ragged rows ``(indices, values, offsets)``;
+        each costs len(self) kernel evaluations. The store takes each row's
+        dot with the coefficients as soon as the row's block is scored,
+        which rounds as ``coeffs @ row`` does."""
         s = len(self.svs)
-        self._count(len(points), s)
-        coeffs = self._coeffs[:s]
-        return np.array([coeffs @ self._store.scores(*_entries(p))
-                         for p in points])
+        self._count(offsets.size - 1, s)
+        return self._store.scores(indices, values, offsets, self._coeffs[:s])
 
     def state(self):
         meta = {

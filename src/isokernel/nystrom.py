@@ -10,8 +10,7 @@ the inverse square root explodes on them.
 import numpy as np
 
 from .dataset import (
-    Dataset, Rows, load_npz, pack_ragged, ragged_runs, save_npz,
-    unpack_ragged,
+    Dataset, Rows, load_npz, pack_ragged, save_npz, unpack_ragged,
 )
 from .errors import (
     ContractError,
@@ -54,7 +53,8 @@ class NystromMap:
     the map's own, of which ``landmarks`` are views (a selection's rows are
     gathered once, so the map does not keep its dataset's packing), and as
     the rows of a ``RowStore``, which the kernel's ``sparse_row_scores``
-    reads on each point's own columns.
+    scores against a block of points at a time, on each point's own
+    columns.
     """
 
     def __init__(self, landmarks, kernel_fn, proj, b, r, seed):
@@ -82,7 +82,7 @@ class NystromMap:
 
     def kernel_row(self, x):
         """k(x, z) for every landmark z, in landmark order."""
-        return self._store.scores(x.indices, x.values)
+        return self._kernel_rows(Rows.of([x]))[0]
 
     def map_point(self, x):
         """Dense feature vector of length effective_r: ``map_many([x])``."""
@@ -96,12 +96,9 @@ class NystromMap:
         return K @ self.proj.T
 
     def _kernel_rows(self, rows):
-        """(n, b) matrix of ``kernel_row`` of each of ``rows``, a ``Rows``."""
-        indices, values, offsets = rows.ragged()
-        K = np.empty((len(rows), len(self.landmarks)))
-        for i, (lo, hi) in enumerate(ragged_runs(offsets, indices.size)):
-            K[i] = self._store.scores(indices[lo:hi], values[lo:hi])
-        return K
+        """(n, b) matrix of ``kernel_row`` of each of ``rows``, a ``Rows``,
+        scored a block of rows at a time."""
+        return self._store.scores(*rows.ragged())
 
     def state(self):
         """(meta, arrays) from which ``from_state`` rebuilds this map."""

@@ -96,15 +96,6 @@ def sample_rows(n, psi, rng):
     return rng.choice(n, size=psi, replace=False)
 
 
-def sample_psi(dataset, psi, rng):
-    """Draw psi distinct points uniformly without replacement.
-
-    Returns the sampled SparseVectors in draw order: those of the rows
-    ``sample_rows`` draws with the same generator.
-    """
-    return dataset.rows.take(sample_rows(len(dataset), psi, rng)).vectors()
-
-
 class ITree:
     """Fully grown random axis-parallel splitting tree over a sample.
 

@@ -14,7 +14,7 @@ from isokernel.dataset import (
     from_dense,
 )
 from isokernel.featuremap import Mapper
-from isokernel.partition import CentreIndex, CentreStack, ITree
+from isokernel.partition import CentreIndex, CentreStack, ITree, sample_rows
 
 
 def rand_sparse(rng, dim, density=0.5, scale=1.0):
@@ -117,6 +117,30 @@ def unreadable_files(tmp_path):
     empty = tmp_path / "empty.npz"
     empty.write_bytes(b"")
     return [text, bare, cut, empty]
+
+
+def sample_psi(dataset, psi, rng):
+    """The psi distinct points a fit draws from ``dataset`` with ``rng``:
+    the SparseVectors of the rows ``sample_rows`` draws, in draw order."""
+    return dataset.rows.take(sample_rows(len(dataset), psi, rng)).vectors()
+
+
+def one_row_laplacian(store, x):
+    """k(x, z) for every row z of ``store``, a ``RowStore`` under a
+    ``Laplacian``, by the one-row scorer that block scoring replaced: x's
+    terms summed over its own columns, then ``||z||_1`` added, in that
+    order. Block scores must equal it bit for bit."""
+    at = store.slot.take(x.indices, mode="clip")
+    Z, norms = store.Z[:store.n], store.norms[:store.n]
+    cols = Z.T[at]
+    abs_z = np.abs(cols)
+    cols -= x.values[:, None]
+    np.abs(cols, out=cols)
+    cols -= abs_z
+    d1 = cols.sum(axis=0)
+    d1 += norms
+    d1 *= -store.kernel.lam
+    return np.exp(d1, out=d1)
 
 
 def cell(part, x):

@@ -316,8 +316,9 @@ def trained(kind):
     of the wrong width with the error both scoring paths raise for it:
     None for a dual model over raw points, which scores a wider point."""
     rng = np.random.default_rng(2)
-    if kind == "ogd":
-        m = DualModel(Laplacian(psi=8, dim=4))
+    if kind in ("ogd", "ogd-gaussian"):
+        m = DualModel(Laplacian(psi=8, dim=4) if kind == "ogd"
+                      else Gaussian(0.4, 4))
         points = [rand_sparse(rng, 4) for _ in range(40)]
         bad, error = SparseVector([1, 6], [0.5, 1.0], 6), None
     elif kind == "nogd":
@@ -342,7 +343,8 @@ class TestScorer:
     """A point scores as its row in a batch: one scorer per model."""
 
     @pytest.mark.parametrize(
-        "kind", ["ogd", "ogd-feature-match", "ik-ogd", "nogd"])
+        "kind", ["ogd", "ogd-gaussian", "ogd-feature-match", "ik-ogd",
+                 "nogd"])
     def test_predict_many_matches_predict(self, kind):
         m, queries, bad, error = trained(kind)
         assert [m.predict(q) for q in queries] == (

@@ -16,9 +16,10 @@ from isokernel.errors import (
 )
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.nystrom import EIGEN_FLOOR, NystromMap, fit_nystrom, sym_eigen
-from isokernel.partition import sample_psi
 
-from helpers import damage_npz, rand_dataset, rand_sparse, unreadable_files
+from helpers import (
+    damage_npz, rand_dataset, rand_sparse, sample_psi, unreadable_files,
+)
 
 
 class DeltaKernel:
@@ -31,9 +32,11 @@ class DeltaKernel:
 
     def sparse_row_scores(self, x, Z, norms):
         # z == x iff z holds x's values on x's columns and nothing else
-        at, values = x
-        same = (Z.T[at] == values[:, None]).all(axis=0)
-        return (same & (norms == values.size)).astype(float)
+        at, values, offsets = x
+        bounds = offsets.tolist()
+        same = [(Z.T[at[lo:hi]] == values[lo:hi, None]).all(axis=0)
+                & (norms == hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        return np.array(same, dtype=float).reshape(-1, Z.shape[0])
 
     def params(self):
         return {"name": self.name}
@@ -146,7 +149,7 @@ class TestFitNystrom:
                 return 0.0
 
             def sparse_row_scores(self, x, Z, norms):
-                return np.zeros(Z.shape[0])
+                return np.zeros((x[2].size - 1, Z.shape[0]))
 
             def params(self):
                 return {"name": self.name}

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from isokernel.dataset import (
-    Dataset,
-    LabeledPoint,
     Rows,
     SparseVector,
     sq_distance,
@@ -21,60 +19,49 @@ from isokernel.partition import (
     Forest,
     ITree,
     VoronoiPartition,
-    sample_psi,
+    sample_rows,
 )
 
 from helpers import (
     cell,
     cells_of,
     centre_forms,
-    rand_dataset,
     rand_sparse,
     walk_tree,
 )
 
 
 class TestSamplePsi:
+    """``sample_rows``: the ids of the psi distinct rows a fit draws."""
+
     def test_exhaustive_sample_is_permutation(self):
-        rng = np.random.default_rng(0)
-        ds = rand_dataset(rng, 12, 5)
-        sample = sample_psi(ds, 12, np.random.default_rng(1))
-        keys = sorted(tuple(p.indices.tolist() + p.values.tolist()) for p in sample)
-        orig = sorted(
-            tuple(p.x.indices.tolist() + p.x.values.tolist()) for p in ds
-        )
-        assert keys == orig
+        ids = sample_rows(12, 12, np.random.default_rng(1))
+        assert sorted(ids.tolist()) == list(range(12))
 
     def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(0)
-        ds = rand_dataset(rng, 30, 5)
-        s1 = sample_psi(ds, 7, np.random.default_rng(42))
-        s2 = sample_psi(ds, 7, np.random.default_rng(42))
-        assert all(a == b for a, b in zip(s1, s2))
+        s1 = sample_rows(30, 7, np.random.default_rng(42))
+        s2 = sample_rows(30, 7, np.random.default_rng(42))
+        assert s1.tolist() == s2.tolist()
+        assert len(set(s1.tolist())) == 7
 
     def test_uniform_without_replacement_frequencies(self):
-        # psi=2 from 4 points: each point selected with probability 1/2;
+        # psi=2 from 4 rows: each row selected with probability 1/2;
         # 3-sigma binomial band around 0.5 over 10^4 draws
-        points = [
-            LabeledPoint(SparseVector([1], [float(i + 1)], 1), 1)
-            for i in range(4)
-        ]
-        ds = Dataset(points, dim=1)
         rng = np.random.default_rng(7)
         n_draws = 10_000
         counts = np.zeros(4)
         for _ in range(n_draws):
-            for p in sample_psi(ds, 2, rng):
-                counts[int(p.values[0]) - 1] += 1
+            ids = sample_rows(4, 2, rng)
+            assert ids[0] != ids[1]
+            counts[ids] += 1
         freq = counts / n_draws
         sigma = np.sqrt(0.5 * 0.5 / n_draws)
         assert np.all(np.abs(freq - 0.5) <= 3 * sigma)
 
     def test_oversample_rejected(self):
-        rng = np.random.default_rng(0)
-        ds = rand_dataset(rng, 5, 3)
-        with pytest.raises(SampleError):
-            sample_psi(ds, 6, np.random.default_rng(0))
+        for psi in (0, 6):
+            with pytest.raises(SampleError):
+                sample_rows(5, psi, np.random.default_rng(0))
 
 
 class TestITree:

@@ -25,8 +25,13 @@ every grown tree isolates each distinguishable sample point, is a
 breadth-first list whose links reach every node once, numbers its leaves
 densely in node order, and cuts strictly inside its node's range. Every
 partitioning of a fit, which samples row ids of its data packed once, is
-the one built from the list of points ``sample_psi`` draws with the same
-generator, and its centres' squared norms are ``SparseVector.sq_norm``'s.
+the one built from the list of points ``helpers.sample_psi`` draws with
+the same generator, and its centres' squared norms are
+``SparseVector.sq_norm``'s. A ``RowStore`` scores a block of rows, split
+by its budget or not, as it scores each row alone, bit for bit, under
+the Laplacian (where both equal the one-row scorer that block scoring
+replaced), the Gaussian and the feature-match kernel, and its weighted
+scores are each row's dot with the weights.
 Every point view of a dataset, which packs its rows once, and of its
 subsets, shuffles, heads, folds and dim-unified copies, is the point it
 came from at the dataset's dim; ``from_dense`` keeps each row's nonzeros,
@@ -50,6 +55,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import isokernel.dataset as dataset
+import isokernel.kernels as kernels
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
@@ -67,7 +73,7 @@ from isokernel.dataset import (
 )
 import isokernel.partition as partition
 from isokernel.featuremap import Mapper, kernel
-from isokernel.kernels import Gaussian, Laplacian
+from isokernel.kernels import Gaussian, Laplacian, RowStore
 from isokernel.learner import (
     DualModel,
     FeatureMatchKernel,
@@ -77,9 +83,11 @@ from isokernel.learner import (
     save_checkpoint,
 )
 from isokernel.nystrom import NystromMap, fit_nystrom
-from isokernel.partition import SCHEMES as BUILDERS, sample_psi
+from isokernel.partition import SCHEMES as BUILDERS
 
-from helpers import cell, centre_forms, walk_tree
+from helpers import (
+    cell, centre_forms, one_row_laplacian, sample_psi, walk_tree,
+)
 
 ETA = 0.5
 SCHEMES = st.sampled_from(["iforest", "anne"])
@@ -547,6 +555,130 @@ class TestBaselineKernels:
         G = np.array([nm.kernel_row(z) for z in nm.landmarks])
         G = 0.5 * (G + G.T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10 * b
+
+
+@st.composite
+def stores_and_blocks(draw):
+    """(kernel, stored rows, query rows, budget): sparse rows under a
+    Laplacian or a Gaussian, whose queries may be empty, of unequal length
+    and hold attributes past every stored one, or features of length t
+    under the feature-match kernel; the budget stands in for
+    ``SCORE_BLOCK``, small enough to split a block."""
+    budget = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        t = draw(st.integers(1, 5))
+        cells = st.lists(st.integers(0, 3), min_size=t, max_size=t)
+        stored = draw(st.lists(cells, max_size=12))
+        queries = draw(st.lists(cells, max_size=10))
+        return (FeatureMatchKernel(t), np.array(stored).reshape(-1, t),
+                np.array(queries).reshape(-1, t), budget)
+    top = draw(st.integers(1, 24))
+    kern = draw(st.sampled_from([Laplacian(draw(st.integers(2, 256)), top),
+                                 Gaussian(0.4, top)]))
+    stored = draw(st.lists(sparse_points(st.integers(1, top)), max_size=12))
+    queries = draw(st.lists(sparse_points(st.integers(1, top + 3)),
+                            max_size=10))
+    return kern, stored, queries, budget
+
+
+def ragged_of(kern, rows):
+    """The flat ragged arrays of ``rows`` as ``RowStore.scores`` takes a
+    block: sparse rows' entries, or every position of each feature."""
+    if isinstance(kern, FeatureMatchKernel):
+        n, t = rows.shape
+        return (np.tile(np.arange(1, t + 1), n), rows.reshape(-1),
+                np.arange(0, n * t + 1, t))
+    return Rows.of(rows).ragged()
+
+
+def scored_blocks(case):
+    """The store of a ``stores_and_blocks`` case, its block scores, each
+    query's scores as a block of one, and the sizes of the blocks the
+    kernel was given for the first."""
+    kern, stored, queries, budget = case
+    store = RowStore(kern)
+    for i in range(len(stored)):
+        store.append(*ragged_of(kern, stored[i:i + 1])[:2])
+    sizes = []
+    score = kern.sparse_row_scores
+
+    def spy(x, Z, norms):
+        sizes.append(x[2].size - 1)
+        return score(x, Z, norms)
+
+    with patch.object(kernels, "SCORE_BLOCK", budget):
+        with patch.object(kern, "sparse_row_scores", spy):
+            K = store.scores(*ragged_of(kern, queries))
+        rows = [store.scores(*ragged_of(kern, queries[i:i + 1]))
+                for i in range(len(queries))]
+    return store, K, rows, sizes
+
+
+def block_traits(case):
+    """What a ``stores_and_blocks`` case reaches: an empty query, queries
+    of unequal length, a query attribute past the end of ``slot``, and a
+    block split in two or more."""
+    store, _, _, sizes = scored_blocks(case)
+    _, _, queries, _ = case
+    traits = set()
+    if len(sizes) > 1:
+        traits.add("split")
+    if isinstance(case[0], FeatureMatchKernel):
+        return traits
+    lengths = {x.indices.size for x in queries}
+    if 0 in lengths:
+        traits.add("empty")
+    if len(lengths) > 1:
+        traits.add("unequal")
+    if any(x.indices.size and x.indices[-1] >= store.slot.size
+           for x in queries):
+        traits.add("past slot")
+    return traits
+
+
+class TestBlockScores:
+    @settings(max_examples=60, deadline=None)
+    @given(stores_and_blocks())
+    def test_block_scores_equal_one_row_scores(self, case):
+        store, K, rows, _ = scored_blocks(case)
+        kern, stored, queries, _ = case
+        assert K.shape == (len(queries), len(stored))
+        for i, x in enumerate(queries):
+            assert rows[i].shape == (1, len(stored))
+            assert K[i].tobytes() == rows[i][0].tobytes()
+            if isinstance(kern, Laplacian):
+                assert K[i].tobytes() == one_row_laplacian(store, x).tobytes()
+        # weighted, each row's dot as the one-row dual scorer took it
+        weights = np.linspace(-1.0, 2.0, len(stored))
+        with patch.object(kernels, "SCORE_BLOCK", case[3]):
+            dots = store.scores(*ragged_of(kern, queries), weights)
+        assert dots.tobytes() == np.array(
+            [weights @ row for row in K]).reshape(-1).tobytes()
+
+    def test_a_store_of_one_row_scores_row_by_row(self):
+        # against one stored row numpy sums each query's terms pairwise,
+        # where a padded row of 9 or more terms would round otherwise
+        rng = np.random.default_rng(11)
+        kern = Laplacian(64, 40)
+        store = RowStore(kern)
+        store.append(np.arange(1, 41), rng.standard_normal(40))
+        queries = []
+        for size in rng.integers(0, 41, 30):
+            idx = np.sort(rng.choice(40, size, replace=False)) + 1
+            queries.append(SparseVector(idx, rng.standard_normal(size)
+                                        * 10.0 ** rng.uniform(-3, 3, size),
+                                        40))
+        K = store.scores(*Rows.of(queries).ragged())
+        for x, row in zip(queries, K, strict=True):
+            assert row.tobytes() == one_row_laplacian(store, x).tobytes()
+
+    @pytest.mark.parametrize("trait",
+                             ["empty", "unequal", "past slot", "split"])
+    def test_the_draws_reach_every_trait(self, trait):
+        # any example will do, so none is shrunk
+        find(stores_and_blocks(), lambda case: trait in block_traits(case),
+             settings=settings(max_examples=200, database=None,
+                               phases=[Phase.generate]))
 
 
 class TestPrimalDual:
