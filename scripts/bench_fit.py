@@ -23,8 +23,8 @@ baselines-online's 8000 a9a-shaped lines). A ``score-`` shape scores
 baselines-online's a9a-shaped rows under its Laplacian kernel (psi=64)
 against ``stored`` rows, each figure the best of ``--repeats``: for dual
 OGD with that many support vectors, the p50 of ``predict`` (the step
-path) over ``ENCODE_POINTS`` points and ``predict_many`` of a
-1000-point block in us per point; for NOGD with that many landmarks
+path) over ``ENCODE_POINTS`` points and ``encode`` then ``predict_many``
+of a 1000-point block in us per point; for NOGD with that many landmarks
 (r=20), the p50 of ``map_point``, ``map_many`` of the block in us per
 point, and ``fit_nystrom`` in ms. The package and the generators are
 imported from the checkout that holds this script, so a copy of it in
@@ -184,12 +184,15 @@ def time_score(learner, stored, repeats):
     train, block = ds.subset(range(stored)), ds.subset(range(stored, len(ds)))
     points = block.rows.vectors()
     if learner == "ogd":
-        # as the protocol scores them: the block's points, encoded by the
-        # model as SparseVectors
+        # as the protocol scores a block: encoded by the model, which gives
+        # its Rows, then scored from their packing
         model = DualModel(kernel)
         for p in train:
             model._update(p.x, p.c, 0.5)
-        one, many, block, fit = model.predict, model.predict_many, points, None
+        one, fit = model.predict, None
+
+        def many(block):
+            return model.predict_many(model.encode(block))
     else:
         nm = fit_nystrom(train, stored, 20, kernel, 7)
         one, many = nm.map_point, nm.map_many

@@ -135,10 +135,10 @@ class Dataset:
         return len(self.rows)
 
     def __getitem__(self, i):
-        return LabeledPoint(self.rows.vector(i), self._labels[i])
+        return LabeledPoint(self.rows[i], self._labels[i])
 
     def __iter__(self):
-        return map(LabeledPoint, self.rows.vectors(), self._labels.tolist())
+        return map(LabeledPoint, self.rows, self._labels.tolist())
 
     def labels(self):
         """Labels as an int8 array of +1/-1."""
@@ -269,7 +269,8 @@ class Rows:
     entry, so a dataset, its slices and folds, and a fit's samples are all
     selections of the one packing its rows were loaded into; the selected
     rows' arrays are gathered when asked for. Selections of one packing
-    share its squared row norms, each taken at most once.
+    share its squared row norms, each taken at most once. It is the
+    sequence of its rows as SparseVector views of the packing.
     """
 
     __slots__ = ("indices", "values", "offsets", "dim", "ids", "_sq")
@@ -356,7 +357,7 @@ class Rows:
         row = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(offsets))
         return row, indices - 1, values
 
-    def vector(self, i):
+    def __getitem__(self, i):
         """The i-th selected row as a SparseVector view of the packing."""
         r = range(len(self))[i]  # a negative i counts from the end
         if self.ids is not None:
@@ -371,6 +372,9 @@ class Rows:
         return [_view(self.indices[lo : lo + n], self.values[lo : lo + n],
                       self.dim)
                 for lo, n in zip(first.tolist(), count.tolist())]
+
+    def __iter__(self):
+        return iter(self.vectors())
 
     def with_dim(self, dim):
         """The same rows declared at ``dim``, which no index may exceed."""

@@ -13,9 +13,6 @@ import numpy as np
 from .dataset import l1_distance, sq_distance
 from .errors import ParameterError
 
-# elements per |X - Z| broadcast block; bounds peak memory
-_BLOCK_ELEMS = 16_000_000
-
 # Elements of the widest temporary that ``RowStore.scores`` makes for one
 # block of rows: a block of m rows, each padded to the widest row's w
 # entries, against n stored rows gathers m*w*n of them, so a block holds
@@ -157,9 +154,46 @@ def gaussian(x, y, gamma):
     return Gaussian(gamma, max(x.dim, y.dim))(x, y)
 
 
-class Laplacian:
-    """Laplacian kernel: a scalar form on sparse points, a scorer of a
-    query against the rows of a ``RowStore``, and a dense kernel matrix."""
+class _Stationary:
+    """A kernel exp(-scale * dist(x, y)) whose distance sums ``term(x_j -
+    y_j)`` over the attributes j (``term`` is ``np.abs`` or ``np.square``),
+    clamped at 0 when ``clamp`` is set: a scalar form on sparse points by
+    ``distance``, and a scorer of a block of queries against the rows of a
+    ``RowStore``."""
+
+    def __init__(self, term, distance, scale, clamp):
+        self.term, self.distance = term, distance
+        self.scale, self.clamp = scale, clamp
+
+    def __call__(self, x, y):
+        return math.exp(-self.scale * self.distance(x, y))
+
+    def sparse_row_scores(self, x, Z, norms):
+        """k(x, z) for every row x of a block and every row z of a
+        column-major store Z, whose ``row_norm`` values are the (1, n) row
+        ``norms``, as an (m, n) array, reading only each x's own columns:
+        dist(x, z) = norm(z) + sum_{j in supp x} (term(x_j - z_j) -
+        term(z_j)). x is ``(columns, values, offsets)``: its rows' entries'
+        columns of Z and their values, row i's at ``offsets[i]:offsets[i +
+        1]``.
+        """
+        at, values, m, w = _padded(x)
+        cols = Z.T[at]
+        term_z = self.term(cols)
+        cols -= values[:, None]
+        self.term(cols, out=cols)
+        cols -= term_z
+        dist = cols.reshape(m, w, Z.shape[0]).sum(axis=1)
+        dist += norms
+        if self.clamp:
+            np.maximum(dist, 0.0, out=dist)
+        dist *= -self.scale
+        return np.exp(dist, out=dist)
+
+
+class Laplacian(_Stationary):
+    """Laplacian kernel exp(-lambda * l1(x, y)), lambda = log(psi)/dim;
+    also a dense kernel matrix."""
 
     name = "laplacian"
 
@@ -170,10 +204,7 @@ class Laplacian:
             raise ParameterError(f"dim must be >= 1, got {dim}")
         self.psi = psi
         self.dim = int(dim)
-        self.lam = math.log(psi) / dim
-
-    def __call__(self, x, y):
-        return math.exp(-self.lam * l1_distance(x, y))
+        super().__init__(np.abs, l1_distance, math.log(psi) / dim, False)
 
     def params(self):
         return {"name": self.name, "psi": self.psi, "dim": self.dim}
@@ -183,78 +214,37 @@ class Laplacian:
         entry that ``sparse_row_scores`` takes for it."""
         return float(np.abs(values).sum())
 
-    def sparse_row_scores(self, x, Z, norms):
-        """k(x, z) for every row x of a block and every row z of a
-        column-major store Z, whose ``row_norm`` values are the (1, n) row
-        ``norms``, as an (m, n) array, reading only each x's own columns:
-        l1(x, z) = ||z||_1 + sum_{j in supp x} (|x_j - z_j| - |z_j|).
-        x is ``(columns, values, offsets)``: its rows' entries' columns of
-        Z and their values, row i's at ``offsets[i]:offsets[i + 1]``.
-        """
-        at, values, m, w = _padded(x)
-        cols = Z.T[at]
-        abs_z = np.abs(cols)
-        cols -= values[:, None]
-        np.abs(cols, out=cols)
-        cols -= abs_z
-        d1 = cols.reshape(m, w, Z.shape[0]).sum(axis=1)
-        d1 += norms
-        d1 *= -self.lam
-        return np.exp(d1, out=d1)
-
     def matrix(self, X, Z):
-        """Kernel matrix between dense row sets X (n x d) and Z (m x d)."""
+        """Kernel matrix between dense row sets X (n x d) and Z (m x d),
+        a block of rows at a time within ``SCORE_BLOCK`` elements."""
         n = X.shape[0]
         out = np.empty((n, Z.shape[0]), dtype=np.float64)
-        step = max(1, _BLOCK_ELEMS // max(1, Z.shape[0] * Z.shape[1]))
+        step = max(1, SCORE_BLOCK // max(1, Z.shape[0] * Z.shape[1]))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             d1 = np.abs(X[lo:hi, None, :] - Z[None, :, :]).sum(axis=2)
-            out[lo:hi] = np.exp(-self.lam * d1)
+            out[lo:hi] = np.exp(-self.scale * d1)
         return out
 
 
-class Gaussian:
-    """Gaussian (RBF) kernel: a scalar form on sparse points, and a scorer
-    of a query against the rows of a ``RowStore``."""
+class Gaussian(_Stationary):
+    """Gaussian (RBF) kernel exp(-gamma * ||x - y||^2)."""
 
     name = "gaussian"
 
     def __init__(self, gamma, dim):
         if gamma <= 0:
             raise ParameterError(f"gamma must be > 0, got {gamma}")
-        self.gamma = float(gamma)
         self.dim = int(dim)
-
-    def __call__(self, x, y):
-        return math.exp(-self.gamma * sq_distance(x, y))
+        super().__init__(np.square, sq_distance, float(gamma), True)
 
     def params(self):
-        return {"name": self.name, "gamma": self.gamma, "dim": self.dim}
+        return {"name": self.name, "gamma": self.scale, "dim": self.dim}
 
     def row_norm(self, values):
         """||z||^2 of a stored row with nonzero ``values``: the ``norms``
         entry that ``sparse_row_scores`` takes for it."""
         return float(values @ values)
-
-    def sparse_row_scores(self, x, Z, norms):
-        """k(x, z) for every row x of a block and every row z of a
-        column-major store Z, whose ``row_norm`` values are the (1, n) row
-        ``norms``, as an (m, n) array, reading only each x's own columns:
-        ||x - z||^2 = ||z||^2 + sum_{j in supp x} ((x_j - z_j)^2 - z_j^2),
-        clamped at 0. x is ``(columns, values, offsets)``, as for
-        ``Laplacian``."""
-        at, values, m, w = _padded(x)
-        cols = Z.T[at]
-        sq_z = np.square(cols)
-        cols -= values[:, None]
-        np.square(cols, out=cols)
-        cols -= sq_z
-        sq = cols.reshape(m, w, Z.shape[0]).sum(axis=1)
-        sq += norms
-        np.maximum(sq, 0.0, out=sq)
-        sq *= -self.gamma
-        return np.exp(sq, out=sq)
 
 
 def make_kernel(params):

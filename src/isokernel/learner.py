@@ -101,10 +101,10 @@ class _Model:
 
     def encode(self, dataset):
         """What ``step`` and ``predict_many`` take of ``dataset``'s points:
-        the encoder's ``map_many`` of them, or the points themselves as
-        SparseVectors when the model learns on raw points."""
+        the encoder's ``map_many`` of them, or their ``Rows``, a sequence of
+        SparseVector views, when the model learns on raw points."""
         if self.encoder is None:
-            return dataset.rows.vectors()
+            return dataset.rows
         return self.encoder.map_many(dataset)
 
     def predict(self, x):
@@ -154,9 +154,9 @@ def _entries(x):
 
 
 def _ragged(points):
-    """Flat ragged ``(indices, values, offsets)`` of points: SparseVectors,
-    or features (an (n, t) array, or a list of arrays of length t) as their
-    ``_entries``."""
+    """Flat ragged ``(indices, values, offsets)`` of points: a ``Rows`` or
+    SparseVectors, or features (an (n, t) array, or a list of arrays of
+    length t) as their ``_entries``."""
     if len(points) and not isinstance(points[0], SparseVector):
         F = np.asarray(points)
         n, t = F.shape
@@ -212,6 +212,9 @@ class DualModel(_Model):
         return self._store.scores(indices, values, offsets, self._coeffs[:s])
 
     def state(self):
+        if not hasattr(self.kernel, "params"):  # make_kernel cannot rebuild it
+            raise ParameterError(f"a dual model over a {self.kernel.name} "
+                                 "kernel cannot be checkpointed")
         meta = {
             "kernel": self.kernel.params(),
             "dim": max([self.kernel.dim] + [p.dim for p, _, _ in self.svs]),
@@ -225,7 +228,7 @@ class DualModel(_Model):
     @classmethod
     def from_state(cls, meta, arrays, encoder=None):
         model = cls(make_kernel(meta["kernel"]))
-        points = unpack_ragged(arrays, meta["dim"]).vectors()
+        points = unpack_ragged(arrays, meta["dim"])
         for point, c, alpha in zip(points, arrays["cs"], arrays["alphas"]):
             model._update(point, int(c), float(alpha))
         model.updates = meta["updates"]

@@ -50,17 +50,16 @@ class NystromMap:
     """Fitted landmark map: x -> proj @ (k(x, landmark_1..b)).
 
     The landmarks, SparseVectors or a ``Rows``, are held as one packing of
-    the map's own, of which ``landmarks`` are views (a selection's rows are
-    gathered once, so the map does not keep its dataset's packing), and as
-    the rows of a ``RowStore``, which the kernel's ``sparse_row_scores``
-    scores against a block of points at a time, on each point's own
-    columns.
+    the map's own, of which ``landmarks`` makes views when read (a
+    selection's rows are gathered once, so the map does not keep its
+    dataset's packing), and as the rows of a ``RowStore``, which the
+    kernel's ``sparse_row_scores`` scores against a block of points at a
+    time, on each point's own columns.
     """
 
     def __init__(self, landmarks, kernel_fn, proj, b, r, seed):
         rows = Rows.of(landmarks)
         self._rows = Rows(*rows.ragged(), rows.dim)
-        self.landmarks = self._rows.vectors()
         self.kernel = kernel_fn
         self.proj = np.asarray(proj, dtype=np.float64)
         self.b = b
@@ -68,8 +67,12 @@ class NystromMap:
         self.seed = seed
         self.encode_ops = 0  # landmark kernel evaluations while mapping
         self._store = RowStore(kernel_fn)
-        for z in self.landmarks:
+        for z in self._rows:
             self._store.append(z.indices, z.values)
+
+    @property
+    def landmarks(self):
+        return self._rows.vectors()
 
     @property
     def kernel_evals(self):
@@ -82,7 +85,7 @@ class NystromMap:
 
     def kernel_row(self, x):
         """k(x, z) for every landmark z, in landmark order."""
-        return self._kernel_rows(Rows.of([x]))[0]
+        return self._store.scores(*Rows.of([x]).ragged())[0]
 
     def map_point(self, x):
         """Dense feature vector of length effective_r: ``map_many([x])``."""
@@ -91,14 +94,9 @@ class NystromMap:
     def map_many(self, points):
         """Feature matrix (n, effective_r) of a Dataset or a point list."""
         rows = points.rows if isinstance(points, Dataset) else Rows.of(points)
-        K = self._kernel_rows(rows)
+        K = self._store.scores(*rows.ragged())
         self.encode_ops += K.size
         return K @ self.proj.T
-
-    def _kernel_rows(self, rows):
-        """(n, b) matrix of ``kernel_row`` of each of ``rows``, a ``Rows``,
-        scored a block of rows at a time."""
-        return self._store.scores(*rows.ragged())
 
     def state(self):
         """(meta, arrays) from which ``from_state`` rebuilds this map."""
@@ -141,7 +139,7 @@ def fit_nystrom(dataset, b, r, kernel_fn, seed):
     # the map scores its own Gram: proj is set once the Gram is known
     nm = NystromMap(dataset.rows.take(sample_rows(len(dataset), b, rng)),
                     kernel_fn, np.empty((0, b)), b, r, seed)
-    G = nm._kernel_rows(nm._rows)
+    G = nm._store.scores(*nm._rows.ragged())
     G = 0.5 * (G + G.T)  # scrub asymmetric rounding from the scorer
     vals, vecs = sym_eigen(G)
     vals = vals[:r]

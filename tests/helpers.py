@@ -139,7 +139,7 @@ def one_row_laplacian(store, x):
     cols -= abs_z
     d1 = cols.sum(axis=0)
     d1 += norms
-    d1 *= -store.kernel.lam
+    d1 *= -store.kernel.scale
     return np.exp(d1, out=d1)
 
 

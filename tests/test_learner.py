@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isokernel.dataset import SparseVector
+from isokernel.dataset import Dataset, LabeledPoint, SparseVector
 from isokernel.errors import (
     DataError,
     LoadError,
@@ -314,11 +314,13 @@ class TestNOGD:
 def trained(kind):
     """A model of ``kind`` after 25 steps, 15 queries for it, and an input
     of the wrong width with the error both scoring paths raise for it:
-    None for a dual model over raw points, which scores a wider point."""
+    None for a dual model over raw points, which scores a wider point.
+    ``ogd-rows`` queries a Laplacian dual model with a block as the
+    protocol encodes it: a ``Rows`` selection of the dataset's packing."""
     rng = np.random.default_rng(2)
-    if kind in ("ogd", "ogd-gaussian"):
-        m = DualModel(Laplacian(psi=8, dim=4) if kind == "ogd"
-                      else Gaussian(0.4, 4))
+    if kind in ("ogd", "ogd-gaussian", "ogd-rows"):
+        m = DualModel(Gaussian(0.4, 4) if kind == "ogd-gaussian"
+                      else Laplacian(psi=8, dim=4))
         points = [rand_sparse(rng, 4) for _ in range(40)]
         bad, error = SparseVector([1, 6], [0.5, 1.0], 6), None
     elif kind == "nogd":
@@ -336,6 +338,11 @@ def trained(kind):
         bad, error = np.zeros(mapper.t - 1, dtype=np.int32), ProvenanceError
     for x in points[:25]:
         m.step(x, int(rng.choice([-1, 1])), 0.5)
+    if kind == "ogd-rows":
+        ds = Dataset([LabeledPoint(x, 1) for x in points], dim=4)
+        rows = m.encode(ds.subset([39, 27, 31, 27, 25, 36]))
+        assert rows.ids is not None  # a selection, read through its ids
+        return m, rows, bad, error
     return m, points[25:], bad, error
 
 
@@ -343,12 +350,13 @@ class TestScorer:
     """A point scores as its row in a batch: one scorer per model."""
 
     @pytest.mark.parametrize(
-        "kind", ["ogd", "ogd-gaussian", "ogd-feature-match", "ik-ogd",
-                 "nogd"])
+        "kind", ["ogd", "ogd-gaussian", "ogd-rows", "ogd-feature-match",
+                 "ik-ogd", "nogd"])
     def test_predict_many_matches_predict(self, kind):
         m, queries, bad, error = trained(kind)
-        assert [m.predict(q) for q in queries] == (
-            m.predict_many(queries).tolist())
+        scores = m.predict_many(queries)
+        assert [m.predict(q) for q in queries] == scores.tolist()
+        assert scores.tobytes() == m.predict_many(list(queries)).tobytes()
         costs = []
         for score in (m.predict, lambda q: m.predict_many([q])):
             before = m.total_ops
@@ -491,6 +499,14 @@ class TestCheckpoints:
         path = tmp_path / "ik.npz"
         with pytest.raises(ParameterError, match=f"not a '{kind}' learner"):
             save_checkpoint(path, kind, IKOGDModel(3, 4, mapper=mapper), {})
+        assert not path.exists()
+
+    def test_a_dual_model_whose_kernel_cannot_be_rebuilt_is_not_saved(
+            self, tmp_path):
+        m, _, _, _ = trained("ogd-feature-match")
+        path = tmp_path / "ogd.npz"
+        with pytest.raises(ParameterError, match="cannot be checkpointed"):
+            save_checkpoint(path, "ogd", m, {})
         assert not path.exists()
 
     def test_ogd_checkpoint_round_trip(self, tmp_path):
