@@ -9,12 +9,7 @@ import pytest
 from isokernel.dataset import Rows, SparseVector, l1_distance
 from isokernel.errors import ParameterError
 from isokernel.kernels import (
-    Gaussian,
-    Laplacian,
-    RowStore,
-    gaussian,
-    laplacian,
-    make_kernel,
+    Gaussian, Laplacian, RowStore, gaussian, laplacian, make_kernel,
 )
 
 from helpers import rand_sparse
@@ -134,10 +129,11 @@ class TestBatchPaths:
 
 
 # sha256 (first 16 hex digits) of the stationary kernels' values on one
-# fixed draw: each kernel's ``RowStore.scores`` blocks, plain and weighted,
-# of queries wider than the store, its scalar values on the same pairs,
-# and ``Laplacian.matrix``, as recorded before the two kernels shared one
-# scorer.
+# fixed draw: each kernel's ``RowStore.scores``, plain and weighted, of 25
+# queries wider than the store, in 4 blocks of up to 7 rows; its scalar
+# values against 40 of the stored rows; and ``Laplacian.matrix`` of the
+# same pairs, in 2 blocks. Recorded before the two kernels shared one
+# scorer and ``matrix`` blocked by ``SCORE_BLOCK``.
 PINNED_STATIONARY = "d54d1ed3ddc79fd0"
 
 
