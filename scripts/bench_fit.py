@@ -29,6 +29,15 @@ of a 1000-point block in us per point; for NOGD with that many landmarks
 point, and ``fit_nystrom`` in ms. The package and the generators are
 imported from the checkout that holds this script, so a copy of it in
 another checkout times that checkout's code.
+
+The ``score-`` block figures depend on the process's memory layout as
+well as on the code: on identical code, ``score-dual-50``'s ``encode``
+then ``predict_many`` has read 1.6 us per point in one process and 3.2
+in another, whose only difference was the other shapes run or the size
+of the environment, and each reading repeated from run to run. So
+compare two commits only with both packages loaded in one process, or
+with paired runs over several layouts (say, environments of different
+sizes), never by one run of each.
 """
 import argparse
 import os

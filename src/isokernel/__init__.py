@@ -14,16 +14,8 @@ from .dataset import (
     split_head,
     sq_distance,
 )
-from .featuremap import (
-    Mapper,
-    OpCounter,
-    accumulate,
-    efficient_dot,
-    kernel,
-    naive_dot,
-    new_weights,
-)
-from .kernels import Gaussian, Laplacian, gaussian, laplacian
+from .featuremap import Mapper, kernel, naive_dot
+from .kernels import Gaussian, Laplacian
 from .learner import (
     DualModel,
     FeatureMatchKernel,
@@ -56,21 +48,15 @@ __all__ = [
     "Metrics",
     "NOGDModel",
     "NystromMap",
-    "OpCounter",
     "ProtocolConfig",
     "SparseVector",
-    "accumulate",
     "cv_select_psi",
-    "efficient_dot",
     "fit_nystrom",
-    "gaussian",
     "kernel",
     "kfold",
-    "laplacian",
     "load_libsvm",
     "make_two_gaussians",
     "naive_dot",
-    "new_weights",
     "parse_libsvm_line",
     "predict_label",
     "run_batch",

@@ -1,4 +1,4 @@
-"""The exact sparse feature map: t partitionings, index encoding, dot products.
+"""The exact sparse feature map: t partitionings, index encoding, the kernel.
 
 A fitted ``Mapper`` holds t independently built partitionings with psi cells
 each. A point maps to a length-t integer vector of cell ids (its "indexed
@@ -8,8 +8,10 @@ oracles. The kernel value of two points is the fraction of partitionings in
 which their ids agree, so it always lies on the grid {0, 1/t, ..., 1} and
 k(x, x) = 1.
 
-Weight matrices for primal learners are plain (t, psi) float arrays; the
-indexed form makes <w, feature> a sum of t entries of w, independent of psi.
+The primal learner ``learner.IKOGDModel`` holds the one dot product and
+update: its weights are a (t, psi) array, whose dot with a feature is a sum
+of t entries, independent of psi. ``kernel``, ``dense_feature`` and
+``naive_dot`` are the reference forms that it is tested against.
 
 Encoding reads points as sparse rows and never builds an n x d matrix. The
 partitionings are joined once per map into one form, ``SCHEMES[scheme].join``
@@ -41,18 +43,6 @@ FORMAT_VERSION = 3
 # elements in the widest array of one encoding block: its (row, tree)
 # pairs, (row, centre) scores or densified (row, column) entries
 _BLOCK = 1 << 17
-
-
-class OpCounter:
-    """Accumulates elementary-operation counts for cost assertions."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n):
-        self.count += int(n)
 
 
 class Mapper:
@@ -177,33 +167,6 @@ def kernel(fa, fb):
     return float(np.count_nonzero(fa == fb)) / fa.size
 
 
-def new_weights(t, psi):
-    """Zero-initialized (t, psi) weight matrix."""
-    return np.zeros((t, psi), dtype=np.float64)
-
-
-def _check_shapes(w, f):
-    if w.ndim != 2:
-        raise ShapeError(f"weight matrix must be 2-d, got {w.ndim}-d")
-    if f.size != w.shape[0]:
-        raise ShapeError(
-            f"feature length {f.size} != weight rows {w.shape[0]}"
-        )
-
-
-def efficient_dot(w, f, counter=None):
-    """<w, Phi> as a sum of t entries of w, one per partitioning.
-
-    Cost is t additions regardless of psi; ``counter`` (if given) records
-    exactly the number of additions performed.
-    """
-    _check_shapes(w, f)
-    picked = w[np.arange(f.size), f]
-    if counter is not None:
-        counter.add(picked.size)
-    return float(picked.sum())
-
-
 def dense_feature(f, psi):
     """Materialized binary indicator matrix (t, psi); test-oracle form."""
     if f.size and int(f.max()) >= psi:
@@ -213,20 +176,13 @@ def dense_feature(f, psi):
     return phi
 
 
-def naive_dot(w, f, counter=None):
-    """<w, Phi> via the full t*psi elementwise product (reference path)."""
-    _check_shapes(w, f)
-    phi = dense_feature(f, w.shape[1])
-    if counter is not None:
-        counter.add(phi.size)
-    return float((w * phi).sum())
-
-
-def accumulate(w, f, coeff):
-    """In-place w += coeff * Phi: adds coeff at (i, f[i]) for each row i."""
-    _check_shapes(w, f)
-    w[np.arange(f.size), f] += coeff
-    return w
+def naive_dot(w, f):
+    """<w, Phi> via the full t*psi elementwise product, ``w.size``
+    operations: the reference for ``IKOGDModel``'s t weight reads."""
+    if w.ndim != 2 or f.size != w.shape[0]:
+        raise ShapeError(f"a feature of length {f.size} against weights of "
+                         f"shape {w.shape}")
+    return float((w * dense_feature(f, w.shape[1])).sum())
 
 
 def write_features_csv(path, features):

@@ -144,16 +144,6 @@ def _padded(x):
     return pad_at.reshape(-1), pad_values.reshape(-1), m, w
 
 
-def laplacian(x, y, psi, dim):
-    """exp(-lambda * l1(x, y)) with lambda = log(psi)/dim."""
-    return Laplacian(psi, dim)(x, y)
-
-
-def gaussian(x, y, gamma):
-    """exp(-gamma * ||x - y||^2)."""
-    return Gaussian(gamma, max(x.dim, y.dim))(x, y)
-
-
 class _Stationary:
     """A kernel exp(-scale * dist(x, y)) whose distance sums ``term(x_j -
     y_j)`` over the attributes j (``term`` is ``np.abs`` or ``np.square``),

@@ -23,7 +23,7 @@ from .dataset import (
     unpack_ragged,
 )
 from .errors import ParameterError, ProvenanceError, ShapeError
-from .featuremap import Mapper, kernel, new_weights
+from .featuremap import Mapper
 from .kernels import RowStore, make_kernel
 from .nystrom import NystromMap
 
@@ -44,18 +44,14 @@ class FeatureMatchKernel:
     """Kernel over indexed features: fraction of agreeing positions.
 
     Lets a dual model run on mapped features, mirroring the primal model's
-    kernel exactly.
+    kernel exactly. It only scores a block against a ``RowStore``; the
+    value of one pair is ``featuremap.kernel``.
     """
 
     name = "feature-match"
 
     def __init__(self, t):
         self.t = t
-
-    def __call__(self, fa, fb):
-        if fa.size != self.t or fb.size != self.t:
-            raise ProvenanceError("feature length does not match kernel t")
-        return kernel(fa, fb)
 
     def row_norm(self, f):
         """Unused by the scorer; checks the length of a stored feature."""
@@ -241,7 +237,15 @@ class IKOGDModel(_Model):
     The weight update on violation adds eta*c at the t cells the feature
     indexes, which is exactly the dual update expressed through the feature
     map; prediction reads t weights regardless of psi or update count.
-    Both read the weights through their flat offsets in ``w``.
+    Both read the weights through their flat offsets in ``w``: the
+    package's one dot product and update on indexed features.
+
+    A feature that is not t integer cell ids raises ``ProvenanceError``.
+    That each id lies in ``[0, psi)`` is not checked, since the check
+    costs half a ``predict`` at t=100: an id of psi or more, or below 0,
+    reads or updates another partitioning's weight (or, past either end of
+    ``w``, raises numpy's ``IndexError``). A feature of the model's own
+    map always lies in range.
     """
 
     _dims = ("t", "psi")
@@ -251,7 +255,7 @@ class IKOGDModel(_Model):
         self.t = t
         self.psi = psi
         self.mapper = mapper
-        self.w = new_weights(t, psi)
+        self.w = np.zeros((t, psi))
         # the flat offset in w of partitioning i's cell 0
         self._at = np.arange(t) * psi
 
@@ -262,6 +266,9 @@ class IKOGDModel(_Model):
     def _scores(self, F):
         """Score of a feature, or scores of an (n, t) feature matrix."""
         F = np.asarray(F)
+        if F.dtype.kind not in "iu":  # a bool would read as cell 0 or 1
+            raise ProvenanceError(f"features of dtype {F.dtype} are not "
+                                  "integer cell ids")
         if F.shape[-1] != self.t:
             raise ProvenanceError(
                 f"feature length {F.shape[-1]} does not match model t={self.t}"

@@ -15,15 +15,8 @@ import pytest
 
 from isokernel.dataset import Dataset, LabeledPoint, SparseVector, load_libsvm
 from isokernel.eval import ProtocolConfig, run_batch
-from isokernel.featuremap import (
-    Mapper,
-    OpCounter,
-    dense_feature,
-    efficient_dot,
-    kernel,
-    naive_dot,
-)
-from isokernel.kernels import Gaussian, laplacian
+from isokernel.featuremap import Mapper, dense_feature, kernel, naive_dot
+from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import DualModel, FeatureMatchKernel, IKOGDModel
 from isokernel.nystrom import fit_nystrom
 
@@ -116,16 +109,17 @@ def test_criterion_3_efficient_dot_product():
     rng = np.random.default_rng(1003)
     t = 25
     for psi in (16, 1024, 16384):
+        model = IKOGDModel(t, psi)
         for _ in range(1000):
-            w = rng.standard_normal((t, psi))
+            model.w = rng.standard_normal((t, psi))
             f = rng.integers(0, psi, size=t).astype(np.int32)
-            counter = OpCounter()
-            fast = efficient_dot(w, f, counter)
-            assert counter.count == t  # adds independent of psi
-            assert fast == pytest.approx(naive_dot(w, f), abs=1e-12)
+            score = model.predict(f)
+            assert model.last_predict_ops == t  # reads independent of psi
+            assert score * t == pytest.approx(naive_dot(model.w, f),
+                                              abs=1e-12)
     _report(
-        "criterion 3: efficient dot == naive dot (1e-12) with exactly t "
-        "adds at psi in {16, 1024, 16384}"
+        "criterion 3: IK-OGD's predict * t == naive dot (1e-12) reading "
+        "exactly t weights at psi in {16, 1024, 16384}"
     )
 
 
@@ -205,10 +199,8 @@ def test_criterion_6_laplacian_correspondence_uniform_density():
         float(np.count_nonzero(F[i] == F[i + n_pairs])) / t
         for i in range(n_pairs)
     ]
-    lap_vals = [
-        laplacian(pts[i], pts[i + n_pairs], psi=psi, dim=2)
-        for i in range(n_pairs)
-    ]
+    laplacian = Laplacian(psi, 2)
+    lap_vals = [laplacian(pts[i], pts[i + n_pairs]) for i in range(n_pairs)]
     rho = float(spearmanr(ik_vals, lap_vals).statistic)
     assert rho >= 0.90
     _report(

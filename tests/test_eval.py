@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import isokernel.eval as evalmod
-from isokernel.dataset import Dataset, kfold, shuffle, split_head
+from isokernel.dataset import Dataset, kfold, split_head
 from isokernel.errors import ConfigError
 from isokernel.eval import (
-    Metrics,
     ProtocolConfig,
     cv_select_psi,
     make_two_gaussians,

@@ -30,15 +30,12 @@ from isokernel.errors import (
 )
 from isokernel.featuremap import (
     Mapper,
-    OpCounter,
-    accumulate,
     dense_feature,
-    efficient_dot,
     kernel,
     naive_dot,
-    new_weights,
     write_features_csv,
 )
+from isokernel.learner import IKOGDModel
 
 from isokernel.partition import DENSE_FILL, CentreIndex, CentreStack, Forest
 
@@ -233,91 +230,86 @@ class TestKernel:
 
 
 class TestDotProducts:
+    """``IKOGDModel``'s t weight reads against the reference forms."""
+
     def test_all_ones_weight_counts_t(self):
-        w = np.ones((12, 5))
+        model = IKOGDModel(12, 5)
+        model.w[:] = 1.0
         f = np.arange(12, dtype=np.int32) % 5
-        assert efficient_dot(w, f) == 12.0
+        assert model.predict(f) * 12 == 12.0
 
     def test_weight_from_feature_chains_to_kernel(self):
         ds, mapper = fit_small(t=20)
         rng = np.random.default_rng(9)
         fy = mapper.map_point(rand_sparse(rng, 6))
-        w = dense_feature(fy, mapper.psi)
+        model = IKOGDModel(mapper.t, mapper.psi)
+        model.w = dense_feature(fy, mapper.psi)
         fx = mapper.map_point(rand_sparse(rng, 6))
-        assert efficient_dot(w, fx) == mapper.t * kernel(fx, fy)
+        assert model.predict(fx) == kernel(fx, fy)
 
     def test_efficient_equals_naive_on_random_inputs(self):
         rng = np.random.default_rng(10)
         for _ in range(1000):
             t = int(rng.integers(1, 20))
             psi = int(rng.integers(1, 30))
-            w = rng.standard_normal((t, psi))
+            model = IKOGDModel(t, psi)
+            model.w = rng.standard_normal((t, psi))
             f = rng.integers(0, psi, size=t).astype(np.int32)
-            assert efficient_dot(w, f) == pytest.approx(
-                naive_dot(w, f), abs=1e-12
+            assert model.predict(f) * t == pytest.approx(
+                naive_dot(model.w, f), abs=1e-12
             )
 
-    def test_op_counters(self):
-        rng = np.random.default_rng(11)
-        w = rng.standard_normal((16, 64))
-        f = rng.integers(0, 64, size=16).astype(np.int32)
-        c1, c2 = OpCounter(), OpCounter()
-        efficient_dot(w, f, c1)
-        naive_dot(w, f, c2)
-        assert c1.count == 16
-        assert c2.count == 16 * 64
-
     def test_shape_mismatch_rejected(self):
-        w = np.zeros((4, 3))
+        with pytest.raises(ProvenanceError):
+            IKOGDModel(4, 3).predict(np.zeros(5, dtype=np.int32))
         with pytest.raises(ShapeError):
-            efficient_dot(w, np.zeros(5, dtype=np.int32))
-        with pytest.raises(ShapeError):
-            naive_dot(w, np.zeros(5, dtype=np.int32))
+            naive_dot(np.zeros((4, 3)), np.zeros(5, dtype=np.int32))
         with pytest.raises(ShapeError):
             dense_feature(np.array([3], dtype=np.int32), 3)
 
 
 class TestAccumulate:
+    """``IKOGDModel._update`` adds eta * c at the t cells of a feature."""
+
     def test_self_dot_after_single_accumulate(self):
-        w = new_weights(10, 6)
+        model = IKOGDModel(10, 6)
         f = np.arange(10, dtype=np.int32) % 6
-        accumulate(w, f, 1.0)
-        assert efficient_dot(w, f) == 10.0
+        model._update(f, 1, 1.0)
+        assert model.predict(f) == 1.0
 
     def test_accumulate_then_inverse_restores_exactly(self):
         # dyadic entries and coefficient keep every add rounding-free, so
-        # the inverse accumulate must restore w bit for bit
+        # the inverse update must restore w bit for bit
         rng = np.random.default_rng(12)
-        w = rng.integers(-16, 16, size=(8, 5)).astype(np.float64) / 8.0
-        before = w.copy()
+        model = IKOGDModel(8, 5)
+        model.w = rng.integers(-16, 16, size=(8, 5)).astype(np.float64) / 8.0
+        before = model.w.copy()
         f = rng.integers(0, 5, size=8).astype(np.int32)
-        accumulate(w, f, 0.375)
-        accumulate(w, f, -0.375)
-        assert np.array_equal(w, before)
+        model._update(f, 1, 0.375)
+        model._update(f, -1, 0.375)
+        assert np.array_equal(model.w, before)
 
     def test_accumulate_from_zero_inverse_restores_any_coeff(self):
-        w = new_weights(6, 4)
+        model = IKOGDModel(6, 4)
         f = np.array([0, 1, 2, 3, 0, 1], dtype=np.int32)
-        accumulate(w, f, 0.37)
-        accumulate(w, f, -0.37)
-        assert np.array_equal(w, new_weights(6, 4))
+        model._update(f, 1, 0.37)
+        model._update(f, -1, 0.37)
+        assert np.array_equal(model.w, np.zeros((6, 4)))
 
     def test_accumulated_weights_expand_as_dual_sum(self):
         ds, mapper = fit_small(t=15)
         rng = np.random.default_rng(13)
-        w = new_weights(mapper.t, mapper.psi)
+        model = IKOGDModel(mapper.t, mapper.psi)
         terms = []
         for _ in range(30):
             fj = mapper.map_point(rand_sparse(rng, 6))
             coeff = float(rng.standard_normal())
-            accumulate(w, fj, coeff)
+            model._update(fj, 1, coeff)
             terms.append((fj, coeff))
         for _ in range(20):
             f = mapper.map_point(rand_sparse(rng, 6))
-            expected = sum(
-                coeff * mapper.t * kernel(fj, f) for fj, coeff in terms
-            )
-            assert efficient_dot(w, f) == pytest.approx(expected, abs=1e-9)
+            expected = sum(coeff * kernel(fj, f) for fj, coeff in terms)
+            assert model.predict(f) == pytest.approx(expected, abs=1e-9)
 
 
 class TestPersistence:

@@ -8,9 +8,7 @@ import pytest
 
 from isokernel.dataset import Rows, SparseVector, l1_distance
 from isokernel.errors import ParameterError
-from isokernel.kernels import (
-    Gaussian, Laplacian, RowStore, gaussian, laplacian, make_kernel,
-)
+from isokernel.kernels import Gaussian, Laplacian, RowStore, make_kernel
 
 from helpers import rand_sparse
 
@@ -19,13 +17,13 @@ class TestLaplacian:
     def test_zero_distance_gives_one(self):
         rng = np.random.default_rng(0)
         x = rand_sparse(rng, 8)
-        assert laplacian(x, x, psi=16, dim=8) == 1.0
+        assert Laplacian(16, 8)(x, x) == 1.0
 
     def test_lambda_formula_unit_check(self):
         # d=1 and psi=e make lambda exactly 1, so unit distance -> e^-1
         x = SparseVector([1], [2.0], 1)
         y = SparseVector([1], [3.0], 1)
-        assert laplacian(x, y, psi=math.e, dim=1) == pytest.approx(
+        assert Laplacian(math.e, 1)(x, y) == pytest.approx(
             math.exp(-1.0), abs=1e-15
         )
 
@@ -38,7 +36,7 @@ class TestLaplacian:
             psi = float(rng.uniform(2, 4096))
             lam = math.log(psi) / dim
             d1 = float(np.abs(x.densify(dim) - y.densify(dim)).sum())
-            assert laplacian(x, y, psi=psi, dim=dim) == pytest.approx(
+            assert Laplacian(psi, dim)(x, y) == pytest.approx(
                 math.exp(-lam * d1), abs=1e-12
             )
 
@@ -48,7 +46,7 @@ class TestLaplacian:
         pairs = []
         for _ in range(50):
             y = rand_sparse(rng, 6, density=1.0)
-            pairs.append((l1_distance(x, y), laplacian(x, y, psi=64, dim=6)))
+            pairs.append((l1_distance(x, y), Laplacian(64, 6)(x, y)))
         pairs.sort()
         ks = [k for _, k in pairs]
         assert all(a >= b for a, b in zip(ks, ks[1:]))
@@ -56,9 +54,9 @@ class TestLaplacian:
     def test_parameter_validation(self):
         x = SparseVector([1], [1.0], 1)
         with pytest.raises(ParameterError):
-            laplacian(x, x, psi=1.5, dim=1)
+            Laplacian(1.5, 1)
         with pytest.raises(ParameterError):
-            laplacian(x, x, psi=4, dim=0)
+            Laplacian(4, 0)
         with pytest.raises(ParameterError):
             Laplacian(1, 3)
 
@@ -67,12 +65,12 @@ class TestGaussian:
     def test_zero_distance_gives_one(self):
         rng = np.random.default_rng(3)
         x = rand_sparse(rng, 5)
-        assert gaussian(x, x, gamma=0.7) == 1.0
+        assert Gaussian(0.7, 5)(x, x) == 1.0
 
     def test_vanishing_bandwidth_limit(self):
         rng = np.random.default_rng(4)
         x, y = rand_sparse(rng, 5), rand_sparse(rng, 5)
-        assert gaussian(x, y, gamma=1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert Gaussian(1e-12, 5)(x, y) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
@@ -80,14 +78,14 @@ class TestGaussian:
             x, y = rand_sparse(rng, 9), rand_sparse(rng, 9)
             gamma = float(rng.uniform(0.01, 3.0))
             sq = float(((x.densify(9) - y.densify(9)) ** 2).sum())
-            assert gaussian(x, y, gamma=gamma) == pytest.approx(
+            assert Gaussian(gamma, 9)(x, y) == pytest.approx(
                 math.exp(-gamma * sq), abs=1e-12
             )
 
     def test_parameter_validation(self):
         x = SparseVector([1], [1.0], 1)
         with pytest.raises(ParameterError):
-            gaussian(x, x, gamma=0.0)
+            Gaussian(0.0, 1)
         with pytest.raises(ParameterError):
             Gaussian(-1.0, 3)
 
@@ -96,8 +94,8 @@ class TestSharedProperties:
     @pytest.mark.parametrize(
         "k",
         [
-            lambda x, y: laplacian(x, y, psi=32, dim=7),
-            lambda x, y: gaussian(x, y, gamma=0.5),
+            lambda x, y: Laplacian(32, 7)(x, y),
+            lambda x, y: Gaussian(0.5, 7)(x, y),
         ],
     )
     def test_range_and_symmetry(self, k):

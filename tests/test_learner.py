@@ -14,13 +14,7 @@ from isokernel.errors import (
     ProvenanceError,
     ShapeError,
 )
-from isokernel.featuremap import (
-    Mapper,
-    accumulate,
-    dense_feature,
-    kernel,
-    new_weights,
-)
+from isokernel.featuremap import Mapper, kernel, write_features_csv
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import (
     FORMAT_VERSION,
@@ -257,9 +251,9 @@ class TestIKOGD:
         for _ in range(60):
             f = mapper.map_point(rand_sparse(rng, 5))
             m.step(f, int(rng.choice([-1, 1])), eta=0.5)
-        rebuilt = new_weights(mapper.t, mapper.psi)
+        rebuilt = np.zeros((mapper.t, mapper.psi))
         for f, coeff in update_log:
-            accumulate(rebuilt, f, coeff)
+            rebuilt[np.arange(mapper.t), f] += coeff
         assert np.max(np.abs(rebuilt - m.w)) <= 1e-12
 
     def test_score_is_normalized_dot(self):
@@ -274,6 +268,21 @@ class TestIKOGD:
         m = IKOGDModel(10, 4)
         with pytest.raises(ProvenanceError):
             m.predict(np.zeros(9, dtype=np.int32))
+
+    def test_non_integer_feature_rejected(self, tmp_path):
+        # cell ids read back from ``transform``'s CSV by np.loadtxt are
+        # floats, which numpy would not take as indices; bools it would
+        # read as cells 0 and 1
+        F = np.array([[0, 1, 2], [3, 0, 1]], dtype=np.int32)
+        write_features_csv(tmp_path / "f.csv", F)
+        floats = np.loadtxt(tmp_path / "f.csv", delimiter=",", ndmin=2)
+        m = IKOGDModel(3, 4)
+        for bad in (floats, floats.astype(bool)):
+            with pytest.raises(ProvenanceError, match="integer cell ids"):
+                m.predict_many(bad)
+            with pytest.raises(ProvenanceError, match="integer cell ids"):
+                m.step(bad[0], 1, eta=0.5)
+        assert not m.w.any() and m.updates == 0
 
 
 class TestNOGD:

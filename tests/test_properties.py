@@ -347,7 +347,11 @@ class TestEncoding:
         assert k == kernel(F[j], F[i])
         assert k in [c / mapper.t for c in range(mapper.t + 1)]
         assert kernel(F[i], F[i]) == 1.0
-        assert FeatureMatchKernel(mapper.t)(F[i], F[j]) == k
+        # the dual model's scorer gives the same value
+        store = RowStore(FeatureMatchKernel(mapper.t))
+        at = np.arange(1, mapper.t + 1)
+        store.append(at, F[j])
+        assert store.scores(at, F[i], np.array([0, mapper.t]))[0, 0] == k
 
 
     @bounded
