@@ -1,5 +1,6 @@
 """Time ``Mapper.fit`` in process, in ms per partitioning, an iforest
-map's encoder, ``load_libsvm``, and the baselines' kernel scoring.
+map's encoder, ``load_libsvm``, the baselines' kernel scoring, and dual
+OGD's online pass.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
@@ -26,18 +27,23 @@ OGD with that many support vectors, the p50 of ``predict`` (the step
 path) over ``ENCODE_POINTS`` points and ``encode`` then ``predict_many``
 of a 1000-point block in us per point; for NOGD with that many landmarks
 (r=20), the p50 of ``map_point``, ``map_many`` of the block in us per
-point, and ``fit_nystrom`` in ms. The package and the generators are
-imported from the checkout that holds this script, so a copy of it in
-another checkout times that checkout's code.
+point, and ``fit_nystrom`` in ms. A ``stream-dual-`` shape times dual
+OGD's online pass over one 1000-point block of those rows, ``encode``
+then ``test_then_train``, against that many support vectors, in us per
+point, the best of ``--repeats`` passes, each from a fresh model. The
+package and the generators are imported from the checkout that holds
+this script, so a copy of it in another checkout times that checkout's
+code.
 
-The ``score-`` block figures depend on the process's memory layout as
-well as on the code: on identical code, ``score-dual-50``'s ``encode``
-then ``predict_many`` has read 1.6 us per point in one process and 3.2
-in another, whose only difference was the other shapes run or the size
-of the environment, and each reading repeated from run to run. So
-compare two commits only with both packages loaded in one process, or
-with paired runs over several layouts (say, environments of different
-sizes), never by one run of each.
+The ``score-`` and ``stream-`` block figures depend on the process's
+memory layout as well as on the code: on identical code,
+``score-dual-50``'s ``encode`` then ``predict_many`` has read 1.6 us
+per point in one process and 3.2 in another, whose only difference was
+the other shapes run or the size of the environment, and each reading
+repeated from run to run. So compare two commits only with both
+packages loaded in one process, or with paired runs over several
+layouts (say, environments of different sizes), never by one run of
+each.
 """
 import argparse
 import os
@@ -111,6 +117,11 @@ SCORE_SHAPES = {
     "score-nogd": ("nogd", 100),
 }
 SCORE_BLOCK_POINTS = 1000
+# name: support vectors when the block arrives
+STREAM_SHAPES = {
+    "stream-dual-1000": 1000,
+    "stream-dual-4000": 4000,
+}
 
 
 def time_fit(ds, psi, t, scheme, repeats):
@@ -185,24 +196,37 @@ def best_wall(call, repeats):
     return best
 
 
+def stored_and_block(stored):
+    """``stored`` a9a-shaped rows, then a ``SCORE_BLOCK_POINTS``-point
+    block of them."""
+    ds = dataset(*gen.a9a_like(stored + SCORE_BLOCK_POINTS, 301), gen.A9A_DIM)
+    return ds.subset(range(stored)), ds.subset(range(stored, len(ds)))
+
+
+def dual_model(train):
+    """A dual OGD model under the ``score-`` kernel whose support vectors
+    are the points of ``train``."""
+    model = DualModel(Laplacian(64, train.dim))
+    for p in train:
+        model._update(p.x, p.c, 0.5)
+    return model
+
+
 def time_score(learner, stored, repeats):
     """``(one point us, block us/pt, fit ms)`` of a ``SCORE_SHAPES``
     shape; the fit is None for dual OGD, which fits nothing."""
-    ds = dataset(*gen.a9a_like(stored + SCORE_BLOCK_POINTS, 301), gen.A9A_DIM)
-    kernel = Laplacian(64, ds.dim)
-    train, block = ds.subset(range(stored)), ds.subset(range(stored, len(ds)))
+    train, block = stored_and_block(stored)
     points = block.rows.vectors()
     if learner == "ogd":
         # as the protocol scores a block: encoded by the model, which gives
         # its Rows, then scored from their packing
-        model = DualModel(kernel)
-        for p in train:
-            model._update(p.x, p.c, 0.5)
+        model = dual_model(train)
         one, fit = model.predict, None
 
         def many(block):
             return model.predict_many(model.encode(block))
     else:
+        kernel = Laplacian(64, train.dim)
         nm = fit_nystrom(train, stored, 20, kernel, 7)
         one, many = nm.map_point, nm.map_many
         fit = best_wall(lambda: fit_nystrom(train, stored, 20, kernel, 7),
@@ -212,10 +236,24 @@ def time_score(learner, stored, repeats):
     return point, per_point, fit
 
 
+def time_stream(stored, repeats):
+    """Best cost, in us per point, of ``repeats`` online passes of dual OGD
+    over one block, each from a fresh model of ``stored`` support
+    vectors."""
+    train, block = stored_and_block(stored)
+    best = float("inf")
+    for _ in range(repeats):
+        model = dual_model(train)
+        start = time.perf_counter()
+        model.test_then_train(model.encode(block), block.labels(), 0.5)
+        best = min(best, time.perf_counter() - start)
+    return best / len(block) * 1e6
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
-    every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES]
+    every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES, *STREAM_SHAPES]
     ap.add_argument("--shapes", default=",".join(every),
                     help="comma list of " + ", ".join(every))
     args = ap.parse_args(argv)
@@ -248,6 +286,13 @@ def main(argv=None):
         fit = "-" if fit is None else f"{fit:.2f}"
         print(f"| {name} | {stored} | {one:.2f} | {many:.2f} | {fit} |",
               flush=True)
+    stream = [name for name in names if name in STREAM_SHAPES]
+    if stream:
+        print("| shape | stored | test-then-train us/pt |\n|---|---|---|")
+    for name in stream:
+        stored = STREAM_SHAPES[name]
+        us = time_stream(stored, args.repeats)
+        print(f"| {name} | {stored} | {us:.2f} |", flush=True)
     return 0
 
 

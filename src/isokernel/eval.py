@@ -89,7 +89,15 @@ class ProtocolConfig:
 
 @dataclass
 class Metrics:
-    """Everything recorded about one protocol run."""
+    """Everything recorded about one protocol run.
+
+    ``test_time`` is the seconds spent encoding the scored points and, in
+    a batch run, scoring them. ``train_time`` is the seconds spent in
+    ``select_and_fit`` and, in an online run, in each stream block's
+    ``model.test_then_train``, which scores the block and trains on it,
+    for dual OGD in one pass: an online run's ``test_time`` covers
+    encoding only.
+    """
 
     learner: str
     dataset: str
@@ -141,7 +149,7 @@ def fit_learner(train, psi, config, seed):
         scheme = _KINDS[config.learner][2]
         mapper = Mapper.fit(train, psi, config.t, scheme, seed)
         model = IKOGDModel(config.t, psi, mapper=mapper)
-    _train_pass(model, model.encode(train), train.labels(), config.eta)
+    model.train_pass(model.encode(train), train.labels(), config.eta)
     return model
 
 
@@ -153,11 +161,6 @@ def select_and_fit(cv_set, train, config):
     psi = cv_select_psi(cv_set, config)
     model = fit_learner(train, psi, config, (config.seed, 229))
     return psi, model, time.perf_counter() - t0
-
-
-def _train_pass(model, encoded, labels, eta):
-    for x, c in zip(encoded, labels):
-        model.step(x, int(c), eta)
 
 
 def _needs_psi_sample(learner):
@@ -191,23 +194,27 @@ def _n_correct(scores, labels):
 
 def _test_then_train(model, blocks, eta=None):
     """Score each of ``blocks``, Datasets, with the latest model, then, when
-    ``eta`` is given, train on it.
+    ``eta`` is given, train on it by ``model.test_then_train``, which may
+    score and train in one pass (dual OGD's test scores are prefix dots of
+    its steps' kernel rows).
 
     Returns ``(counts, test_time, train_time)``: the ``(correct, points)``
-    of each block, and the seconds spent encoding and scoring, and
-    training.
+    of each block, and the seconds spent encoding and, without ``eta``,
+    scoring, and those spent in ``test_then_train``.
     """
     counts, test_time, train_time = [], 0.0, 0.0
     for block in blocks:
         t0 = time.perf_counter()
         encoded = model.encode(block)
-        scores = model.predict_many(encoded)
-        test_time += time.perf_counter() - t0
+        if eta is None:
+            scores = model.predict_many(encoded)
+            test_time += time.perf_counter() - t0
+        else:
+            t1 = time.perf_counter()
+            test_time += t1 - t0
+            scores = model.test_then_train(encoded, block.labels(), eta)
+            train_time += time.perf_counter() - t1
         counts.append((_n_correct(scores, block.labels()), len(block)))
-        if eta is not None:
-            t0 = time.perf_counter()
-            _train_pass(model, encoded, block.labels(), eta)
-            train_time += time.perf_counter() - t0
     return counts, test_time, train_time
 
 

@@ -120,6 +120,19 @@ class _Model:
             self.updates += 1
         return score
 
+    def train_pass(self, points, labels, eta):
+        """One ``step`` on each of ``points``, with its label in
+        ``labels``, in order."""
+        for x, c in zip(points, labels):
+            self.step(x, int(c), eta)
+
+    def test_then_train(self, points, labels, eta):
+        """Scores of ``points`` against the model as it stands, then a
+        ``train_pass`` over them."""
+        scores = self.predict_many(points)
+        self.train_pass(points, labels, eta)
+        return scores
+
     def state(self):
         """(meta, arrays) from which ``from_state`` rebuilds the model."""
         return {"updates": self.updates}, {"w": self.w}
@@ -176,6 +189,7 @@ class DualModel(_Model):
         self.svs = []  # (point, c, alpha) in arrival order
         self._store = RowStore(kernel_fn)
         self._coeffs = np.empty(0)  # alpha_i * c_i, precombined
+        self._row = np.empty(0)  # kernel row of the point last predicted
 
     def __len__(self):
         return len(self.svs)
@@ -190,22 +204,43 @@ class DualModel(_Model):
         self.svs.append((point, c, alpha))
 
     def predict(self, x):
-        """Score of one point, as a block of one."""
+        """Score of one point, as a block of one. Its kernel row against
+        the support set is kept as ``_row``."""
         indices, values = _entries(x)
-        return self._block_scores(indices, values,
-                                  np.array([0, values.size]))[0]
+        s = len(self.svs)
+        self._count(1, s)
+        K = self._store.scores(indices, values, np.array([0, values.size]))
+        self._row = K[0]
+        return float(np.vecdot(K, self._coeffs[:s])[0])
 
     def _scores(self, points):
-        return self._block_scores(*_ragged(points))
-
-    def _block_scores(self, indices, values, offsets):
-        """Scores of the flat ragged rows ``(indices, values, offsets)``;
-        each costs len(self) kernel evaluations. The store takes each row's
-        dot with the coefficients as soon as the row's block is scored,
-        which rounds as ``coeffs @ row`` does."""
+        """Scores of points, each costing len(self) kernel evaluations.
+        The store takes each row's dot with the coefficients as soon as
+        the row's block is scored, which rounds as ``coeffs @ row``
+        does."""
+        indices, values, offsets = _ragged(points)
         s = len(self.svs)
         self._count(offsets.size - 1, s)
         return self._store.scores(indices, values, offsets, self._coeffs[:s])
+
+    def test_then_train(self, points, labels, eta):
+        """As ``_Model.test_then_train``, but each point is scored once.
+        The model at the block's start is the first ``mark`` stored rows,
+        so a point's test score is the dot of the first ``mark`` entries
+        of the kernel row its ``step`` keeps with their coefficients: the
+        terms that ``predict_many`` sums, in its order. On a store of one
+        row, ``RowStore.scores`` sums a row's terms pairwise, which a
+        prefix of a later row does not round alike, so below two stored
+        rows the block is scored as the default does."""
+        mark = len(self.svs)
+        if mark < 2:
+            return super().test_then_train(points, labels, eta)
+        self._count(len(points), mark)
+        scores = np.empty(len(points))
+        for i, (x, c) in enumerate(zip(points, labels)):
+            self.step(x, int(c), eta)
+            scores[i] = np.vecdot(self._row[:mark], self._coeffs[:mark])
+        return scores
 
     def state(self):
         if not hasattr(self.kernel, "params"):  # make_kernel cannot rebuild it

@@ -22,7 +22,7 @@ from isokernel.eval import (
     write_runs_csv,
 )
 from isokernel.featuremap import Mapper
-from isokernel.learner import IKOGDModel, predict_label
+from isokernel.learner import DualModel, IKOGDModel, predict_label
 
 
 def _strip_times(metrics):
@@ -262,6 +262,28 @@ class TestRunOnline:
         monkeypatch.setattr(Dataset, "dense", spy)
         run_online(ds, self._config(train_size=100, normalize=True))
         assert sorted(rows) == [100, 300]
+
+    def test_dual_ogd_scores_each_stream_point_in_its_step(self,
+                                                              monkeypatch):
+        # a forced psi runs no CV folds, which predict_many would score
+        ds = make_two_gaussians(700, 4, 3.0, seed=10)
+        steps, blocks = [], []
+        step, predict_many = DualModel.step, DualModel.predict_many
+
+        def step_spy(model, x, c, eta):
+            steps.append(x)
+            return step(model, x, c, eta)
+
+        def predict_many_spy(model, points):
+            blocks.append(len(points))
+            return predict_many(model, points)
+
+        monkeypatch.setattr(DualModel, "step", step_spy)
+        monkeypatch.setattr(DualModel, "predict_many", predict_many_spy)
+        metrics = run_online(ds, self._config(learner="ogd"))
+        assert len(steps) == 700  # 300 head points, then 400 in the stream
+        assert metrics.n_predictions == 400
+        assert blocks == []
 
     def test_determinism_except_wall_time(self):
         ds = make_two_gaussians(800, 5, 3.0, seed=8)

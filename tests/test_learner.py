@@ -365,6 +365,7 @@ class TestScorer:
         m, queries, bad, error = trained(kind)
         scores = m.predict_many(queries)
         assert [m.predict(q) for q in queries] == scores.tolist()
+        assert type(m.predict(queries[0])) is float
         assert scores.tobytes() == m.predict_many(list(queries)).tobytes()
         costs = []
         for score in (m.predict, lambda q: m.predict_many([q])):

@@ -31,7 +31,10 @@ the same generator, and its centres' squared norms are
 by its budget or not, as it scores each row alone, bit for bit, under
 the Laplacian (where both equal the one-row scorer that block scoring
 replaced), the Gaussian and the feature-match kernel, and its weighted
-scores are each row's dot with the weights.
+scores are each row's dot with the weights. Dual OGD's test-then-train
+pass, which takes its test scores from its steps' kernel rows, gives the
+scores, counters and support set of ``predict_many`` then the steps, bit
+for bit, whatever the support set a block starts at.
 Every point view of a dataset, which packs its rows once, and of its
 subsets, shuffles, heads, folds and dim-unified copies, is the point it
 came from at the dataset's dim; ``from_dense`` keeps each row's nonzeros,
@@ -47,6 +50,7 @@ import gzip
 import io
 import os
 import tempfile
+from itertools import accumulate
 from unittest.mock import patch
 
 import numpy as np
@@ -79,6 +83,7 @@ from isokernel.learner import (
     FeatureMatchKernel,
     IKOGDModel,
     NOGDModel,
+    _Model,
     load_checkpoint,
     save_checkpoint,
 )
@@ -681,6 +686,113 @@ class TestBlockScores:
     def test_the_draws_reach_every_trait(self, trait):
         # any example will do, so none is shrunk
         find(stores_and_blocks(), lambda case: trait in block_traits(case),
+             settings=settings(max_examples=200, database=None,
+                               phases=[Phase.generate]))
+
+
+@st.composite
+def dual_streams(draw):
+    """(kernel, stream, labels, block sizes, eta): sparse rows under a
+    Laplacian or a Gaussian, or features of length t under the
+    feature-match kernel, cut into blocks of one to six points, so that
+    blocks start at 0, 1, 2 and more support vectors."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        t = draw(st.integers(1, 5))
+        cells = st.lists(st.integers(0, 3), min_size=t, max_size=t)
+        kern = FeatureMatchKernel(t)
+        stream = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    else:
+        top = draw(st.integers(1, 40))
+        kern = draw(st.sampled_from([Laplacian(draw(st.integers(2, 256)),
+                                               top), Gaussian(0.4, top)]))
+        rows = [draw(st.lists(st.just(0.0) | ROUNDING, min_size=width,
+                              max_size=width))
+                for width in draw(st.lists(st.integers(1, top + 3),
+                                           min_size=n, max_size=n))]
+        stream = [SparseVector(np.flatnonzero(row) + 1,
+                               [v for v in row if v], len(row))
+                  for row in rows]
+    labels = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n,
+                                    max_size=n)))
+    # a first block of one point leaves the next to start at one
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=n)
+                 | st.lists(st.integers(1, 6), max_size=n).map(
+                     lambda rest: [1, *rest]))
+    eta = draw(st.sampled_from([0.1, 0.5, 1.3]))
+    return kern, stream, labels, sizes, eta
+
+
+def blocks_of(case):
+    """The ``dual_streams`` case's blocks, each as the protocol gives it
+    to a dual model (a ``Rows``, or a feature matrix), with its labels;
+    the points left after the drawn sizes make one last block."""
+    kern, stream, labels, sizes, _ = case
+    edges = [0, *accumulate(sizes)]
+    edges = [lo for lo in edges if lo < len(labels)] + [len(labels)]
+    for lo, hi in zip(edges, edges[1:]):
+        points = stream[lo:hi]
+        if not isinstance(kern, FeatureMatchKernel):
+            points = Rows.of(points)
+        yield points, labels[lo:hi]
+
+
+def fused_and_default(case):
+    """Twin dual models taken through the case's blocks, one by
+    ``DualModel.test_then_train`` and one by ``_Model.test_then_train``,
+    with the scores each gave and the support-set size each block
+    started at."""
+    kern, _, _, _, eta = case
+    fused, default = DualModel(kern), DualModel(kern)
+    marks, fused_scores, default_scores = [], [], []
+    for points, labels in blocks_of(case):
+        marks.append(len(fused))
+        fused_scores.append(fused.test_then_train(points, labels, eta))
+        default_scores.append(
+            _Model.test_then_train(default, points, labels, eta))
+    return fused, default, fused_scores, default_scores, marks
+
+
+def mark_traits(case):
+    """Which block starts a ``dual_streams`` case reaches: at 0, 1, 2 and
+    more support vectors, and at 1 with a row of 9 or more entries, whose
+    terms numpy sums pairwise against one stored row."""
+    marks = fused_and_default(case)[4]
+    traits = {str(mark) if mark < 3 else "more" for mark in marks}
+    for mark, (points, _) in zip(marks, blocks_of(case)):
+        if mark == 1 and isinstance(points, Rows) and any(
+                x.indices.size >= 9 for x in points):
+            traits.add("1, wide")
+    return traits
+
+
+class TestFusedDualPass:
+    # about one draw in twenty starts a block of rows wide enough to round
+    # otherwise at one support vector
+    @settings(max_examples=150, deadline=None)
+    @given(dual_streams())
+    def test_fused_pass_scores_and_counts_as_the_default(self, case):
+        fused, default, got, want, _ = fused_and_default(case)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        for name in ("updates", "total_ops", "last_predict_ops"):
+            assert getattr(fused, name) == getattr(default, name)
+        if isinstance(case[0], FeatureMatchKernel):  # has no state()
+            assert len(fused) == len(default)
+            for (p, c, a), (q, d, b) in zip(fused.svs, default.svs):
+                assert (p.tobytes(), c, a) == (q.tobytes(), d, b)
+            return
+        (fused_meta, fused_arrays), (meta, arrays) = (
+            fused.state(), default.state())
+        assert fused_meta == meta
+        assert fused_arrays.keys() == arrays.keys()
+        for key, arr in arrays.items():
+            assert fused_arrays[key].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("mark", ["0", "1", "2", "more", "1, wide"])
+    def test_the_draws_reach_every_block_start(self, mark):
+        # any example will do, so none is shrunk
+        find(dual_streams(), lambda case: mark in mark_traits(case),
              settings=settings(max_examples=200, database=None,
                                phases=[Phase.generate]))
 
