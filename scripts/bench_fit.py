@@ -1,6 +1,6 @@
 """Time ``Mapper.fit`` in process, in ms per partitioning, an iforest
 map's encoder, ``load_libsvm``, the baselines' kernel scoring, and dual
-OGD's online pass.
+OGD's online pass and cross-validation.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
@@ -31,11 +31,15 @@ point, and ``fit_nystrom`` in ms. A ``stream-dual-`` shape times dual
 OGD's online pass over one 1000-point block of those rows, ``encode``
 then ``test_then_train``, against that many support vectors, in us per
 point, the best of ``--repeats`` passes, each from a fresh model. The
-package and the generators are imported from the checkout that holds
-this script, so a copy of it in another checkout times that checkout's
-code.
+``cv-dual`` shape times ``cv_select_psi`` for dual OGD on
+baselines-online's head (the first 2000 of its 8000 a9a-shaped rows,
+seed 301, as ``run_online`` shuffles them), grid (16, 64, 256), 5 folds:
+the best of ``--repeats`` runs in s, and the traced peak of one more in
+MB. The package and the generators are imported from the checkout that
+holds this script, so a copy of it in another checkout times that
+checkout's code.
 
-The ``score-`` and ``stream-`` block figures depend on the process's
+The ``score-``, ``stream-`` and ``cv-`` figures depend on the process's
 memory layout as well as on the code: on identical code,
 ``score-dual-50``'s ``encode`` then ``predict_many`` has read 1.6 us
 per point in one process and 3.2 in another, whose only difference was
@@ -59,8 +63,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
 from isokernel.dataset import (  # noqa: E402
-    Dataset, LabeledPoint, SparseVector, load_libsvm,
+    Dataset, LabeledPoint, SparseVector, load_libsvm, shuffle, split_head,
 )
+from isokernel.eval import ProtocolConfig, cv_select_psi  # noqa: E402
 from isokernel.featuremap import Mapper  # noqa: E402
 from isokernel.kernels import Laplacian  # noqa: E402
 from isokernel.learner import DualModel  # noqa: E402
@@ -250,10 +255,26 @@ def time_stream(stored, repeats):
     return best / len(block) * 1e6
 
 
+def time_cv(repeats):
+    """Best wall time in s of ``repeats`` runs of dual OGD's
+    ``cv_select_psi`` on baselines-online's head, and the traced peak of
+    one more in MB."""
+    config = ProtocolConfig(learner="ogd", psi_grid=(16, 64, 256), folds=5,
+                            train_size=2000, seed=301)
+    ds = dataset(*gen.a9a_like(8000, config.seed), gen.A9A_DIM)
+    head, _ = split_head(shuffle(ds, config.seed), config.train_size)
+    best = best_wall(lambda: cv_select_psi(head, config), repeats)
+    tracemalloc.start()
+    cv_select_psi(head, config)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return best, peak / 2**20
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
-    every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES, *STREAM_SHAPES]
+    every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES, *STREAM_SHAPES, "cv-dual"]
     ap.add_argument("--shapes", default=",".join(every),
                     help="comma list of " + ", ".join(every))
     args = ap.parse_args(argv)
@@ -293,6 +314,10 @@ def main(argv=None):
         stored = STREAM_SHAPES[name]
         us = time_stream(stored, args.repeats)
         print(f"| {name} | {stored} | {us:.2f} |", flush=True)
+    if "cv-dual" in names:
+        s, mb = time_cv(args.repeats)
+        print("| shape | points | CV s | peak MB |\n|---|---|---|---|\n"
+              f"| cv-dual | 2000 | {s:.3f} | {mb:.2f} |", flush=True)
     return 0
 
 

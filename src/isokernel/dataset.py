@@ -731,7 +731,9 @@ def kfold(dataset, k, seed):
     """k seeded (train, validate) splits with near-equal disjoint folds.
 
     Validation folds partition the index set: every index appears in exactly
-    one fold.
+    one fold. Fold i's training rows are the other folds' validation rows,
+    fold by fold in fold order, so every fold's training order is the
+    concatenation of the validation folds with fold i's left out.
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")

@@ -21,7 +21,13 @@ from .dataset import from_dense, kfold, shuffle, split_head, unify_dims
 from .errors import ConfigError
 from .featuremap import Mapper
 from .kernels import Laplacian
-from .learner import _KINDS, DualModel, IKOGDModel, NOGDModel
+from .learner import (
+    _KINDS,
+    DualModel,
+    IKOGDModel,
+    NOGDModel,
+    dual_fold_scores,
+)
 from .nystrom import fit_nystrom
 
 SCHEMA_VERSION = 1
@@ -79,6 +85,10 @@ class ProtocolConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
             if value < 0 and name == "seed":  # numpy seeds are non-negative
                 raise ConfigError(f"seed must be >= 0, got {value}")
+        # a grid of one psi runs no folds
+        if self.folds < 2 and len(set(self.psi_grid)) > 1:
+            raise ConfigError("folds must be >= 2 to select psi by "
+                              f"cross-validation, got {self.folds}")
 
     def resolved(self):
         """Full config as a plain dict (defaults included)."""
@@ -246,21 +256,14 @@ def cv_select_psi(train, config):
     Ties break to the smallest psi. Grid values demanding a larger sample
     than a training fold provides are skipped with a warning; if that skips
     everything the configuration is unusable. With a single-element grid the
-    choice is forced and no folds are run.
+    choice is forced and no folds are run. Dual OGD trains every psi and
+    fold in one pass, by ``dual_fold_scores``, whose scores are those of
+    a model fitted per psi and fold; the other learners fit one by one.
     """
     grid = sorted(set(config.psi_grid))
     if len(grid) == 1:
         return grid[0]
-    if len(train) < config.folds:
-        raise ConfigError(
-            f"need at least {config.folds} points for {config.folds}-fold CV"
-        )
-    cv_ds = train
-    if config.cv_max_points is not None and len(train) > config.cv_max_points:
-        cv_ds, _ = split_head(
-            shuffle(train, (config.seed, 211)), config.cv_max_points
-        )
-    folds = kfold(cv_ds, config.folds, (config.seed, 223))
+    folds = _cv_folds(train, config)
     min_fold_train = min(len(ft) for ft, _ in folds)
 
     usable = []
@@ -274,15 +277,38 @@ def cv_select_psi(train, config):
     if not usable:
         raise ConfigError("every grid psi exceeds the fold-train size")
 
+    if config.learner == "ogd":
+        vals = [fv for _, fv in folds]
+        kernels = [Laplacian(psi, vals[0].dim) for psi in usable]
+        accs = [[_n_correct(s, fv.labels()) / len(fv)
+                 for s, fv in zip(row, vals)]
+                for row in dual_fold_scores(vals, kernels, config.eta)]
+    else:
+        accs = [[_fold_accuracy(ft, fv, psi, config, (config.seed, 227, i))
+                 for i, (ft, fv) in enumerate(folds)]
+                for psi in usable]
     best_psi, best_acc = None, -1.0
-    for psi in usable:  # ascending: ties keep the smallest psi
-        acc = float(np.mean([
-            _fold_accuracy(ft, fv, psi, config, (config.seed, 227, i))
-            for i, (ft, fv) in enumerate(folds)
-        ]))
+    # ascending: ties keep the smallest psi
+    for psi, fold_accs in zip(usable, accs):
+        acc = float(np.mean(fold_accs))
         if acc > best_acc:
             best_psi, best_acc = psi, acc
     return best_psi
+
+
+def _cv_folds(train, config):
+    """The ``kfold`` pairs ``cv_select_psi`` validates on: of ``train``,
+    or of a seeded sample of ``config.cv_max_points`` of its points."""
+    if len(train) < config.folds:
+        raise ConfigError(
+            f"need at least {config.folds} points for {config.folds}-fold CV"
+        )
+    cv_ds = train
+    if config.cv_max_points is not None and len(train) > config.cv_max_points:
+        cv_ds, _ = split_head(
+            shuffle(train, (config.seed, 211)), config.cv_max_points
+        )
+    return kfold(cv_ds, config.folds, (config.seed, 223))
 
 
 def run_online(dataset, config):

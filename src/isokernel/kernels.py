@@ -94,12 +94,23 @@ class RowStore:
         in order: an (m, n) array. With ``weights``, one per stored row,
         each x's sum of ``weights[z] * k(x, z)`` instead, an (m,) array,
         one dot per row, taken as soon as its block is scored.
+        """
+        parts = [K if weights is None else np.vecdot(K, weights)
+                 for K in self.blocks(indices, values, offsets,
+                                      self.kernel.sparse_row_scores)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        Rows are scored a block at a time within ``SCORE_BLOCK``, and one
-        after another on a store of one row: there numpy sums each row's
-        terms pairwise, so that a row padded in a block would round
-        otherwise. ``norms`` reach the kernel as a (1, n) row, which adds
-        to a block of one row without broadcasting.
+    def blocks(self, indices, values, offsets, score):
+        """``score(x, Z, norms)`` of each block x of the flat ragged rows
+        ``(indices, values, offsets)`` in turn, as the kernel's
+        ``sparse_row_scores`` takes a block: an array of a row per row of
+        x and a column per stored row.
+
+        Rows go a block at a time within ``SCORE_BLOCK``, and one after
+        another on a store of one row: there numpy sums each row's terms
+        pairwise, so that a row padded in a block would round otherwise.
+        ``norms`` reach the kernel as a (1, n) row, which adds to a block
+        of one row without broadcasting.
         """
         at = self.slot.take(indices, mode="clip")
         Z, norms = self.Z[:self.n], self.norms[None, :self.n]
@@ -109,16 +120,13 @@ class RowStore:
             wide = max(1, int(np.diff(offsets).max()) * self.n)
             step = 1 if self.n == 1 else min(m, max(1, SCORE_BLOCK // wide))
         if step == m:
-            K = self.kernel.sparse_row_scores((at, values, offsets), Z, norms)
-            return K if weights is None else np.vecdot(K, weights)
-        parts = []
+            yield score((at, values, offsets), Z, norms)
+            return
         for lo in range(0, m, step):
             hi = min(lo + step, m)
             a, b = offsets[lo], offsets[hi]
-            K = self.kernel.sparse_row_scores(
-                (at[a:b], values[a:b], offsets[lo:hi + 1] - a), Z, norms)
-            parts.append(K if weights is None else np.vecdot(K, weights))
-        return np.concatenate(parts)
+            yield score((at[a:b], values[a:b], offsets[lo:hi + 1] - a), Z,
+                        norms)
 
 
 def _padded(x):
@@ -161,11 +169,22 @@ class _Stationary:
     def sparse_row_scores(self, x, Z, norms):
         """k(x, z) for every row x of a block and every row z of a
         column-major store Z, whose ``row_norm`` values are the (1, n) row
-        ``norms``, as an (m, n) array, reading only each x's own columns:
-        dist(x, z) = norm(z) + sum_{j in supp x} (term(x_j - z_j) -
-        term(z_j)). x is ``(columns, values, offsets)``: its rows' entries'
-        columns of Z and their values, row i's at ``offsets[i]:offsets[i +
-        1]``.
+        ``norms``, as an (m, n) array: ``of_distances`` of
+        ``sparse_row_distances``."""
+        return self.of_distances(self.sparse_row_distances(x, Z, norms))
+
+    def of_distances(self, dist, out=None):
+        """exp(-scale * dist), into ``out``, by default ``dist`` itself."""
+        out = np.multiply(dist, -self.scale, out=dist if out is None else out)
+        return np.exp(out, out=out)
+
+    def sparse_row_distances(self, x, Z, norms):
+        """dist(x, z) for every row x of a block and every row z of a
+        column-major store Z, as ``sparse_row_scores`` takes them, reading
+        only each x's own columns: dist(x, z) = norm(z) + sum_{j in supp x}
+        (term(x_j - z_j) - term(z_j)). x is ``(columns, values, offsets)``:
+        its rows' entries' columns of Z and their values, row i's at
+        ``offsets[i]:offsets[i + 1]``. No distance depends on ``scale``.
         """
         at, values, m, w = _padded(x)
         cols = Z.T[at]
@@ -177,8 +196,7 @@ class _Stationary:
         dist += norms
         if self.clamp:
             np.maximum(dist, 0.0, out=dist)
-        dist *= -self.scale
-        return np.exp(dist, out=dist)
+        return dist
 
 
 class Laplacian(_Stationary):

@@ -266,6 +266,105 @@ class DualModel(_Model):
         return model
 
 
+class _Member:
+    """One dual OGD model of ``dual_fold_scores``: its support vectors as
+    rows ``ids`` of the shared store with coefficients ``coeffs``, the
+    first ``n`` entries of arrays that grow by doubling, and, while it
+    holds one support vector, that row in a ``RowStore`` of its own,
+    ``one``."""
+
+    __slots__ = ("kernel", "ids", "coeffs", "n", "one")
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.ids = np.empty(256, dtype=np.intp)
+        self.coeffs = np.empty(256)
+        self.n = 0
+        self.one = None
+
+    def scores(self, K, x):
+        """Scores of the flat ragged rows ``x``, whose scaled kernel rows
+        against the shared store are the rows of K: the terms, in their
+        order, of ``vecdot(K, coeffs)`` on the model's own store. On one
+        support vector they are its one-row store's scores, since that
+        store sums a row's terms pairwise where a larger one sums them in
+        order."""
+        if self.n == 1:
+            return self.one.scores(*x, self.coeffs[:1])
+        return np.vecdot(K.take(self.ids[:self.n], 1), self.coeffs[:self.n])
+
+    def step(self, K, x, c, eta, at):
+        """``DualModel.step`` on the point ``x``, a block of one row; the
+        point is the shared store's row ``at`` if taken. Returns whether
+        the model took it."""
+        if not margin_violated(float(self.scores(K, x)[0]), c):
+            return False
+        n = self.n
+        if n == self.ids.size:
+            self.ids = np.resize(self.ids, 2 * n)
+            self.coeffs = np.resize(self.coeffs, 2 * n)
+        self.ids[n], self.coeffs[n] = at, eta * c
+        self.n = n + 1
+        self.one = None
+        if n == 0:
+            self.one = RowStore(self.kernel)
+            self.one.append(*x[:2])
+        return True
+
+
+def dual_fold_scores(folds, kernels, eta):
+    """Validation scores of dual OGD over each of ``kernels`` for each of
+    k ``folds``, datasets of raw points: ``scores[g][i]`` are fold i's
+    points' scores by ``DualModel(kernels[g])`` after ``train_pass`` over
+    the other folds' points in fold order (the training rows ``kfold``
+    gives fold i), then ``predict_many``, bit for bit.
+
+    The kernels are stationary and differ in scale alone, so every model
+    trains in one walk over the folds' points. Each point's distances to
+    one shared ``RowStore`` are taken once and scaled once per kernel, and
+    each model whose fold trains on the point scores it from them. A row
+    is stored once, when the first model takes it. Each fold is then
+    scored a block at a time, within ``SCORE_BLOCK``.
+    """
+    store = RowStore(kernels[0])
+    distances = store.kernel.sparse_row_distances
+    members = [[_Member(kernel) for _ in folds] for kernel in kernels]
+    indices, values, offsets = Rows.concat([f.rows for f in folds]).ragged()
+    bounds = offsets.tolist()
+    labels = np.concatenate([f.labels() for f in folds]).tolist()
+    fold_of = np.repeat(np.arange(len(folds)), [len(f) for f in folds])
+    for p, (c, i) in enumerate(zip(labels, fold_of.tolist())):
+        lo, hi = bounds[p], bounds[p + 1]
+        x = indices[lo:hi], values[lo:hi], np.array([0, hi - lo])
+        [dist] = store.blocks(*x, distances)
+        K = np.empty_like(dist)
+        taken = False
+        for kernel, models in zip(kernels, members):
+            kernel.of_distances(dist, out=K)
+            for j, model in enumerate(models):
+                if j != i:
+                    taken |= model.step(K, x, c, eta, store.n)
+        if taken:
+            store.append(*x[:2])
+
+    scores = [[np.empty(len(f)) for f in folds] for _ in kernels]
+    for i, fold in enumerate(folds):
+        x = fold.rows.ragged()
+        for models, out in zip(members, scores):
+            if models[i].n == 1:  # its own store scores the whole fold
+                out[i] = models[i].scores(None, x)
+        lo = 0
+        for dist in store.blocks(*x, distances):
+            hi = lo + dist.shape[0]
+            K = np.empty_like(dist)
+            for kernel, models, out in zip(kernels, members, scores):
+                if models[i].n != 1:
+                    out[i][lo:hi] = models[i].scores(
+                        kernel.of_distances(dist, out=K), None)
+            lo = hi
+    return scores
+
+
 class IKOGDModel(_Model):
     """Primal model over indexed features: f = <w, Phi> / t.
 

@@ -319,6 +319,17 @@ class TestExitCodes:
         ]) == 2
         assert "eta must be" in capsys.readouterr().err
 
+    def test_too_few_folds_for_a_grid_is_a_data_error(self, data_files,
+                                                       capsys):
+        # kfold raised "k must be >= 2", which names no flag
+        train, test = data_files
+        assert run_cli([
+            "eval-batch", "--train", train, "--test", test,
+            "--learner", "ogd", "--psi", "4,8", "--folds", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "folds must be >= 2" in err
+
     @pytest.mark.parametrize("line, message", [
         ("t = 1.5", "t must be an integer"),
         ("block_size = 2.5", "block_size must be an integer"),

@@ -359,6 +359,16 @@ class TestSlicing:
             seen.extend(p.x.values[0] for p in val)
         assert sorted(seen) == [float(i + 1) for i in range(23)]
 
+    @pytest.mark.parametrize("n, k", [(10, 5), (23, 5), (7, 2), (9, 9)])
+    def test_kfold_trains_on_the_other_folds_in_fold_order(self, n, k):
+        # dual OGD's CV trains every fold's model in one walk of the
+        # validation folds in order, which relies on this layout
+        pairs = kfold(self._dataset(n), k, seed=3)
+        vals = [[p.x.values[0] for p in val] for _, val in pairs]
+        for i, (train, _) in enumerate(pairs):
+            others = [v for j, fold in enumerate(vals) if j != i for v in fold]
+            assert [p.x.values[0] for p in train] == others
+
     def test_kfold_validates_k(self):
         ds = self._dataset(4)
         with pytest.raises(ParameterError):

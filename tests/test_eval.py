@@ -22,6 +22,7 @@ from isokernel.eval import (
     write_runs_csv,
 )
 from isokernel.featuremap import Mapper
+from isokernel.kernels import Laplacian
 from isokernel.learner import DualModel, IKOGDModel, predict_label
 
 
@@ -81,6 +82,15 @@ class TestConfig:
         # the baselines at psi 64.5; a string failed in the grid's sort
         with pytest.raises(ConfigError, match="psi grid"):
             ProtocolConfig(learner="ogd", psi_grid=(16, psi))
+
+    @pytest.mark.parametrize("folds", [1, 0, -3])
+    def test_rejects_too_few_folds_to_select_psi(self, folds):
+        # kfold's own error named its parameter k, not the folds field
+        with pytest.raises(ConfigError, match="folds must be >= 2"):
+            ProtocolConfig(learner="ogd", psi_grid=(4, 8), folds=folds)
+        # a grid of one psi, however repeated, runs no folds
+        cfg = ProtocolConfig(learner="ogd", psi_grid=(4, 4), folds=folds)
+        assert cfg.folds == folds
 
     def test_rejects_a_negative_seed(self):
         # numpy's generators raise a bare ValueError for one
@@ -148,6 +158,28 @@ class TestCvSelectPsi:
             means[psi] = np.mean(accs)
         expected = 4 if means[4] >= means[16] else 16
         assert chosen == expected
+
+    def test_ogd_matches_exhaustive_replay_oracle(self):
+        # dual OGD trains every psi and fold in one pass; the replay fits a
+        # model per psi and fold, from an unsorted grid with a repeat
+        ds = make_two_gaussians(120, 5, 2.0, seed=7)
+        cfg = ProtocolConfig(learner="ogd", psi_grid=(64, 2, 16, 2), eta=1.5,
+                             seed=11)
+        chosen = cv_select_psi(ds, cfg)
+
+        folds = kfold(ds, cfg.folds, (cfg.seed, 223))
+        means = {}
+        for psi in (2, 16, 64):
+            accs = []
+            for ft, fv in folds:
+                model = DualModel(Laplacian(psi, ft.dim))
+                for p in ft:
+                    model.step(p.x, int(p.c), cfg.eta)
+                scores = model.predict_many(fv.rows)
+                preds = [predict_label(s) for s in scores]
+                accs.append(float(np.mean(preds == fv.labels())))
+            means[psi] = np.mean(accs)
+        assert chosen == max(means, key=means.get)  # the first, smallest max
 
     def test_oversized_psi_skipped_with_warning(self):
         ds = make_two_gaussians(30, 3, 8.0, seed=2)

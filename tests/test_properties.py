@@ -34,7 +34,10 @@ replaced), the Gaussian and the feature-match kernel, and its weighted
 scores are each row's dot with the weights. Dual OGD's test-then-train
 pass, which takes its test scores from its steps' kernel rows, gives the
 scores, counters and support set of ``predict_many`` then the steps, bit
-for bit, whatever the support set a block starts at.
+for bit, whatever the support set a block starts at. Dual OGD's CV,
+which trains every psi and fold in one pass over one shared store,
+scores each fold as a model trained and scored alone on its ``kfold``
+pair does, bit for bit.
 Every point view of a dataset, which packs its rows once, and of its
 subsets, shuffles, heads, folds and dim-unified copies, is the point it
 came from at the dataset's dim; ``from_dense`` keeps each row's nonzeros,
@@ -59,6 +62,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import isokernel.dataset as dataset
+import isokernel.eval as evalmod
 import isokernel.kernels as kernels
 from isokernel.dataset import (
     Dataset,
@@ -84,6 +88,7 @@ from isokernel.learner import (
     IKOGDModel,
     NOGDModel,
     _Model,
+    dual_fold_scores,
     load_checkpoint,
     save_checkpoint,
 )
@@ -793,6 +798,94 @@ class TestFusedDualPass:
     def test_the_draws_reach_every_block_start(self, mark):
         # any example will do, so none is shrunk
         find(dual_streams(), lambda case: mark in mark_traits(case),
+             settings=settings(max_examples=200, database=None,
+                               phases=[Phase.generate]))
+
+
+@st.composite
+def dual_cv_cases(draw):
+    """(dataset, config) of dual OGD's CV: dense rows of up to 20 values in
+    [-1, 1] that round, near enough that a model may keep one support
+    vector for several steps at eta > 1 (at eta 8 even at psi 16), labels
+    of one class or two; a grid of one to four psi, which may repeat and
+    be unsorted; 2 to 5 folds, of all the points or of ``cv_max_points``
+    of them."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 20))
+    X = draw(st.lists(st.lists(ROUNDING.map(lambda v: v / 4), min_size=d,
+                               max_size=d), min_size=n, max_size=n))
+    # one class leaves a model at one support vector to the end
+    labels = draw(st.lists(st.sampled_from(draw(st.sampled_from(
+        [[-1, 1], [1]]))), min_size=n, max_size=n))
+    k = draw(st.integers(2, min(5, n)))
+    config = evalmod.ProtocolConfig(
+        learner="ogd", folds=k, seed=draw(st.integers(0, 99)),
+        psi_grid=tuple(draw(st.lists(st.sampled_from([2, 3, 16, 64, 300]),
+                                     min_size=1, max_size=4))),
+        cv_max_points=draw(st.none() | st.integers(k, n)),
+        eta=draw(st.sampled_from([0.5, 1.3, 4.0, 8.0])))
+    return from_dense(np.array(X), np.array(labels), "cv"), config
+
+
+def dual_cv_kernels(case):
+    """The case's folds, as ``cv_select_psi`` makes them, and a Laplacian
+    per grid entry, in the grid's order."""
+    ds, config = case
+    return (evalmod._cv_folds(ds, config),
+            [Laplacian(psi, ds.dim) for psi in config.psi_grid])
+
+
+def cv_traits(case):
+    """What a ``dual_cv_cases`` case reaches: a repeated and an unsorted
+    grid, a ``cv_max_points`` sample, a model that keeps one support
+    vector for two steps or more, and one that is left with one support
+    vector to score rows of 9 entries or more, whose terms numpy sums
+    pairwise on a one-row store."""
+    ds, config = case
+    grid = list(config.psi_grid)
+    traits = set()
+    if len(set(grid)) < len(grid):
+        traits.add("repeat")
+    if grid != sorted(grid):
+        traits.add("unsorted")
+    if config.cv_max_points is not None and len(ds) > config.cv_max_points:
+        traits.add("cap")
+    folds, kerns = dual_cv_kernels(case)
+    for kern in kerns:
+        for ft, _ in folds:
+            model, at_one = DualModel(kern), 0
+            for x, c in zip(ft.rows, ft.labels()):
+                at_one += len(model) == 1
+                model.step(x, int(c), config.eta)
+            if at_one >= 2:
+                traits.add("one SV twice")
+            if len(model) == 1 and ds.dim >= 9:
+                traits.add("ends at one SV, wide")
+    return traits
+
+
+class TestDualFoldScores:
+    # about one draw in ten leaves a model at one support vector to score
+    # rows wide enough to round otherwise on the shared store
+    @settings(max_examples=150, deadline=None)
+    @given(dual_cv_cases())
+    def test_lockstep_scores_as_a_model_per_psi_and_fold(self, case):
+        ds, config = case
+        folds, kerns = dual_cv_kernels(case)
+        got = dual_fold_scores([fv for _, fv in folds], kerns, config.eta)
+        for kern, row in zip(kerns, got, strict=True):
+            for (ft, fv), scores in zip(folds, row, strict=True):
+                model = DualModel(kern)
+                model.train_pass(ft.rows, ft.labels(), config.eta)
+                want = model.predict_many(fv.rows)
+                assert scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trait", ["repeat", "unsorted", "cap",
+                                       "one SV twice",
+                                       "ends at one SV, wide"])
+    def test_the_draws_reach_every_trait(self, trait):
+        # any example will do, so none is shrunk
+        find(dual_cv_cases(), lambda case: trait in cv_traits(case),
              settings=settings(max_examples=200, database=None,
                                phases=[Phase.generate]))
 
