@@ -1,6 +1,6 @@
 """Time ``Mapper.fit`` in process, in ms per partitioning, an iforest
-map's encoder, ``load_libsvm``, the baselines' kernel scoring, and dual
-OGD's online pass and cross-validation.
+map's encoder, ``load_libsvm``, the baselines' kernel scoring, dual OGD's
+online pass, and dual OGD's and NOGD's cross-validation.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
@@ -31,13 +31,13 @@ point, and ``fit_nystrom`` in ms. A ``stream-dual-`` shape times dual
 OGD's online pass over one 1000-point block of those rows, ``encode``
 then ``test_then_train``, against that many support vectors, in us per
 point, the best of ``--repeats`` passes, each from a fresh model. The
-``cv-dual`` shape times ``cv_select_psi`` for dual OGD on
-baselines-online's head (the first 2000 of its 8000 a9a-shaped rows,
-seed 301, as ``run_online`` shuffles them), grid (16, 64, 256), 5 folds:
-the best of ``--repeats`` runs in s, and the traced peak of one more in
-MB. The package and the generators are imported from the checkout that
-holds this script, so a copy of it in another checkout times that
-checkout's code.
+``cv-dual`` and ``cv-nogd`` shapes time ``cv_select_psi`` for dual OGD
+and for NOGD (b=100, r=20) on baselines-online's head (the first 2000 of
+its 8000 a9a-shaped rows, seed 301, as ``run_online`` shuffles them),
+grid (16, 64, 256), 5 folds: the best of ``--repeats`` runs in s, and
+the traced peak of one more in MB. The package and the generators are
+imported from the checkout that holds this script, so a copy of it in
+another checkout times that checkout's code.
 
 The ``score-``, ``stream-`` and ``cv-`` figures depend on the process's
 memory layout as well as on the code: on identical code,
@@ -126,6 +126,11 @@ SCORE_BLOCK_POINTS = 1000
 STREAM_SHAPES = {
     "stream-dual-1000": 1000,
     "stream-dual-4000": 4000,
+}
+# name: the learner whose cross-validation is timed
+CV_SHAPES = {
+    "cv-dual": "ogd",
+    "cv-nogd": "nogd",
 }
 
 
@@ -255,11 +260,12 @@ def time_stream(stored, repeats):
     return best / len(block) * 1e6
 
 
-def time_cv(repeats):
-    """Best wall time in s of ``repeats`` runs of dual OGD's
+def time_cv(learner, repeats):
+    """Best wall time in s of ``repeats`` runs of ``learner``'s
     ``cv_select_psi`` on baselines-online's head, and the traced peak of
     one more in MB."""
-    config = ProtocolConfig(learner="ogd", psi_grid=(16, 64, 256), folds=5,
+    config = ProtocolConfig(learner=learner, b=100, r=20,
+                            psi_grid=(16, 64, 256), folds=5,
                             train_size=2000, seed=301)
     ds = dataset(*gen.a9a_like(8000, config.seed), gen.A9A_DIM)
     head, _ = split_head(shuffle(ds, config.seed), config.train_size)
@@ -274,7 +280,8 @@ def time_cv(repeats):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
-    every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES, *STREAM_SHAPES, "cv-dual"]
+    every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES, *STREAM_SHAPES,
+             *CV_SHAPES]
     ap.add_argument("--shapes", default=",".join(every),
                     help="comma list of " + ", ".join(every))
     args = ap.parse_args(argv)
@@ -314,10 +321,12 @@ def main(argv=None):
         stored = STREAM_SHAPES[name]
         us = time_stream(stored, args.repeats)
         print(f"| {name} | {stored} | {us:.2f} |", flush=True)
-    if "cv-dual" in names:
-        s, mb = time_cv(args.repeats)
-        print("| shape | points | CV s | peak MB |\n|---|---|---|---|\n"
-              f"| cv-dual | 2000 | {s:.3f} | {mb:.2f} |", flush=True)
+    cv = [name for name in names if name in CV_SHAPES]
+    if cv:
+        print("| shape | points | CV s | peak MB |\n|---|---|---|---|")
+    for name in cv:
+        s, mb = time_cv(CV_SHAPES[name], args.repeats)
+        print(f"| {name} | 2000 | {s:.3f} | {mb:.2f} |", flush=True)
     return 0
 
 

@@ -27,6 +27,7 @@ from .learner import (
     IKOGDModel,
     NOGDModel,
     dual_fold_scores,
+    nystrom_fold_scores,
 )
 from .nystrom import fit_nystrom
 
@@ -257,8 +258,10 @@ def cv_select_psi(train, config):
     than a training fold provides are skipped with a warning; if that skips
     everything the configuration is unusable. With a single-element grid the
     choice is forced and no folds are run. Dual OGD trains every psi and
-    fold in one pass, by ``dual_fold_scores``, whose scores are those of
-    a model fitted per psi and fold; the other learners fit one by one.
+    fold in one pass, by ``dual_fold_scores``, and NOGD takes each fold's
+    landmark distances once for every psi, by ``nystrom_fold_scores``;
+    both give the scores of a model fitted per psi and fold. The IK
+    learners fit one by one.
     """
     grid = sorted(set(config.psi_grid))
     if len(grid) == 1:
@@ -277,15 +280,21 @@ def cv_select_psi(train, config):
     if not usable:
         raise ConfigError("every grid psi exceeds the fold-train size")
 
-    if config.learner == "ogd":
+    seeds = [(config.seed, 227, i) for i in range(len(folds))]
+    if config.learner in ("ogd", "nogd"):
         vals = [fv for _, fv in folds]
         kernels = [Laplacian(psi, vals[0].dim) for psi in usable]
+        if config.learner == "ogd":
+            scores = dual_fold_scores(vals, kernels, config.eta)
+        else:
+            scores = nystrom_fold_scores(folds, kernels, config.b, config.r,
+                                         config.eta, seeds)
         accs = [[_n_correct(s, fv.labels()) / len(fv)
                  for s, fv in zip(row, vals)]
-                for row in dual_fold_scores(vals, kernels, config.eta)]
+                for row in scores]
     else:
-        accs = [[_fold_accuracy(ft, fv, psi, config, (config.seed, 227, i))
-                 for i, (ft, fv) in enumerate(folds)]
+        accs = [[_fold_accuracy(ft, fv, psi, config, seed)
+                 for seed, (ft, fv) in zip(seeds, folds)]
                 for psi in usable]
     best_psi, best_acc = None, -1.0
     # ascending: ties keep the smallest psi

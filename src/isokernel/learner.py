@@ -25,7 +25,7 @@ from .dataset import (
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .featuremap import Mapper
 from .kernels import RowStore, make_kernel
-from .nystrom import NystromMap
+from .nystrom import NystromMap, nystrom_features
 
 FORMAT_VERSION = 4
 
@@ -443,6 +443,25 @@ class NOGDModel(_Model):
 
     def _update(self, xhat, c, eta):
         self.w += (eta * c) * xhat
+
+
+def nystrom_fold_scores(folds, kernels, b, r, eta, seeds):
+    """Validation scores of NOGD over each of ``kernels`` for each of k
+    ``folds``, ``(train, validation)`` dataset pairs: ``scores[g][i]`` are
+    fold i's validation points' scores by a ``NOGDModel`` on the map that
+    ``fit_nystrom`` fits with ``kernels[g]``, b, r and ``seeds[i]``, after
+    ``train_pass`` over fold i's training points, then ``predict_many``,
+    bit for bit. Each fold's features come from ``nystrom_features``, so
+    only one fold's landmark distances are held at a time.
+    """
+    scores = [[None] * len(folds) for _ in kernels]
+    for i, ((train, val), seed) in enumerate(zip(folds, seeds)):
+        features = nystrom_features(train, val, kernels, b, r, seed)
+        for out, (F_train, F_val) in zip(scores, features):
+            model = NOGDModel(F_train.shape[1])
+            model.train_pass(F_train, train.labels(), eta)
+            out[i] = model.predict_many(F_val)
+    return scores
 
 
 # ---------------------------------------------------------------------------

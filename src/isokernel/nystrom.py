@@ -125,21 +125,24 @@ class NystromMap:
         return load_npz(path, FORMAT_VERSION, "map", cls.from_state)
 
 
-def fit_nystrom(dataset, b, r, kernel_fn, seed):
-    """Sample b landmarks, eigendecompose their Gram, keep the top r pairs.
-
-    Eigenvalues <= EIGEN_FLOOR are discarded; if that leaves none, the
-    kernel is degenerate on the landmark sample and fitting fails.
-    """
+def _landmarks(dataset, b, r, seed):
+    """The b rows of ``dataset`` that ``fit_nystrom`` takes as landmarks
+    for rank r with ``seed``, once b and r are checked."""
     if b > len(dataset):
         raise SampleError(f"cannot sample {b} landmarks from {len(dataset)}")
     if not 1 <= r <= b:
         raise ParameterError(f"rank must satisfy 1 <= r <= b, got r={r} b={b}")
     rng = np.random.default_rng(seed)
-    # the map scores its own Gram: proj is set once the Gram is known
-    nm = NystromMap(dataset.rows.take(sample_rows(len(dataset), b, rng)),
-                    kernel_fn, np.empty((0, b)), b, r, seed)
-    G = nm._store.scores(*nm._rows.ragged())
+    return dataset.rows.take(sample_rows(len(dataset), b, rng))
+
+
+def _projection(G, r):
+    """``proj`` of the map whose landmarks' kernel Gram is G: the top r
+    eigenpairs of G above ``EIGEN_FLOOR``, as diag(lambda)^(-1/2) V^T.
+
+    If no eigenvalue is above the floor, the kernel is degenerate on the
+    landmark sample and fitting fails.
+    """
     G = 0.5 * (G + G.T)  # scrub asymmetric rounding from the scorer
     vals, vecs = sym_eigen(G)
     vals = vals[:r]
@@ -151,5 +154,44 @@ def fit_nystrom(dataset, b, r, kernel_fn, seed):
         )
     vals = vals[keep]
     vecs = vecs[:, keep]
-    nm.proj = (vecs / np.sqrt(vals)).T
+    return (vecs / np.sqrt(vals)).T
+
+
+def fit_nystrom(dataset, b, r, kernel_fn, seed):
+    """Sample b landmarks, eigendecompose their Gram, keep the top r pairs.
+
+    Eigenvalues <= EIGEN_FLOOR are discarded; if that leaves none, the
+    kernel is degenerate on the landmark sample and fitting fails.
+    """
+    # the map scores its own Gram: proj is set once the Gram is known
+    nm = NystromMap(_landmarks(dataset, b, r, seed), kernel_fn,
+                    np.empty((0, b)), b, r, seed)
+    nm.proj = _projection(nm._store.scores(*nm._rows.ragged()), r)
     return nm
+
+
+def nystrom_features(train, val, kernels, b, r, seed):
+    """For each of ``kernels`` in turn, ``(map_many(train),
+    map_many(val))`` by the map ``fit_nystrom(train, b, r, kernel, seed)``
+    fits, bit for bit.
+
+    The kernels are stationary and differ in scale alone, so the
+    landmarks are sampled and stored once, and the distances of the
+    landmarks, of train and of val to them are taken once, a block at a
+    time as the map's scorer takes them, then scaled per kernel into the
+    Gram that ``_projection`` takes and the rows that ``map_many``
+    projects.
+    """
+    landmarks = _landmarks(train, b, r, seed)
+    store = RowStore(kernels[0])
+    for z in landmarks:
+        store.append(z.indices, z.values)
+    distances = kernels[0].sparse_row_distances
+    dists = [np.concatenate(list(store.blocks(*rows.ragged(), distances)))
+             for rows in (landmarks, train.rows, val.rows)]
+    K = [np.empty_like(dist) for dist in dists]
+    for kernel in kernels:
+        G, K_train, K_val = (kernel.of_distances(dist, out=k)
+                             for dist, k in zip(dists, K))
+        proj = _projection(G, r)
+        yield K_train @ proj.T, K_val @ proj.T

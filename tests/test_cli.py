@@ -330,6 +330,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "folds must be >= 2" in err
 
+    # 300 training points in 5 folds train on 240 each; NOGD's CV checks
+    # b, then r, on fold 0 before the final fit on all 300
+    @pytest.mark.parametrize("b, r, message", [
+        ("241", "5", "data error: cannot sample 241 landmarks from 240"),
+        ("200", "201",
+         "data error: rank must satisfy 1 <= r <= b, got r=201 b=200"),
+    ])
+    def test_nogd_cv_fit_errors_are_data_errors(self, data_files, capsys, b,
+                                                r, message):
+        train, test = data_files
+        assert run_cli([
+            "eval-batch", "--train", train, "--test", test,
+            "--learner", "nogd", "--psi", "4,16", "--b", b, "--r", r,
+        ]) == 2
+        assert capsys.readouterr().err.strip() == message
+
     @pytest.mark.parametrize("line, message", [
         ("t = 1.5", "t must be an integer"),
         ("block_size = 2.5", "block_size must be an integer"),

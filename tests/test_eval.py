@@ -10,7 +10,7 @@ import pytest
 
 import isokernel.eval as evalmod
 from isokernel.dataset import Dataset, kfold, split_head
-from isokernel.errors import ConfigError
+from isokernel.errors import ConfigError, ParameterError, SampleError
 from isokernel.eval import (
     ProtocolConfig,
     cv_select_psi,
@@ -23,7 +23,8 @@ from isokernel.eval import (
 )
 from isokernel.featuremap import Mapper
 from isokernel.kernels import Laplacian
-from isokernel.learner import DualModel, IKOGDModel, predict_label
+from isokernel.learner import DualModel, IKOGDModel, NOGDModel, predict_label
+from isokernel.nystrom import fit_nystrom
 
 
 def _strip_times(metrics):
@@ -180,6 +181,46 @@ class TestCvSelectPsi:
                 accs.append(float(np.mean(preds == fv.labels())))
             means[psi] = np.mean(accs)
         assert chosen == max(means, key=means.get)  # the first, smallest max
+
+    def test_nogd_matches_exhaustive_replay_oracle(self):
+        # NOGD takes each fold's landmark distances once for every psi; the
+        # replay fits a map per psi and fold, from an unsorted grid with a
+        # repeat, and the largest psi wins
+        ds = make_two_gaussians(120, 5, 3.0, seed=7)
+        cfg = ProtocolConfig(learner="nogd", psi_grid=(64, 2, 16, 2), b=30,
+                             r=10, eta=1.5, seed=11)
+        chosen = cv_select_psi(ds, cfg)
+
+        folds = kfold(ds, cfg.folds, (cfg.seed, 223))
+        means = {}
+        for psi in (2, 16, 64):
+            accs = []
+            for i, (ft, fv) in enumerate(folds):
+                nm = fit_nystrom(ft, cfg.b, cfg.r, Laplacian(psi, ft.dim),
+                                 (cfg.seed, 227, i))
+                model = NOGDModel(nm.effective_r, nystrom=nm)
+                for f, c in zip(nm.map_many(ft), ft.labels()):
+                    model.step(f, int(c), cfg.eta)
+                scores = model.predict_many(nm.map_many(fv))
+                preds = [predict_label(s) for s in scores]
+                accs.append(float(np.mean(preds == fv.labels())))
+            means[psi] = np.mean(accs)
+        assert chosen == max(means, key=means.get) == 64
+
+    # 22 points in 5 folds: fold 0 validates on 5 and trains on 17, the
+    # others train on 18; the fit's checks run on fold 0 first
+    @pytest.mark.parametrize("b, r, error, message", [
+        (18, 5, SampleError, "cannot sample 18 landmarks from 17"),
+        (18, 19, SampleError, "cannot sample 18 landmarks from 17"),
+        (17, 18, ParameterError,
+         "rank must satisfy 1 <= r <= b, got r=18 b=17"),
+    ])
+    def test_nogd_fit_errors_are_those_of_fold_0(self, b, r, error, message):
+        ds = make_two_gaussians(22, 3, 2.0, seed=5)
+        cfg = ProtocolConfig(learner="nogd", psi_grid=(4, 16), b=b, r=r)
+        with pytest.raises(error) as caught:
+            cv_select_psi(ds, cfg)
+        assert str(caught.value) == message
 
     def test_oversized_psi_skipped_with_warning(self):
         ds = make_two_gaussians(30, 3, 8.0, seed=2)

@@ -37,7 +37,8 @@ scores, counters and support set of ``predict_many`` then the steps, bit
 for bit, whatever the support set a block starts at. Dual OGD's CV,
 which trains every psi and fold in one pass over one shared store,
 scores each fold as a model trained and scored alone on its ``kfold``
-pair does, bit for bit.
+pair does, bit for bit, and so does NOGD's, which takes each fold's
+landmark distances once for every psi.
 Every point view of a dataset, which packs its rows once, and of its
 subsets, shuffles, heads, folds and dim-unified copies, is the point it
 came from at the dataset's dim; ``from_dense`` keeps each row's nonzeros,
@@ -90,6 +91,7 @@ from isokernel.learner import (
     _Model,
     dual_fold_scores,
     load_checkpoint,
+    nystrom_fold_scores,
     save_checkpoint,
 )
 from isokernel.nystrom import NystromMap, fit_nystrom
@@ -835,12 +837,10 @@ def dual_cv_kernels(case):
             [Laplacian(psi, ds.dim) for psi in config.psi_grid])
 
 
-def cv_traits(case):
-    """What a ``dual_cv_cases`` case reaches: a repeated and an unsorted
-    grid, a ``cv_max_points`` sample, a model that keeps one support
-    vector for two steps or more, and one that is left with one support
-    vector to score rows of 9 entries or more, whose terms numpy sums
-    pairwise on a one-row store."""
+def grid_traits(case):
+    """Whether a CV case's grid repeats a psi ("repeat") or is unsorted
+    ("unsorted"), and whether it validates on a ``cv_max_points`` sample
+    ("cap")."""
     ds, config = case
     grid = list(config.psi_grid)
     traits = set()
@@ -850,6 +850,17 @@ def cv_traits(case):
         traits.add("unsorted")
     if config.cv_max_points is not None and len(ds) > config.cv_max_points:
         traits.add("cap")
+    return traits
+
+
+def cv_traits(case):
+    """What a ``dual_cv_cases`` case reaches: a repeated and an unsorted
+    grid, a ``cv_max_points`` sample, a model that keeps one support
+    vector for two steps or more, and one that is left with one support
+    vector to score rows of 9 entries or more, whose terms numpy sums
+    pairwise on a one-row store."""
+    ds, config = case
+    traits = grid_traits(case)
     folds, kerns = dual_cv_kernels(case)
     for kern in kerns:
         for ft, _ in folds:
@@ -886,6 +897,88 @@ class TestDualFoldScores:
     def test_the_draws_reach_every_trait(self, trait):
         # any example will do, so none is shrunk
         find(dual_cv_cases(), lambda case: trait in cv_traits(case),
+             settings=settings(max_examples=200, database=None,
+                               phases=[Phase.generate]))
+
+
+@st.composite
+def nystrom_cv_cases(draw):
+    """(dataset, config) of NOGD's CV: dense rows of up to 20 values in
+    [-1, 1] that round, drawn from a pool of rows, so that rows may repeat
+    and a landmark Gram lose rank; labels of one class or two; a grid of
+    one to four psi, which may repeat and be unsorted; 2 to 5 folds, of
+    all the points or of ``cv_max_points`` of them; b up to the smallest
+    fold's training size, often equal to it, and r up to b, often equal
+    to it."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 20))
+    pool = draw(st.lists(st.lists(ROUNDING.map(lambda v: v / 4), min_size=d,
+                                  max_size=d), min_size=1, max_size=n))
+    X = [pool[j] for j in draw(st.lists(st.integers(0, len(pool) - 1),
+                                        min_size=n, max_size=n))]
+    labels = draw(st.lists(st.sampled_from(draw(st.sampled_from(
+        [[-1, 1], [1]]))), min_size=n, max_size=n))
+    k = draw(st.integers(2, min(5, n)))
+    cap = draw(st.none() | st.integers(k, n))
+    m = n if cap is None else cap
+    smallest = m - -(-m // k)  # fold 0 validates on the most points
+    b = draw(st.just(smallest) | st.integers(1, smallest))
+    config = evalmod.ProtocolConfig(
+        learner="nogd", folds=k, seed=draw(st.integers(0, 99)),
+        psi_grid=tuple(draw(st.lists(st.sampled_from([2, 3, 16, 64, 300]),
+                                     min_size=1, max_size=4))),
+        cv_max_points=cap, b=b, r=draw(st.just(b) | st.integers(1, b)),
+        eta=draw(st.sampled_from([0.5, 1.3, 4.0, 8.0])))
+    return from_dense(np.array(X), np.array(labels), "cv"), config
+
+
+def nystrom_cv_folds(case):
+    """The case's folds, as ``cv_select_psi`` makes them, and the landmark
+    seed of each."""
+    ds, config = case
+    folds = evalmod._cv_folds(ds, config)
+    return folds, [(config.seed, 227, i) for i in range(len(folds))]
+
+
+def nystrom_cv_traits(case):
+    """What a ``nystrom_cv_cases`` case reaches: ``grid_traits``, a b of
+    the smallest fold's training size, and a fold whose landmarks repeat
+    rows so that the map keeps fewer than r eigenpairs."""
+    ds, config = case
+    traits = grid_traits(case)
+    folds, seeds = nystrom_cv_folds(case)
+    if config.b == min(len(ft) for ft, _ in folds):
+        traits.add("b = smallest fold")
+    for psi in config.psi_grid:
+        for seed, (ft, _) in zip(seeds, folds):
+            nm = fit_nystrom(ft, config.b, config.r, Laplacian(psi, ds.dim),
+                             seed)
+            if nm.effective_r < config.r:
+                traits.add("effective_r < r")
+    return traits
+
+
+class TestNystromFoldScores:
+    @settings(max_examples=100, deadline=None)
+    @given(nystrom_cv_cases())
+    def test_one_pass_scores_as_a_map_per_psi_and_fold(self, case):
+        ds, config = case
+        folds, seeds = nystrom_cv_folds(case)
+        kerns = [Laplacian(psi, ds.dim) for psi in config.psi_grid]
+        got = nystrom_fold_scores(folds, kerns, config.b, config.r,
+                                  config.eta, seeds)
+        for psi, row in zip(config.psi_grid, got, strict=True):
+            for seed, (ft, fv), scores in zip(seeds, folds, row, strict=True):
+                model = evalmod.fit_learner(ft, psi, config, seed)
+                want = model.predict_many(model.encode(fv))
+                assert scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trait", ["repeat", "unsorted", "cap",
+                                       "effective_r < r",
+                                       "b = smallest fold"])
+    def test_the_draws_reach_every_trait(self, trait):
+        # any example will do, so none is shrunk
+        find(nystrom_cv_cases(), lambda case: trait in nystrom_cv_traits(case),
              settings=settings(max_examples=200, database=None,
                                phases=[Phase.generate]))
 
