@@ -458,6 +458,13 @@ def _valid_entries(indices, values, offsets):
         and np.isfinite(values).all())
 
 
+def _checked(name, a, valid=np.isfinite):
+    """Loaded array ``a``, or a ValueError naming it if ``valid`` fails."""
+    if not np.all(valid(a)):
+        raise ValueError(f"array {name!r} holds an invalid entry")
+    return a
+
+
 def by_prefix(arrays):
     """The entries of ``arrays`` grouped in one pass by the part of their
     key before its first ``_``: ``{"a": {"b_c": x}}`` from ``{"a_b_c": x}``."""

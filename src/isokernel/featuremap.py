@@ -132,7 +132,7 @@ class Mapper:
 
     @classmethod
     def from_state(cls, meta, arrays):
-        parts = SCHEMES[meta["scheme"]].unpack(arrays)
+        parts = SCHEMES[meta["scheme"]].unpack(arrays, meta["dim"])
         if len(parts) != meta["t"]:
             raise ValueError(f"{len(parts)} partitionings, not t={meta['t']}")
         return cls(

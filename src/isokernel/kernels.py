@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .dataset import l1_distance, sq_distance
+from .dataset import Rows, l1_distance, sq_distance
 from .errors import ParameterError
 
 # Elements of the widest temporary that ``RowStore.scores`` makes for one
@@ -88,37 +88,52 @@ class RowStore:
         self.norms[self.n] = self.kernel.row_norm(values)
         self.n += 1
 
-    def scores(self, indices, values, offsets, weights=None):
+    def rows(self, ids, dim):
+        """The stored rows ``ids``, in order, as ``Rows`` at ``dim`` or
+        their largest attribute, read back from Z: a stored point has no
+        zero value, so its entries are its row's nonzero columns."""
+        attrs = np.flatnonzero(self.slot).astype(np.int32)
+        V = self.Z[np.ix_(ids, self.slot[attrs])]
+        r, j = np.nonzero(V)  # row by row, each in ascending attribute
+        offsets = np.searchsorted(r, np.arange(len(ids) + 1))
+        indices = attrs[j]
+        return Rows(indices, V[r, j], offsets, max(dim, indices.max(initial=0)))
+
+    def scores(self, indices, values, offsets, weights=None, rows=None,
+               score=None):
         """k(x, z) for every row x of the flat ragged rows ``(indices,
         values, offsets)``, with 1-based attributes, and every stored row z,
         in order: an (m, n) array. With ``weights``, one per stored row,
         each x's sum of ``weights[z] * k(x, z)`` instead, an (m,) array,
-        one dot per row, taken as soon as its block is scored.
+        one dot per row, taken as soon as its block is scored. ``rows`` and
+        ``score``, by default the kernel's, are as ``blocks`` takes them.
         """
+        score = score or self.kernel.sparse_row_scores
         parts = [K if weights is None else np.vecdot(K, weights)
-                 for K in self.blocks(indices, values, offsets,
-                                      self.kernel.sparse_row_scores)]
+                 for K in self.blocks(indices, values, offsets, score, rows)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def blocks(self, indices, values, offsets, score):
+    def blocks(self, indices, values, offsets, score, rows=None):
         """``score(x, Z, norms)`` of each block x of the flat ragged rows
         ``(indices, values, offsets)`` in turn, as the kernel's
         ``sparse_row_scores`` takes a block: an array of a row per row of
-        x and a column per stored row.
+        x and a column per stored row, or per one of ``rows``, ascending ids
+        of stored rows, scored as a store of those rows alone scores them.
 
         Rows go a block at a time within ``SCORE_BLOCK``, and one after
-        another on a store of one row: there numpy sums each row's terms
+        another against one stored row: there numpy sums each row's terms
         pairwise, so that a row padded in a block would round otherwise.
         ``norms`` reach the kernel as a (1, n) row, which adds to a block
         of one row without broadcasting.
         """
         at = self.slot.take(indices, mode="clip")
-        Z, norms = self.Z[:self.n], self.norms[None, :self.n]
-        m = offsets.size - 1
+        rows = slice(self.n) if rows is None else rows
+        Z, norms = self.Z[rows], self.norms[None, rows]
+        n, m = Z.shape[0], offsets.size - 1
         step = m
-        if m > 1 and self.n:
-            wide = max(1, int(np.diff(offsets).max()) * self.n)
-            step = 1 if self.n == 1 else min(m, max(1, SCORE_BLOCK // wide))
+        if m > 1 and n:
+            wide = max(1, int(np.diff(offsets).max()) * n)
+            step = 1 if n == 1 else min(m, max(1, SCORE_BLOCK // wide))
         if step == m:
             yield score((at, values, offsets), Z, norms)
             return

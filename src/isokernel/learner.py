@@ -16,6 +16,7 @@ import numpy as np
 from .dataset import (
     Rows,
     SparseVector,
+    _checked,
     by_prefix,
     load_npz,
     pack_ragged,
@@ -51,7 +52,7 @@ class FeatureMatchKernel:
     name = "feature-match"
 
     def __init__(self, t):
-        self.t = t
+        self.t = self.dim = t  # a feature is a point of t attributes
 
     def row_norm(self, f):
         """Unused by the scorer; checks the length of a stored feature."""
@@ -149,7 +150,7 @@ class _Model:
             raise ValueError(f"weights of shape {arrays['w'].shape} for a "
                              f"map of {sizes}")
         # contiguous, so that IKOGDModel's flat view of w is no copy
-        model.w = np.ascontiguousarray(arrays["w"])
+        model.w = np.ascontiguousarray(_checked("w", arrays["w"]))
         model.updates = meta["updates"]
         return model
 
@@ -178,138 +179,111 @@ class DualModel(_Model):
     """Support-vector model with f(x) = sum_i alpha_i c_i k(x_i, x).
 
     The support set grows without budget; prediction cost is one kernel
-    evaluation per stored vector. The stored vectors are the rows of a
-    ``RowStore``, which the kernel's ``sparse_row_scores`` scores against a
-    block of queries at a time, on each query's own columns only.
+    evaluation per support vector. The support vectors are ascending rows
+    ``_ids`` of a ``RowStore``, the model's own or ``store``, shared by
+    models whose kernels differ from its kernel in scale alone.
     """
 
-    def __init__(self, kernel_fn):
+    def __init__(self, kernel_fn, store=None):
         super().__init__()
         self.kernel = kernel_fn
-        self.svs = []  # (point, c, alpha) in arrival order
-        self._store = RowStore(kernel_fn)
-        self._coeffs = np.empty(0)  # alpha_i * c_i, precombined
-        self._row = np.empty(0)  # kernel row of the point last predicted
+        self._store = RowStore(kernel_fn) if store is None else store
+        self._own = store is None  # then the ids are 0, 1, 2, ...
+        self._cs = []  # the support vectors' labels
+        # their store rows and alpha_i * c_i, the first len(self) entries
+        self._ids, self._coeffs = np.empty(0, dtype=np.intp), np.empty(0)
+        self._last = None  # the point last predicted, and its kernel row
 
     def __len__(self):
-        return len(self.svs)
+        return len(self._cs)
+
+    @property
+    def svs(self):
+        """``(point, c, alpha)`` of each support vector in arrival order;
+        under the feature-match kernel a point is its cells, zeros too."""
+        points = self._store.rows(self._ids[:len(self)], self.kernel.dim)
+        if isinstance(self.kernel, FeatureMatchKernel):
+            points = [x.densify() for x in points]
+        return list(zip(points, self._cs,
+                        (self._coeffs[:len(self)] * self._cs).tolist()))
+
+    def _add(self, at, c, alpha):
+        """Take the store's row ``at`` with label c and weight alpha."""
+        n = len(self._cs)
+        if n == self._ids.size:
+            self._ids = np.resize(self._ids, max(256, 2 * n))
+            self._coeffs = np.resize(self._coeffs, max(256, 2 * n))
+        self._ids[n], self._coeffs[n] = at, alpha * c
+        self._cs.append(c)
 
     def _update(self, point, c, alpha):
         """Add ``point`` as a support vector with label c and weight alpha."""
-        n = len(self.svs)
-        if n == self._coeffs.size:
-            self._coeffs = np.resize(self._coeffs, max(256, 2 * n))
-        self._coeffs[n] = alpha * c
+        self._add(self._store.n, c, alpha)
         self._store.append(*_entries(point))
-        self.svs.append((point, c, alpha))
+
+    def _scores_by(self, n, x, K=None):
+        """Scores of the flat ragged rows x by the first n support vectors,
+        as a store of just those rows sums them: the dots of their columns
+        of K, x's kernel rows against the whole store, with their weights;
+        but a single row sums a point's terms pairwise, so at one support
+        vector, and without K, x is scored against the n rows themselves."""
+        if K is None or n <= 1 < K.shape[1]:
+            rows = None if n == self._store.n else self._ids[:n]
+            return self._store.scores(*x, self._coeffs[:n], rows,
+                                      self.kernel.sparse_row_scores)
+        if n < K.shape[1]:
+            K = K[:, :n] if self._own else K.take(self._ids[:n], 1)
+        return np.vecdot(K, self._coeffs[:n])
 
     def predict(self, x):
-        """Score of one point, as a block of one. Its kernel row against
-        the support set is kept as ``_row``."""
+        """Score of one point, as a block of one."""
+        n = len(self)
         indices, values = _entries(x)
-        s = len(self.svs)
-        self._count(1, s)
-        K = self._store.scores(indices, values, np.array([0, values.size]))
-        self._row = K[0]
-        return float(np.vecdot(K, self._coeffs[:s])[0])
+        x = indices, values, np.array([0, values.size])
+        self._count(1, n)
+        [K] = self._store.blocks(*x, self.kernel.sparse_row_scores)
+        self._last = x, K
+        return float(self._scores_by(n, x, K)[0])
 
     def _scores(self, points):
-        """Scores of points, each costing len(self) kernel evaluations.
-        The store takes each row's dot with the coefficients as soon as
-        the row's block is scored, which rounds as ``coeffs @ row``
-        does."""
-        indices, values, offsets = _ragged(points)
-        s = len(self.svs)
-        self._count(offsets.size - 1, s)
-        return self._store.scores(indices, values, offsets, self._coeffs[:s])
+        """Scores of points, each costing len(self) kernel evaluations."""
+        x = _ragged(points)
+        self._count(x[2].size - 1, len(self))
+        return self._scores_by(len(self), x)
 
     def test_then_train(self, points, labels, eta):
-        """As ``_Model.test_then_train``, but each point is scored once.
-        The model at the block's start is the first ``mark`` stored rows,
-        so a point's test score is the dot of the first ``mark`` entries
-        of the kernel row its ``step`` keeps with their coefficients: the
-        terms that ``predict_many`` sums, in its order. On a store of one
-        row, ``RowStore.scores`` sums a row's terms pairwise, which a
-        prefix of a later row does not round alike, so below two stored
-        rows the block is scored as the default does."""
-        mark = len(self.svs)
-        if mark < 2:
-            return super().test_then_train(points, labels, eta)
+        """As ``_Model.test_then_train``, but each point is scored once:
+        its test score is ``_scores_by`` the block's first ``mark`` support
+        vectors of the kernel row its ``step`` keeps."""
+        mark = len(self)
         self._count(len(points), mark)
         scores = np.empty(len(points))
         for i, (x, c) in enumerate(zip(points, labels)):
             self.step(x, int(c), eta)
-            scores[i] = np.vecdot(self._row[:mark], self._coeffs[:mark])
+            scores[i] = self._scores_by(mark, *self._last)[0]
         return scores
 
     def state(self):
         if not hasattr(self.kernel, "params"):  # make_kernel cannot rebuild it
             raise ParameterError(f"a dual model over a {self.kernel.name} "
                                  "kernel cannot be checkpointed")
-        meta = {
-            "kernel": self.kernel.params(),
-            "dim": max([self.kernel.dim] + [p.dim for p, _, _ in self.svs]),
-            "updates": self.updates,
-        }
-        arrays = pack_ragged([p for p, _, _ in self.svs])
-        arrays["cs"] = np.array([c for _, c, _ in self.svs])
-        arrays["alphas"] = np.array([a for _, _, a in self.svs])
+        rows = self._store.rows(self._ids[:len(self)], self.kernel.dim)
+        meta = {"kernel": self.kernel.params(), "dim": rows.dim,
+                "updates": self.updates}
+        arrays = pack_ragged(rows)
+        arrays["cs"] = np.array(self._cs)
+        arrays["alphas"] = self._coeffs[:len(self)] * arrays["cs"]
         return meta, arrays
 
     @classmethod
     def from_state(cls, meta, arrays, encoder=None):
         model = cls(make_kernel(meta["kernel"]))
-        points = unpack_ragged(arrays, meta["dim"])
-        for point, c, alpha in zip(points, arrays["cs"], arrays["alphas"]):
+        cs = _checked("cs", arrays["cs"], lambda c: np.abs(c) == 1)
+        for point, c, alpha in zip(unpack_ragged(arrays, meta["dim"]), cs,
+                                   _checked("alphas", arrays["alphas"])):
             model._update(point, int(c), float(alpha))
         model.updates = meta["updates"]
         return model
-
-
-class _Member:
-    """One dual OGD model of ``dual_fold_scores``: its support vectors as
-    rows ``ids`` of the shared store with coefficients ``coeffs``, the
-    first ``n`` entries of arrays that grow by doubling, and, while it
-    holds one support vector, that row in a ``RowStore`` of its own,
-    ``one``."""
-
-    __slots__ = ("kernel", "ids", "coeffs", "n", "one")
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.ids = np.empty(256, dtype=np.intp)
-        self.coeffs = np.empty(256)
-        self.n = 0
-        self.one = None
-
-    def scores(self, K, x):
-        """Scores of the flat ragged rows ``x``, whose scaled kernel rows
-        against the shared store are the rows of K: the terms, in their
-        order, of ``vecdot(K, coeffs)`` on the model's own store. On one
-        support vector they are its one-row store's scores, since that
-        store sums a row's terms pairwise where a larger one sums them in
-        order."""
-        if self.n == 1:
-            return self.one.scores(*x, self.coeffs[:1])
-        return np.vecdot(K.take(self.ids[:self.n], 1), self.coeffs[:self.n])
-
-    def step(self, K, x, c, eta, at):
-        """``DualModel.step`` on the point ``x``, a block of one row; the
-        point is the shared store's row ``at`` if taken. Returns whether
-        the model took it."""
-        if not margin_violated(float(self.scores(K, x)[0]), c):
-            return False
-        n = self.n
-        if n == self.ids.size:
-            self.ids = np.resize(self.ids, 2 * n)
-            self.coeffs = np.resize(self.coeffs, 2 * n)
-        self.ids[n], self.coeffs[n] = at, eta * c
-        self.n = n + 1
-        self.one = None
-        if n == 0:
-            self.one = RowStore(self.kernel)
-            self.one.append(*x[:2])
-        return True
 
 
 def dual_fold_scores(folds, kernels, eta):
@@ -320,15 +294,15 @@ def dual_fold_scores(folds, kernels, eta):
     gives fold i), then ``predict_many``, bit for bit.
 
     The kernels are stationary and differ in scale alone, so every model
-    trains in one walk over the folds' points. Each point's distances to
-    one shared ``RowStore`` are taken once and scaled once per kernel, and
-    each model whose fold trains on the point scores it from them. A row
-    is stored once, when the first model takes it. Each fold is then
-    scored a block at a time, within ``SCORE_BLOCK``.
+    shares one ``RowStore`` and trains in one walk over the folds' points.
+    Each point's distances to the store are taken once and scaled once
+    per kernel, and each model whose fold trains on the point scores it
+    from them. A row is stored once, when the first model takes it. Each
+    fold is then scored the same way, a block at a time.
     """
     store = RowStore(kernels[0])
     distances = store.kernel.sparse_row_distances
-    members = [[_Member(kernel) for _ in folds] for kernel in kernels]
+    models = [[DualModel(kernel, store) for _ in folds] for kernel in kernels]
     indices, values, offsets = Rows.concat([f.rows for f in folds]).ragged()
     bounds = offsets.tolist()
     labels = np.concatenate([f.labels() for f in folds]).tolist()
@@ -339,28 +313,29 @@ def dual_fold_scores(folds, kernels, eta):
         [dist] = store.blocks(*x, distances)
         K = np.empty_like(dist)
         taken = False
-        for kernel, models in zip(kernels, members):
+        for kernel, row in zip(kernels, models):
             kernel.of_distances(dist, out=K)
-            for j, model in enumerate(models):
-                if j != i:
-                    taken |= model.step(K, x, c, eta, store.n)
+            for j, model in enumerate(row):  # ``step`` from K
+                if j != i and margin_violated(
+                        float(model._scores_by(len(model._cs), x, K)[0]), c):
+                    model._add(store.n, c, eta)
+                    model.updates += 1
+                    taken = True
         if taken:
             store.append(*x[:2])
 
     scores = [[np.empty(len(f)) for f in folds] for _ in kernels]
     for i, fold in enumerate(folds):
-        x = fold.rows.ragged()
-        for models, out in zip(members, scores):
-            if models[i].n == 1:  # its own store scores the whole fold
-                out[i] = models[i].scores(None, x)
-        lo = 0
-        for dist in store.blocks(*x, distances):
+        indices, values, offsets = fold.rows.ragged()
+        bounds, lo = offsets.tolist(), 0
+        for dist in store.blocks(indices, values, offsets, distances):
             hi = lo + dist.shape[0]
+            a, b = bounds[lo], bounds[hi]
+            x = indices[a:b], values[a:b], offsets[lo:hi + 1] - a
             K = np.empty_like(dist)
-            for kernel, models, out in zip(kernels, members, scores):
-                if models[i].n != 1:
-                    out[i][lo:hi] = models[i].scores(
-                        kernel.of_distances(dist, out=K), None)
+            for kernel, row, out in zip(kernels, models, scores):
+                out[i][lo:hi] = row[i]._scores_by(
+                    len(row[i]._cs), x, kernel.of_distances(dist, out=K))
             lo = hi
     return scores
 

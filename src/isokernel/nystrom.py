@@ -10,7 +10,7 @@ the inverse square root explodes on them.
 import numpy as np
 
 from .dataset import (
-    Dataset, Rows, load_npz, pack_ragged, save_npz, unpack_ragged,
+    Dataset, Rows, _checked, load_npz, pack_ragged, save_npz, unpack_ragged,
 )
 from .errors import (
     ContractError,
@@ -113,8 +113,8 @@ class NystromMap:
     def from_state(cls, meta, arrays):
         return cls(
             unpack_ragged(arrays, meta["dim"]),
-            make_kernel(meta["kernel"]),
-            arrays["proj"], meta["b"], meta["r"], meta["seed"],
+            make_kernel(meta["kernel"]), _checked("proj", arrays["proj"]),
+            meta["b"], meta["r"], meta["seed"],
         )
 
     def save(self, path):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import SampleError
 from .dataset import (
-    Rows, _distinct, _runs, _spans, dense_rows, located, pack_ragged,
+    Rows, _checked, _distinct, _runs, _spans, dense_rows, located, pack_ragged,
     row_blocks, ragged_runs, unpack_ragged,
 )
 
@@ -172,9 +172,11 @@ class ITree:
         }
 
     @classmethod
-    def unpack(cls, arrays):
-        """The trees ``pack`` packed into ``arrays``."""
-        feature, threshold = arrays["feature"], arrays["threshold"]
+    def unpack(cls, arrays, dim=2**31):
+        """The trees ``pack`` packed into ``arrays``, split within ``dim``."""
+        feature = _checked("feature", arrays["feature"],
+                           lambda f: (f >= -1) & (f < dim))
+        threshold = _checked("threshold", arrays["threshold"])
         if threshold.shape != feature.shape:
             raise ValueError("not the node lists of full binary trees")
         trees = [cls(feature[lo:hi], threshold[lo:hi])
@@ -369,9 +371,9 @@ class VoronoiPartition:
         }
 
     @classmethod
-    def unpack(cls, arrays):
+    def unpack(cls, arrays, dim=None):
         """The partitionings ``pack`` packed into ``arrays``, each holding
-        its run of the file's centres."""
+        its run of the file's centres; each stores its own ``dim``."""
         dims = arrays["dim"].tolist()
         rows = unpack_ragged(arrays, max(dims))
         psi, rest = divmod(len(rows), len(dims))

@@ -58,6 +58,18 @@ def damage_npz(path, drop=None, meta=None):
     np.savez_compressed(path, **arrays)
 
 
+def set_npz_entry(path, key, value):
+    """Rewrite the npz at ``path`` with the first entry of array ``key``
+    set to ``value``, in a float copy of the array if ``value`` is not an
+    integer."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    if not isinstance(value, int):
+        arrays[key] = arrays[key].astype(np.float64)
+    arrays[key].reshape(-1)[0] = value
+    np.savez_compressed(path, **arrays)
+
+
 GZIP_DAMAGE = ("truncated", "corrupted", "crc")
 
 

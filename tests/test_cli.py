@@ -19,6 +19,7 @@ from helpers import (
     as_depth_first_release,
     damage_npz,
     damaged_gzip,
+    set_npz_entry,
     unreadable_files,
 )
 
@@ -441,6 +442,26 @@ class TestExitCodes:
         for path in [map_path, *unreadable_files(tmp_path)]:
             assert run_cli(["inspect", "--map", str(path)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value",
+                             [("threshold", np.nan), ("feature", 10**6)])
+    def test_bad_tree_arrays_are_a_data_error(self, tmp_path, data_files,
+                                              capsys, key, value):
+        train, _ = data_files
+        map_path = str(tmp_path / "m.npz")
+        assert run_cli([
+            "fit-map", "--data", train, "--out", map_path, "--psi", "8",
+            "--t", "3", "--scheme", "iforest", "--seed", "1",
+        ]) == 0
+        set_npz_entry(map_path, key, value)
+        assert run_cli(["inspect", "--map", map_path]) == 2
+        assert run_cli([
+            "transform", "--map", map_path, "--data", train,
+            "--out", str(tmp_path / "f.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("data error: cannot read map file") == 2
+        assert err.count(f"array '{key}'") == 2
 
     def test_depth_first_format_1_map_is_a_data_error(
         self, tmp_path, data_files, capsys

@@ -44,6 +44,7 @@ from helpers import (
     damage_npz,
     rand_dataset,
     rand_sparse,
+    set_npz_entry,
     unreadable_files,
 )
 
@@ -374,6 +375,21 @@ class TestPersistence:
         for path in unreadable_files(tmp_path):
             with pytest.raises(LoadError):
                 Mapper.load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", np.nan), ("threshold", np.inf), ("feature", -2),
+        ("feature", 6), ("feature", 2**31 - 1),
+    ])
+    def test_bad_tree_arrays_are_a_load_error(self, tmp_path, key, value):
+        # a fitted map stores -1 and 0.0 at leaves; the root of tree 0 is
+        # a split of one of the map's dim=6 attributes
+        _, mapper = fit_small(scheme="iforest", t=3)
+        assert mapper.dim == 6 and mapper.parts[0].feature[0] >= 0
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        set_npz_entry(path, key, value)
+        with pytest.raises(LoadError, match=f"array '{key}'"):
+            Mapper.load(path)
 
     @pytest.mark.parametrize("scheme", ["iforest", "anne"])
     def test_load_reads_each_array_a_bounded_number_of_times(self, scheme):

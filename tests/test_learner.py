@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     damage_npz,
     rand_dataset,
     rand_sparse,
+    set_npz_entry,
     unreadable_files,
 )
 
@@ -195,6 +197,19 @@ class TestDualMemory:
             tracemalloc.stop()
         assert len(m) == 300
         assert peak < 4 << 20
+
+    def test_support_vectors_keep_no_view_of_their_block(self):
+        # a streamed run would otherwise hold every block that gave one
+        block = Dataset([LabeledPoint(SparseVector([1, 3], [0.5, 1.0], 4), 1),
+                         LabeledPoint(SparseVector([2], [2.0], 4), -1)])
+        alive = weakref.ref(block.rows.values)
+        m = DualModel(Laplacian(8, 4))
+        m.train_pass(m.encode(block), block.labels(), eta=0.5)
+        m.predict(SparseVector([4], [1.0], 4))  # past the block's last point
+        sv = [(x.indices.tolist(), x.values.tolist(), c) for x, c, _ in m.svs]
+        del block
+        assert alive() is None
+        assert sv == [([1, 3], [0.5, 1.0], 1), ([2], [2.0], -1)]
 
 
 class TestIKOGD:
@@ -578,6 +593,43 @@ class TestCheckpoints:
         for path in unreadable_files(tmp_path):
             with pytest.raises(LoadError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("cs", 2), ("cs", 0), ("cs", -3), ("alphas", np.nan),
+        ("alphas", np.inf),
+    ])
+    def test_bad_dual_arrays_are_a_load_error(self, tmp_path, key, value):
+        # a label of 2 used to load and read back from svs as (2, 0.5); a
+        # NaN alpha made every score NaN, which predicts -1
+        m = DualModel(Laplacian(8, 4))
+        m.step(SparseVector([1, 2], [0.5, 1.0], 4), 1, eta=0.5)
+        m.step(SparseVector([3], [1.0], 4), -1, eta=0.5)
+        assert len(m) == 2
+        path = tmp_path / "ogd.npz"
+        save_checkpoint(path, "ogd", m, {})
+        set_npz_entry(path, f"model_{key}", value)
+        with pytest.raises(LoadError, match=f"array '{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["ik-ogd-iforest", "nogd"])
+    def test_non_finite_weights_are_a_load_error(self, tmp_path, kind,
+                                                 value):
+        rng = np.random.default_rng(12)
+        ds = rand_dataset(rng, 30, 4)
+        if kind == "nogd":
+            from isokernel.nystrom import fit_nystrom
+
+            nm = fit_nystrom(ds, b=10, r=4, kernel_fn=Laplacian(8, 4), seed=1)
+            m = NOGDModel(nm.effective_r, nystrom=nm)
+        else:
+            mapper = Mapper.fit(ds, psi=4, t=3, scheme="iforest", seed=1)
+            m = IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, kind, m, {})
+        set_npz_entry(path, "model_w", value)
+        with pytest.raises(LoadError, match="array 'w'"):
+            load_checkpoint(path)
 
     def test_nogd_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -18,7 +18,8 @@ from isokernel.kernels import Gaussian, Laplacian
 from isokernel.nystrom import EIGEN_FLOOR, NystromMap, fit_nystrom, sym_eigen
 
 from helpers import (
-    damage_npz, rand_dataset, rand_sparse, sample_psi, unreadable_files,
+    damage_npz, rand_dataset, rand_sparse, sample_psi, set_npz_entry,
+    unreadable_files,
 )
 
 
@@ -251,6 +252,17 @@ class TestNystromMap:
         for path in unreadable_files(tmp_path):
             with pytest.raises(LoadError):
                 NystromMap.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_proj_is_a_load_error(self, tmp_path, value):
+        rng = np.random.default_rng(13)
+        nm = fit_nystrom(rand_dataset(rng, 20, 4), b=8, r=3,
+                         kernel_fn=Laplacian(8, 4), seed=4)
+        path = tmp_path / "nm.npz"
+        nm.save(path)
+        set_npz_entry(path, "proj", value)
+        with pytest.raises(LoadError, match="array 'proj'"):
+            NystromMap.load(path)
 
     def test_eigen_floor_value(self):
         assert EIGEN_FLOOR == 1e-10
