@@ -1,6 +1,6 @@
 """Time ``Mapper.fit`` in process, in ms per partitioning, an iforest
 map's encoder, ``load_libsvm``, the baselines' kernel scoring, dual OGD's
-online pass, and dual OGD's and NOGD's cross-validation.
+online pass, and every learner's cross-validation.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
 
@@ -31,13 +31,15 @@ point, and ``fit_nystrom`` in ms. A ``stream-dual-`` shape times dual
 OGD's online pass over one 1000-point block of those rows, ``encode``
 then ``test_then_train``, against that many support vectors, in us per
 point, the best of ``--repeats`` passes, each from a fresh model. The
-``cv-dual`` and ``cv-nogd`` shapes time ``cv_select_psi`` for dual OGD
-and for NOGD (b=100, r=20) on baselines-online's head (the first 2000 of
-its 8000 a9a-shaped rows, seed 301, as ``run_online`` shuffles them),
-grid (16, 64, 256), 5 folds: the best of ``--repeats`` runs in s, and
-the traced peak of one more in MB. The package and the generators are
-imported from the checkout that holds this script, so a copy of it in
-another checkout times that checkout's code.
+``cv-`` shapes time ``cv_select_psi`` for dual OGD, NOGD (b=100, r=20)
+and IK-OGD over iforest and over anne maps (t=100) on baselines-online's
+head (the first 2000 of its 8000 a9a-shaped rows, seed 301, as
+``run_online`` shuffles them), grid (16, 64, 256), 5 folds: the best of
+``--repeats`` runs in s, and the traced peak of one more in MB. The
+``cv-iforest`` and ``cv-anne`` shapes fit and score one map per psi and
+fold, the CV path that no benchmark workload runs. The package and the
+generators are imported from the checkout that holds this script, so a
+copy of it in another checkout times that checkout's code.
 
 The ``score-``, ``stream-`` and ``cv-`` figures depend on the process's
 memory layout as well as on the code: on identical code,
@@ -131,6 +133,8 @@ STREAM_SHAPES = {
 CV_SHAPES = {
     "cv-dual": "ogd",
     "cv-nogd": "nogd",
+    "cv-iforest": "ik-ogd-iforest",
+    "cv-anne": "ik-ogd-anne",
 }
 
 
@@ -264,7 +268,7 @@ def time_cv(learner, repeats):
     """Best wall time in s of ``repeats`` runs of ``learner``'s
     ``cv_select_psi`` on baselines-online's head, and the traced peak of
     one more in MB."""
-    config = ProtocolConfig(learner=learner, b=100, r=20,
+    config = ProtocolConfig(learner=learner, t=100, b=100, r=20,
                             psi_grid=(16, 64, 256), folds=5,
                             train_size=2000, seed=301)
     ds = dataset(*gen.a9a_like(8000, config.seed), gen.A9A_DIM)

@@ -203,28 +203,29 @@ def _n_correct(scores, labels):
     return int(np.count_nonzero((scores >= 0) == (labels > 0)))
 
 
-def _test_then_train(model, blocks, eta=None):
-    """Score each of ``blocks``, Datasets, with the latest model, then, when
-    ``eta`` is given, train on it by ``model.test_then_train``, which may
-    score and train in one pass (dual OGD's test scores are prefix dots of
-    its steps' kernel rows).
+def _frozen_scores(model, dataset):
+    """Scores of ``dataset``'s points by the frozen ``model``."""
+    return model.predict_many(model.encode(dataset))
+
+
+def _test_then_train(model, blocks, eta):
+    """Score each of ``blocks``, Datasets, with the latest model, then
+    train on it, by ``model.test_then_train``, which may score and train in
+    one pass (dual OGD's test scores are prefix dots of its steps' kernel
+    rows).
 
     Returns ``(counts, test_time, train_time)``: the ``(correct, points)``
-    of each block, and the seconds spent encoding and, without ``eta``,
-    scoring, and those spent in ``test_then_train``.
+    of each block, and the seconds spent encoding and those spent in
+    ``test_then_train``.
     """
     counts, test_time, train_time = [], 0.0, 0.0
     for block in blocks:
         t0 = time.perf_counter()
         encoded = model.encode(block)
-        if eta is None:
-            scores = model.predict_many(encoded)
-            test_time += time.perf_counter() - t0
-        else:
-            t1 = time.perf_counter()
-            test_time += t1 - t0
-            scores = model.test_then_train(encoded, block.labels(), eta)
-            train_time += time.perf_counter() - t1
+        t1 = time.perf_counter()
+        scores = model.test_then_train(encoded, block.labels(), eta)
+        test_time += t1 - t0
+        train_time += time.perf_counter() - t1
         counts.append((_n_correct(scores, block.labels()), len(block)))
     return counts, test_time, train_time
 
@@ -245,10 +246,26 @@ def _metrics(config, model, encoded_points, **fields):
     )
 
 
-def _fold_accuracy(fold_train, fold_val, psi, config, seed):
-    model = fit_learner(fold_train, psi, config, seed)
-    [(correct, n)], _, _ = _test_then_train(model, [fold_val])
-    return correct / n
+def _fold_scores(folds, psis, config, seeds):
+    """``scores[g][i]``: validation fold i's scores by the model
+    ``fit_learner`` fits on fold i's training rows at ``psis[g]`` with
+    ``seeds[i]``, bit for bit. Dual OGD trains every psi and fold in one
+    pass, by ``dual_fold_scores``, and NOGD takes each fold's landmark
+    distances once for every psi, by ``nystrom_fold_scores``; the IK
+    learners fit and score one model at a time, psi by psi."""
+    if _needs_psi_sample(config.learner):
+        return [[_frozen_scores(fit_learner(ft, psi, config, seed), fv)
+                 for seed, (ft, fv) in zip(seeds, folds)] for psi in psis]
+    kernels = [Laplacian(psi, folds[0][1].dim) for psi in psis]
+    if config.learner == "ogd":
+        return dual_fold_scores([fv for _, fv in folds], kernels, config.eta)
+    return nystrom_fold_scores(folds, kernels, config.b, config.r, config.eta,
+                               seeds)
+
+
+def _fold_accuracy(scores, fold):
+    """Accuracy of one (psi, fold) model's ``scores`` of ``fold``."""
+    return _n_correct(scores, fold.labels()) / len(fold)
 
 
 def cv_select_psi(train, config):
@@ -257,11 +274,8 @@ def cv_select_psi(train, config):
     Ties break to the smallest psi. Grid values demanding a larger sample
     than a training fold provides are skipped with a warning; if that skips
     everything the configuration is unusable. With a single-element grid the
-    choice is forced and no folds are run. Dual OGD trains every psi and
-    fold in one pass, by ``dual_fold_scores``, and NOGD takes each fold's
-    landmark distances once for every psi, by ``nystrom_fold_scores``;
-    both give the scores of a model fitted per psi and fold. The IK
-    learners fit one by one.
+    choice is forced and no folds are run. Every learner's folds are scored
+    by ``_fold_scores``, as one model per psi and fold.
     """
     grid = sorted(set(config.psi_grid))
     if len(grid) == 1:
@@ -281,28 +295,10 @@ def cv_select_psi(train, config):
         raise ConfigError("every grid psi exceeds the fold-train size")
 
     seeds = [(config.seed, 227, i) for i in range(len(folds))]
-    if config.learner in ("ogd", "nogd"):
-        vals = [fv for _, fv in folds]
-        kernels = [Laplacian(psi, vals[0].dim) for psi in usable]
-        if config.learner == "ogd":
-            scores = dual_fold_scores(vals, kernels, config.eta)
-        else:
-            scores = nystrom_fold_scores(folds, kernels, config.b, config.r,
-                                         config.eta, seeds)
-        accs = [[_n_correct(s, fv.labels()) / len(fv)
-                 for s, fv in zip(row, vals)]
-                for row in scores]
-    else:
-        accs = [[_fold_accuracy(ft, fv, psi, config, seed)
-                 for seed, (ft, fv) in zip(seeds, folds)]
-                for psi in usable]
-    best_psi, best_acc = None, -1.0
-    # ascending: ties keep the smallest psi
-    for psi, fold_accs in zip(usable, accs):
-        acc = float(np.mean(fold_accs))
-        if acc > best_acc:
-            best_psi, best_acc = psi, acc
-    return best_psi
+    scores = _fold_scores(folds, usable, config, seeds)
+    accs = [np.mean([_fold_accuracy(s, fv) for s, (_, fv) in zip(row, folds)])
+            for row in scores]
+    return usable[int(np.argmax(accs))]  # the first max: the smallest psi
 
 
 def _cv_folds(train, config):
@@ -382,7 +378,10 @@ def run_batch(train, test, config):
 
     psi, model, train_time = select_and_fit(
         train, shuffle(train, config.seed), config)
-    [(correct, n)], test_time, _ = _test_then_train(model, [test])
+    t0 = time.perf_counter()
+    scores = _frozen_scores(model, test)
+    test_time = time.perf_counter() - t0
+    correct, n = _n_correct(scores, test.labels()), len(test)
 
     return _metrics(
         config,

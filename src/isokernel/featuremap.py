@@ -135,6 +135,10 @@ class Mapper:
         parts = SCHEMES[meta["scheme"]].unpack(arrays, meta["dim"])
         if len(parts) != meta["t"]:
             raise ValueError(f"{len(parts)} partitionings, not t={meta['t']}")
+        # a cell id of psi or more reads the next partitioning's weight
+        if any(p.n_cells > meta["psi"] for p in parts):
+            raise ValueError(f"a partitioning of more than psi={meta['psi']} "
+                             "cells")
         return cls(
             parts, meta["psi"], meta["t"], meta["scheme"], meta["seed"],
             meta["dim"],

@@ -176,19 +176,17 @@ def nystrom_features(train, val, kernels, b, r, seed):
     fits, bit for bit.
 
     The kernels are stationary and differ in scale alone, so the
-    landmarks are sampled and stored once, and the distances of the
-    landmarks, of train and of val to them are taken once, a block at a
-    time as the map's scorer takes them, then scaled per kernel into the
-    Gram that ``_projection`` takes and the rows that ``map_many``
-    projects.
+    landmarks are sampled and stored once, in a ``NystromMap`` as
+    ``fit_nystrom`` stores them, and the distances of the landmarks, of
+    train and of val to them are taken once, a block at a time as the
+    map's scorer takes them, then scaled per kernel into the Gram that
+    ``_projection`` takes and the rows that ``map_many`` projects.
     """
-    landmarks = _landmarks(train, b, r, seed)
-    store = RowStore(kernels[0])
-    for z in landmarks:
-        store.append(z.indices, z.values)
+    nm = NystromMap(_landmarks(train, b, r, seed), kernels[0],
+                    np.empty((0, b)), b, r, seed)
     distances = kernels[0].sparse_row_distances
-    dists = [np.concatenate(list(store.blocks(*rows.ragged(), distances)))
-             for rows in (landmarks, train.rows, val.rows)]
+    dists = [np.concatenate(list(nm._store.blocks(*rows.ragged(), distances)))
+             for rows in (nm._rows, train.rows, val.rows)]
     K = [np.empty_like(dist) for dist in dists]
     for kernel in kernels:
         G, K_train, K_val = (kernel.of_distances(dist, out=k)

@@ -70,6 +70,16 @@ def set_npz_entry(path, key, value):
     np.savez_compressed(path, **arrays)
 
 
+def rewrite_npz(path, edit):
+    """Rewrite the npz at ``path`` after ``edit(meta, arrays)``, which may
+    change its parsed meta and its arrays in place."""
+    with np.load(path) as data:
+        meta = json.loads(str(data["meta"]))
+        arrays = {key: data[key] for key in data.files if key != "meta"}
+    edit(meta, arrays)
+    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+
+
 GZIP_DAMAGE = ("truncated", "corrupted", "crc")
 
 

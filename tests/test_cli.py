@@ -19,6 +19,7 @@ from helpers import (
     as_depth_first_release,
     damage_npz,
     damaged_gzip,
+    rewrite_npz,
     set_npz_entry,
     unreadable_files,
 )
@@ -462,6 +463,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("data error: cannot read map file") == 2
         assert err.count(f"array '{key}'") == 2
+
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_more_cells_than_psi_is_a_data_error(self, tmp_path, data_files,
+                                                 capsys, scheme):
+        train, _ = data_files
+        map_path = str(tmp_path / "m.npz")
+        assert run_cli([
+            "fit-map", "--data", train, "--out", map_path, "--psi", "16",
+            "--t", "3", "--scheme", scheme, "--seed", "1",
+        ]) == 0
+        rewrite_npz(map_path, lambda meta, _: meta.update(psi=4))
+        assert run_cli(["inspect", "--map", map_path]) == 2
+        assert run_cli([
+            "transform", "--map", map_path, "--data", train,
+            "--out", str(tmp_path / "f.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("data error: cannot read map file") == 2
+        assert err.count("more than psi=4 cells") == 2
 
     def test_depth_first_format_1_map_is_a_data_error(
         self, tmp_path, data_files, capsys

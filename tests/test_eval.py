@@ -12,6 +12,7 @@ import isokernel.eval as evalmod
 from isokernel.dataset import Dataset, kfold, split_head
 from isokernel.errors import ConfigError, ParameterError, SampleError
 from isokernel.eval import (
+    LEARNERS,
     ProtocolConfig,
     cv_select_psi,
     make_two_gaussians,
@@ -128,16 +129,37 @@ class TestCvSelectPsi:
         assert psi in (2, 8)
         # re-run the folds at the selected psi: validation accuracy is 1.0
         folds = kfold(ds, cfg.folds, (cfg.seed, 223))
-        accs = [
-            evalmod._fold_accuracy(ft, fv, psi, cfg, (cfg.seed, 227, i))
-            for i, (ft, fv) in enumerate(folds)
-        ]
+        seeds = [(cfg.seed, 227, i) for i in range(len(folds))]
+        [row] = evalmod._fold_scores(folds, [psi], cfg, seeds)
+        accs = [evalmod._fold_accuracy(s, fv)
+                for s, (_, fv) in zip(row, folds)]
         assert np.mean(accs) == 1.0
 
-    def test_matches_exhaustive_replay_oracle(self):
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_each_fold_model_is_counted_once(self, learner, monkeypatch):
+        # every learner's CV scores one model per (psi, fold), and the
+        # accuracy of each is taken once, whether the models are fitted
+        # one by one or trained in one pass
+        ds = make_two_gaussians(90, 4, 3.0, seed=4)
+        cfg = ProtocolConfig(learner=learner, psi_grid=(4, 16), folds=3,
+                             t=20, b=20, r=10, seed=3)
+        unwrapped = cv_select_psi(ds, cfg)
+        calls = []
+        fold_accuracy = evalmod._fold_accuracy
+
+        def counted(*args):
+            calls.append(args)
+            return fold_accuracy(*args)
+
+        monkeypatch.setattr(evalmod, "_fold_accuracy", counted)
+        assert cv_select_psi(ds, cfg) == unwrapped
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("scheme", ["anne", "iforest"])
+    def test_matches_exhaustive_replay_oracle(self, scheme):
         ds = make_two_gaussians(120, 5, 2.0, seed=7)
         cfg = ProtocolConfig(
-            learner="ik-ogd-anne", psi_grid=(4, 16), t=30, seed=11
+            learner=f"ik-ogd-{scheme}", psi_grid=(4, 16), t=30, seed=11
         )
         chosen = cv_select_psi(ds, cfg)
 
@@ -148,7 +170,7 @@ class TestCvSelectPsi:
             accs = []
             for i, (ft, fv) in enumerate(folds):
                 mapper = Mapper.fit(
-                    ft, psi, cfg.t, "anne", (cfg.seed, 227, i)
+                    ft, psi, cfg.t, scheme, (cfg.seed, 227, i)
                 )
                 model = IKOGDModel(cfg.t, psi, mapper=mapper)
                 for f, c in zip(mapper.map_many(ft), ft.labels()):

@@ -44,6 +44,7 @@ from helpers import (
     damage_npz,
     rand_dataset,
     rand_sparse,
+    rewrite_npz,
     set_npz_entry,
     unreadable_files,
 )
@@ -389,6 +390,18 @@ class TestPersistence:
         mapper.save(path)
         set_npz_entry(path, key, value)
         with pytest.raises(LoadError, match=f"array '{key}'"):
+            Mapper.load(path)
+
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_more_cells_than_psi_is_a_load_error(self, tmp_path, scheme):
+        # it loaded, and a model over it read a cell id past psi from the
+        # next partitioning's weights, or past w's end with an IndexError
+        _, mapper = fit_small(scheme=scheme, t=3, psi=16)
+        assert mapper.cell_counts() == [16, 16, 16]
+        path = tmp_path / "map.npz"
+        mapper.save(path)
+        rewrite_npz(path, lambda meta, _: meta.update(psi=4))
+        with pytest.raises(LoadError, match="more than psi=4 cells"):
             Mapper.load(path)
 
     @pytest.mark.parametrize("scheme", ["iforest", "anne"])

@@ -34,6 +34,7 @@ from helpers import (
     damage_npz,
     rand_dataset,
     rand_sparse,
+    rewrite_npz,
     set_npz_entry,
     unreadable_files,
 )
@@ -488,6 +489,26 @@ class TestCheckpoints:
         arrays["model_w"] = arrays["model_w"][:, :3]
         np.savez_compressed(path, **arrays)
         with pytest.raises(LoadError, match="for a map of t=3, psi=4"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("scheme", ["iforest", "anne"])
+    def test_a_map_of_more_cells_than_psi_is_a_load_error(self, tmp_path,
+                                                          scheme):
+        # weights of shape (t, psi) fit the edited psi, so the checkpoint
+        # loaded and its predict read cell ids past psi
+        ds = rand_dataset(np.random.default_rng(13), 40, 4, density=1.0)
+        mapper = Mapper.fit(ds, psi=16, t=3, scheme=scheme, seed=1)
+        assert mapper.cell_counts() == [16, 16, 16]
+        path = tmp_path / "ik.npz"
+        save_checkpoint(path, f"ik-ogd-{scheme}",
+                        IKOGDModel(mapper.t, mapper.psi, mapper=mapper), {})
+
+        def edit(meta, arrays):
+            meta["encoder"]["psi"] = 4
+            arrays["model_w"] = np.zeros((3, 4))
+
+        rewrite_npz(path, edit)
+        with pytest.raises(LoadError, match="more than psi=4 cells"):
             load_checkpoint(path)
 
     def test_nogd_weights_that_do_not_fit_the_map_are_a_load_error(
