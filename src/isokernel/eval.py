@@ -223,8 +223,8 @@ def _test_then_train(model, blocks, eta):
         t0 = time.perf_counter()
         encoded = model.encode(block)
         t1 = time.perf_counter()
-        scores = model.test_then_train(encoded, block.labels(), eta)
         test_time += t1 - t0
+        scores = model.test_then_train(encoded, block.labels(), eta)
         train_time += time.perf_counter() - t1
         counts.append((_n_correct(scores, block.labels()), len(block)))
     return counts, test_time, train_time
