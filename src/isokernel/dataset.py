@@ -22,6 +22,7 @@ import io
 import json
 import math
 import zlib
+from contextlib import nullcontext
 from itertools import chain, islice, repeat
 from operator import contains
 from zipfile import BadZipFile
@@ -485,7 +486,12 @@ def load_npz(path, version, what, decode):
     """``decode(meta, arrays)`` of a file written by ``save_npz`` at
     ``version``; an unreadable file or bad meta or arrays raise LoadError."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load leaves a file it opened itself open when the zip
+        # directory is unreadable, so a path is opened here; a file object
+        # is the caller's to close
+        opened = (nullcontext(path) if hasattr(path, "read")
+                  else open(path, "rb"))
+        with opened as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             if meta["format_version"] != version:
                 raise ParameterError(

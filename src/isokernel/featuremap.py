@@ -10,8 +10,9 @@ k(x, x) = 1.
 
 The primal learner ``learner.IKOGDModel`` holds the one dot product and
 update: its weights are a (t, psi) array, whose dot with a feature is a sum
-of t entries, independent of psi. ``kernel``, ``dense_feature`` and
-``naive_dot`` are the reference forms that it is tested against.
+of t entries, independent of psi. ``kernel``, ``dense_feature``,
+``sparse_feature`` and ``naive_dot`` are the reference forms that it is
+tested against.
 
 Encoding reads points as sparse rows and never builds an n x d matrix. The
 partitionings are joined once per map into one form, ``SCHEMES[scheme].join``
@@ -35,7 +36,7 @@ import numbers
 
 import numpy as np
 
-from .dataset import load_npz, row_blocks, save_npz
+from .dataset import SparseVector, load_npz, row_blocks, save_npz
 from .errors import ParameterError, ProvenanceError, ShapeError
 from .partition import SCHEMES, sample_rows
 
@@ -173,11 +174,20 @@ def kernel(fa, fb):
 
 def dense_feature(f, psi):
     """Materialized binary indicator matrix (t, psi); test-oracle form."""
-    if f.size and int(f.max()) >= psi:
-        raise ShapeError(f"cell id {int(f.max())} out of range for psi={psi}")
+    if f.size and not 0 <= f.min() <= f.max() < psi:
+        raise ShapeError(f"a cell id out of range [0, {psi})")
     phi = np.zeros((f.size, psi), dtype=np.float64)
     phi[np.arange(f.size), f] = 1.0
     return phi
+
+
+def sparse_feature(f, psi):
+    """Phi of a feature as a SparseVector at dim t*psi, the nonzeros of
+    ``dense_feature(f, psi)`` read row by row: a one at attribute
+    ``i*psi + f[i] + 1`` for each partitioning i."""
+    phi = dense_feature(f, psi).reshape(-1)
+    at = np.flatnonzero(phi)
+    return SparseVector(at + 1, phi[at], phi.size)
 
 
 def naive_dot(w, f):

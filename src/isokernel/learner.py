@@ -15,7 +15,6 @@ import numpy as np
 
 from .dataset import (
     Rows,
-    SparseVector,
     _checked,
     by_prefix,
     load_npz,
@@ -42,7 +41,9 @@ def margin_violated(score, c):
 
 
 class FeatureMatchKernel:
-    """Kernel over indexed features: fraction of agreeing positions.
+    """The linear kernel <Phi f, Phi g> / t on the exact feature map: the
+    fraction of partitionings on which two indexed features agree, each
+    given as its ``featuremap.sparse_feature``, t ones.
 
     Lets a dual model run on mapped features, mirroring the primal model's
     kernel exactly. It only scores a block against a ``RowStore``; the
@@ -52,26 +53,25 @@ class FeatureMatchKernel:
     name = "feature-match"
 
     def __init__(self, t):
-        self.t = self.dim = t  # a feature is a point of t attributes
+        self.t = self.dim = t  # a feature's largest attribute is at least t
 
-    def row_norm(self, f):
+    def row_norm(self, values):
         """Unused by the scorer; checks the length of a stored feature."""
-        if f.size != self.t:
+        if values.size != self.t:
             raise ProvenanceError("feature length does not match kernel t")
         return 0.0
 
     def sparse_row_scores(self, x, F, norms):
         """k(f, g) for every feature f of a block and every stored feature
-        g, a row of the column-major store F, as an (m, n) array, where x
-        is ``(columns, values, offsets)``: the columns of F that the
-        features' positions map to, and the features' cells, feature i's
-        at ``offsets[i]:offsets[i + 1]``; ``norms`` is unused."""
-        at, f, offsets = x
+        g, a row of the column-major store F, as an (m, n) array: the sum of
+        g's entries at f's t columns, over t. x is ``(columns, values,
+        offsets)``, feature i's at ``offsets[i]:offsets[i + 1]``, and every
+        value is 1; ``norms`` is unused."""
+        at, _, offsets = x
         if (np.diff(offsets) != self.t).any():
             raise ProvenanceError("feature length does not match kernel t")
-        same = F.T[at] == f[:, None]
-        same = same.reshape(offsets.size - 1, self.t, F.shape[0])
-        return np.count_nonzero(same, axis=1) / self.t
+        cols = F.T[at].reshape(offsets.size - 1, self.t, F.shape[0])
+        return cols.sum(axis=1) / self.t
 
 
 class _Model:
@@ -155,31 +155,12 @@ class _Model:
         return model
 
 
-def _entries(x):
-    """1-based attributes and values of a point: a sparse vector's own
-    entries, or every position of a feature array."""
-    if isinstance(x, SparseVector):
-        return x.indices, x.values
-    return np.arange(1, x.size + 1), x
-
-
-def _ragged(points):
-    """Flat ragged ``(indices, values, offsets)`` of points: a ``Rows`` or
-    SparseVectors, or features (an (n, t) array, or a list of arrays of
-    length t) as their ``_entries``."""
-    if len(points) and not isinstance(points[0], SparseVector):
-        F = np.asarray(points)
-        n, t = F.shape
-        return (np.tile(np.arange(1, t + 1), n), F.reshape(-1),
-                np.arange(0, n * t + 1, t))
-    return Rows.of(points).ragged()
-
-
 class DualModel(_Model):
     """Support-vector model with f(x) = sum_i alpha_i c_i k(x_i, x).
 
     The support set grows without budget; prediction cost is one kernel
-    evaluation per support vector. The support vectors are ascending rows
+    evaluation per support vector. A point is a SparseVector, and a batch
+    a ``Rows`` or a list of them. The support vectors are ascending rows
     ``_ids`` of a ``RowStore``, the model's own or ``store``, shared by
     models whose kernels differ from its kernel in scale alone.
     """
@@ -199,11 +180,8 @@ class DualModel(_Model):
 
     @property
     def svs(self):
-        """``(point, c, alpha)`` of each support vector in arrival order;
-        under the feature-match kernel a point is its cells, zeros too."""
+        """``(point, c, alpha)`` of each support vector in arrival order."""
         points = self._store.rows(self._ids[:len(self)], self.kernel.dim)
-        if isinstance(self.kernel, FeatureMatchKernel):
-            points = [x.densify() for x in points]
         return list(zip(points, self._cs,
                         (self._coeffs[:len(self)] * self._cs).tolist()))
 
@@ -219,7 +197,7 @@ class DualModel(_Model):
     def _update(self, point, c, alpha):
         """Add ``point`` as a support vector with label c and weight alpha."""
         self._add(self._store.n, c, alpha)
-        self._store.append(*_entries(point))
+        self._store.append(point.indices, point.values)
 
     def _scores_by(self, n, x, K=None):
         """Scores of the flat ragged rows x by the first n support vectors,
@@ -238,8 +216,7 @@ class DualModel(_Model):
     def predict(self, x):
         """Score of one point, as a block of one."""
         n = len(self)
-        indices, values = _entries(x)
-        x = indices, values, np.array([0, values.size])
+        x = x.indices, x.values, np.array([0, x.values.size])
         self._count(1, n)
         [K] = self._store.blocks(*x, self.kernel.sparse_row_scores)
         self._last = x, K
@@ -247,7 +224,7 @@ class DualModel(_Model):
 
     def _scores(self, points):
         """Scores of points, each costing len(self) kernel evaluations."""
-        x = _ragged(points)
+        x = Rows.of(points).ragged()
         self._count(x[2].size - 1, len(self))
         return self._scores_by(len(self), x)
 
@@ -363,14 +340,10 @@ class IKOGDModel(_Model):
         super().__init__()
         self.t = t
         self.psi = psi
-        self.mapper = mapper
+        self.encoder = mapper
         self.w = np.zeros((t, psi))
         # the flat offset in w of partitioning i's cell 0
         self._at = np.arange(t) * psi
-
-    @property
-    def encoder(self):
-        return self.mapper
 
     def _scores(self, F):
         """Score of a feature, or scores of an (n, t) feature matrix."""
@@ -397,12 +370,8 @@ class NOGDModel(_Model):
     def __init__(self, r, nystrom=None):
         super().__init__()
         self.r = r
-        self.nystrom = nystrom
+        self.encoder = nystrom
         self.w = np.zeros(r)
-
-    @property
-    def encoder(self):
-        return self.nystrom
 
     def _scores(self, X):
         """Score of a feature, or scores of an (n, r) feature matrix."""

@@ -15,7 +15,9 @@ import pytest
 
 from isokernel.dataset import Dataset, LabeledPoint, SparseVector, load_libsvm
 from isokernel.eval import ProtocolConfig, run_batch
-from isokernel.featuremap import Mapper, dense_feature, kernel, naive_dot
+from isokernel.featuremap import (
+    Mapper, dense_feature, kernel, naive_dot, sparse_feature,
+)
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import DualModel, FeatureMatchKernel, IKOGDModel
 from isokernel.nystrom import fit_nystrom
@@ -139,7 +141,7 @@ def test_criterion_4_primal_dual_identity(scheme):
         f = mapper.map_point(x)
         c = int(rng.choice([-1, 1]))
         sp = primal.step(f, c, eta)
-        sd = dual.step(f, c, eta)
+        sd = dual.step(sparse_feature(f, psi), c, eta)
         assert abs(sp - sd) <= 1e-9
     assert primal.updates == dual.updates
     _report(
@@ -312,12 +314,12 @@ def test_criterion_10_prediction_cost_scaling():
             f = mapper.map_point(_mixed_points(rng, 1, dim)[0])
             c = int(rng.choice([-1, 1]))
             primal.step(f, c, eta)
-            dual.step(f, c, eta)
+            dual.step(sparse_feature(f, psi), c, eta)
 
     feed(120)
     assert primal.updates == dual.updates == 120
     primal.predict(probe)
-    dual.predict(probe)
+    dual.predict(sparse_feature(probe, psi))
     ik_ops_before, dual_ops_before = (
         primal.last_predict_ops, dual.last_predict_ops,
     )
@@ -325,7 +327,7 @@ def test_criterion_10_prediction_cost_scaling():
     feed(1080)  # 10x more accepted updates in total
     assert primal.updates == dual.updates == 1200
     primal.predict(probe)
-    dual.predict(probe)
+    dual.predict(sparse_feature(probe, psi))
     assert primal.last_predict_ops == ik_ops_before == t
     assert dual.last_predict_ops == 10 * dual_ops_before
     _report(

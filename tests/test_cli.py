@@ -141,7 +141,8 @@ class TestEvalCommands:
             "--seed", "9", "--out", csv_path, "--json", json_path,
         ]) == 0
         summary = json.loads(capsys.readouterr().out.strip())
-        on_disk = json.loads(open(json_path).read())
+        with open(json_path) as fh:
+            on_disk = json.load(fh)
         assert summary == on_disk
         assert summary["final_accuracy"] >= 0.9  # wide margin on easy task
         assert summary["config"]["eta"] == 0.5  # defaults resolved

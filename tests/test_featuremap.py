@@ -33,6 +33,7 @@ from isokernel.featuremap import (
     dense_feature,
     kernel,
     naive_dot,
+    sparse_feature,
     write_features_csv,
 )
 from isokernel.learner import IKOGDModel
@@ -266,8 +267,10 @@ class TestDotProducts:
             IKOGDModel(4, 3).predict(np.zeros(5, dtype=np.int32))
         with pytest.raises(ShapeError):
             naive_dot(np.zeros((4, 3)), np.zeros(5, dtype=np.int32))
-        with pytest.raises(ShapeError):
-            dense_feature(np.array([3], dtype=np.int32), 3)
+        for form in (dense_feature, sparse_feature):
+            for f in ([3], [0, -1]):
+                with pytest.raises(ShapeError):
+                    form(np.array(f, dtype=np.int32), 3)
 
 
 class TestAccumulate:

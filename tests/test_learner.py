@@ -1,7 +1,9 @@
 """Online learners: margin rule, primal-dual agreement, cost counters."""
 
+import gc
 import json
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -15,7 +17,9 @@ from isokernel.errors import (
     ProvenanceError,
     ShapeError,
 )
-from isokernel.featuremap import Mapper, kernel, write_features_csv
+from isokernel.featuremap import (
+    Mapper, kernel, sparse_feature, write_features_csv,
+)
 from isokernel.kernels import Gaussian, Laplacian
 from isokernel.learner import (
     FORMAT_VERSION,
@@ -110,9 +114,11 @@ class TestDualModel:
     def test_empty_feature_match_model_rejects_a_wrong_length_feature(self):
         # an empty support set still scores through the kernel's check
         m = DualModel(FeatureMatchKernel(10))
+        short, full = (sparse_feature(np.zeros(t, dtype=np.int32), 4)
+                       for t in (9, 10))
         with pytest.raises(ProvenanceError):
-            m.predict(np.zeros(9, dtype=np.int32))
-        assert m.predict(np.zeros(10, dtype=np.int32)) == 0.0
+            m.predict(short)
+        assert m.predict(full) == 0.0
 
 
 def scalar_score(model, x):
@@ -241,7 +247,7 @@ class TestIKOGD:
             f = mapper.map_point(rand_sparse(rng, 6, density=0.7))
             c = int(rng.choice([-1, 1]))
             sp = primal.step(f, c, eta=0.55)
-            sd = dual.step(f, c, eta=0.55)
+            sd = dual.step(sparse_feature(f, mapper.psi), c, eta=0.55)
             assert sp == pytest.approx(sd, abs=1e-9)
         assert primal.updates == dual.updates
 
@@ -361,6 +367,9 @@ def trained(kind):
         m = (IKOGDModel(mapper.t, mapper.psi, mapper=mapper)
              if kind == "ik-ogd" else DualModel(FeatureMatchKernel(mapper.t)))
         bad, error = np.zeros(mapper.t - 1, dtype=np.int32), ProvenanceError
+        if kind == "ogd-feature-match":
+            points = [sparse_feature(f, mapper.psi) for f in points]
+            bad = sparse_feature(bad, mapper.psi)
     for x in points[:25]:
         m.step(x, int(rng.choice([-1, 1])), 0.5)
     if kind == "ogd-rows":
@@ -410,7 +419,8 @@ class TestCostCounters:
             f = mapper.map_point(rand_sparse(rng, 4))
             # far-apart random labels keep scores small: every step updates
             primal.step(f, int(rng.choice([-1, 1])), eta=0.01)
-            dual.step(f, int(rng.choice([-1, 1])), eta=0.01)
+            dual.step(sparse_feature(f, mapper.psi),
+                      int(rng.choice([-1, 1])), eta=0.01)
             ik_costs.append(primal.last_predict_ops)
             dual_costs.append(dual.last_predict_ops)
         assert set(ik_costs) == {mapper.t}
@@ -456,6 +466,30 @@ class TestCheckpoints:
         for p in list(ds)[30:50]:
             f = mapper.map_point(p.x)
             assert clone.predict(f) == m.predict(f)
+
+    @pytest.mark.parametrize("cut", [10, "half"])
+    def test_a_truncated_file_is_a_load_error_and_is_closed(self, tmp_path,
+                                                            cut):
+        # numpy leaves a path it opened unclosed when the zip directory is
+        # unreadable; ``load_npz`` opens the file itself
+        rng = np.random.default_rng(9)
+        mapper = Mapper.fit(rand_dataset(rng, 80, 4), psi=8, t=12,
+                            scheme="iforest", seed=10)
+        mapper.save(tmp_path / "map.npz")
+        save_checkpoint(tmp_path / "ik.npz", "ik-ogd-iforest",
+                        IKOGDModel(mapper.t, mapper.psi, mapper=mapper), {})
+        for name, load in [("map.npz", Mapper.load),
+                           ("ik.npz", load_checkpoint)]:
+            path = tmp_path / name
+            whole = path.read_bytes()
+            path.write_bytes(whole[:len(whole) // 2 if cut == "half" else cut])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(LoadError):
+                    load(path)
+                gc.collect()
+            assert not [w for w in caught
+                        if issubclass(w.category, ResourceWarning)]
 
     def test_restored_ik_model_steps_on_its_restored_weights(self, tmp_path):
         # the model reads and updates w through a flat view, which must be
@@ -666,6 +700,6 @@ class TestCheckpoints:
         kind, clone, _ = load_checkpoint(path)
         assert kind == "nogd"
         x = rand_sparse(rng, 4)
-        assert clone.predict(clone.nystrom.map_point(x)) == pytest.approx(
+        assert clone.predict(clone.encoder.map_point(x)) == pytest.approx(
             m.predict(nm.map_point(x)), abs=1e-12
         )

@@ -81,7 +81,7 @@ from isokernel.dataset import (
     unify_dims,
 )
 import isokernel.partition as partition
-from isokernel.featuremap import Mapper, kernel
+from isokernel.featuremap import Mapper, kernel, sparse_feature
 from isokernel.kernels import Gaussian, Laplacian, RowStore
 from isokernel.learner import (
     DualModel,
@@ -283,7 +283,7 @@ class TestSaveLoad:
         got, clone, hyper = round_trip(save, load_checkpoint)
         assert (got, hyper, clone.updates) == (kind, {"eta": ETA}, model.updates)
         assert np.array_equal(clone.w, model.w)
-        encoded = clone.mapper.map_many(ds)
+        encoded = clone.encoder.map_many(ds)
         assert np.array_equal(encoded, mapper.map_many(ds))
         assert np.array_equal(
             clone.predict_many(encoded), model.predict_many(encoded)
@@ -317,8 +317,8 @@ class TestSaveLoad:
         got, clone, _ = round_trip(save, load_checkpoint)
         assert (got, clone.updates) == ("nogd", model.updates)
         assert np.array_equal(clone.w, model.w)
-        assert np.array_equal(clone.nystrom.proj, nm.proj)
-        encoded = clone.nystrom.map_many(ds)
+        assert np.array_equal(clone.encoder.proj, nm.proj)
+        encoded = clone.encoder.map_many(ds)
         assert np.array_equal(encoded, nm.map_many(ds))
         assert np.array_equal(
             clone.predict_many(encoded), model.predict_many(encoded)
@@ -361,9 +361,10 @@ class TestEncoding:
         assert kernel(F[i], F[i]) == 1.0
         # the dual model's scorer gives the same value
         store = RowStore(FeatureMatchKernel(mapper.t))
-        at = np.arange(1, mapper.t + 1)
-        store.append(at, F[j])
-        assert store.scores(at, F[i], np.array([0, mapper.t]))[0, 0] == k
+        fi, fj = (sparse_feature(f, mapper.psi) for f in (F[i], F[j]))
+        store.append(fj.indices, fj.values)
+        assert store.scores(fi.indices, fi.values,
+                            np.array([0, mapper.t]))[0, 0] == k
 
 
     @bounded
@@ -573,21 +574,25 @@ class TestBaselineKernels:
         assert np.linalg.eigvalsh(G).min() >= -1e-10 * b
 
 
+def feature_rows(t, psi=4):
+    """The ``sparse_feature`` rows of features of length t."""
+    return st.lists(st.integers(0, psi - 1), min_size=t, max_size=t).map(
+        lambda f: sparse_feature(np.array(f), psi))
+
+
 @st.composite
 def stores_and_blocks(draw):
     """(kernel, stored rows, query rows, budget): sparse rows under a
     Laplacian or a Gaussian, whose queries may be empty, of unequal length
-    and hold attributes past every stored one, or features of length t
-    under the feature-match kernel; the budget stands in for
-    ``SCORE_BLOCK``, small enough to split a block."""
+    and hold attributes past every stored one, or the ``sparse_feature``
+    rows of features of length t under the feature-match kernel; the
+    budget stands in for ``SCORE_BLOCK``, small enough to split a block."""
     budget = draw(st.integers(1, 300))
     if draw(st.booleans()):
         t = draw(st.integers(1, 5))
-        cells = st.lists(st.integers(0, 3), min_size=t, max_size=t)
-        stored = draw(st.lists(cells, max_size=12))
-        queries = draw(st.lists(cells, max_size=10))
-        return (FeatureMatchKernel(t), np.array(stored).reshape(-1, t),
-                np.array(queries).reshape(-1, t), budget)
+        features = feature_rows(t)
+        return (FeatureMatchKernel(t), draw(st.lists(features, max_size=12)),
+                draw(st.lists(features, max_size=10)), budget)
     top = draw(st.integers(1, 24))
     kern = draw(st.sampled_from([Laplacian(draw(st.integers(2, 256)), top),
                                  Gaussian(0.4, top)]))
@@ -598,12 +603,8 @@ def stores_and_blocks(draw):
 
 
 def ragged_of(kern, rows):
-    """The flat ragged arrays of ``rows`` as ``RowStore.scores`` takes a
-    block: sparse rows' entries, or every position of each feature."""
-    if isinstance(kern, FeatureMatchKernel):
-        n, t = rows.shape
-        return (np.tile(np.arange(1, t + 1), n), rows.reshape(-1),
-                np.arange(0, n * t + 1, t))
+    """The flat ragged arrays of ``rows``, under any kernel, as
+    ``RowStore.scores`` takes a block."""
     return Rows.of(rows).ragged()
 
 
@@ -697,18 +698,35 @@ class TestBlockScores:
                                phases=[Phase.generate], derandomize=True))
 
 
+class TestStoreReadBack:
+    @settings(max_examples=60, deadline=None)
+    @given(stores_and_blocks(), st.data())
+    def test_rows_read_back_every_appended_row(self, case, data):
+        # ``DualModel.svs`` and ``state`` read support vectors back this way
+        kern, stored, _, _ = case
+        store = RowStore(kern)
+        for x in stored:
+            store.append(x.indices, x.values)
+        ids = data.draw(st.lists(st.integers(0, len(stored) - 1)
+                                 if stored else st.nothing()))
+        rows = store.rows(np.array(ids, dtype=np.intp), kern.dim)
+        assert len(rows) == len(ids)
+        for i, x in zip(ids, rows):
+            assert x.indices.tobytes() == stored[i].indices.tobytes()
+            assert x.values.tobytes() == stored[i].values.tobytes()
+
+
 @st.composite
 def dual_streams(draw):
     """(kernel, stream, labels, block sizes, eta): sparse rows under a
-    Laplacian or a Gaussian, or features of length t under the
-    feature-match kernel, cut into blocks of one to six points, so that
-    blocks start at 0, 1, 2 and more support vectors."""
+    Laplacian or a Gaussian, or the ``sparse_feature`` rows of features of
+    length t under the feature-match kernel, cut into blocks of one to six
+    points, so that blocks start at 0, 1, 2 and more support vectors."""
     n = draw(st.integers(1, 24))
     if draw(st.booleans()):
         t = draw(st.integers(1, 5))
-        cells = st.lists(st.integers(0, 3), min_size=t, max_size=t)
         kern = FeatureMatchKernel(t)
-        stream = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+        stream = draw(st.lists(feature_rows(t), min_size=n, max_size=n))
     else:
         top = draw(st.integers(1, 40))
         kern = draw(st.sampled_from([Laplacian(draw(st.integers(2, 256)),
@@ -732,16 +750,13 @@ def dual_streams(draw):
 
 def blocks_of(case):
     """The ``dual_streams`` case's blocks, each as the protocol gives it
-    to a dual model (a ``Rows``, or a feature matrix), with its labels;
-    the points left after the drawn sizes make one last block."""
-    kern, stream, labels, sizes, _ = case
+    to a dual model, a ``Rows``, with its labels; the points left after
+    the drawn sizes make one last block."""
+    _, stream, labels, sizes, _ = case
     edges = [0, *accumulate(sizes)]
     edges = [lo for lo in edges if lo < len(labels)] + [len(labels)]
     for lo, hi in zip(edges, edges[1:]):
-        points = stream[lo:hi]
-        if not isinstance(kern, FeatureMatchKernel):
-            points = Rows.of(points)
-        yield points, labels[lo:hi]
+        yield Rows.of(stream[lo:hi]), labels[lo:hi]
 
 
 def fused_and_default(case):
@@ -787,7 +802,8 @@ class TestFusedDualPass:
         if isinstance(case[0], FeatureMatchKernel):  # has no state()
             assert len(fused) == len(default)
             for (p, c, a), (q, d, b) in zip(fused.svs, default.svs):
-                assert (p.tobytes(), c, a) == (q.tobytes(), d, b)
+                assert (p.indices.tobytes(), p.values.tobytes(), c, a) == (
+                    q.indices.tobytes(), q.values.tobytes(), d, b)
             return
         (fused_meta, fused_arrays), (meta, arrays) = (
             fused.state(), default.state())
@@ -1083,7 +1099,7 @@ class TestPrimalDual:
             max_size=40))
         for i, c in stream:
             sp = primal.step(F[i], c, eta)
-            sd = dual.step(F[i], c, eta)
+            sd = dual.step(sparse_feature(F[i], mapper.psi), c, eta)
             assert abs(sp - sd) <= 1e-12
             assert primal.updates == dual.updates
 
