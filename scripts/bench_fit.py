@@ -1,5 +1,5 @@
-"""Time ``Mapper.fit`` in process, in ms per partitioning, an iforest
-map's encoder, ``load_libsvm``, the baselines' kernel scoring, dual OGD's
+"""Time ``Mapper.fit`` in process, in ms per partitioning, a map's
+encoder, ``load_libsvm``, the baselines' kernel scoring, dual OGD's
 online pass, and every learner's cross-validation.
 
     python3 scripts/bench_fit.py [--repeats 3] [--shapes dense-64,crit6]
@@ -13,10 +13,12 @@ row) at psi 64 and 256, a9a-shaped rows (the stream-a9a workload's data:
 and acceptance criterion 6's t=1000, psi=256, d=2 uniform pool. The
 ``anne-`` shapes fit anne maps on the dense and the sparse-hd data at
 psi=64, t=100 (batch-sparse-hd's map). An ``encode-`` shape fits one
-iforest map and times its
-encoder instead: the p50 of ``map_point`` over ``ENCODE_POINTS`` points,
-and ``map_many`` of all of them in us per point, each the best of
-``--repeats``. A ``parse-`` shape writes a workload's LIBSVM file with
+map and times its encoder instead: the p50 of ``map_point`` over
+``ENCODE_POINTS`` points, and ``map_many`` of all of them in us per
+point, each the best of ``--repeats``. ``encode-dense-64`` times an
+iforest map; ``encode-anne-dense-64`` and ``encode-anne-sparse-hd-64``
+time the anne maps of the ``anne-`` shapes, whose centres form a
+``CentreStack`` and a ``CentreIndex``. A ``parse-`` shape writes a workload's LIBSVM file with
 ``perfbench/gen.py`` to a temporary directory and reports the best of
 ``--repeats`` loads in us per line, and the traced peak of one more load
 (serve-point's 10000 dense lines, batch-sparse-hd's 2000 training lines,
@@ -109,6 +111,8 @@ SHAPES = {
     "anne-dense-64": (dense, 64, 100, "anne"),
     "anne-sparse-hd-64": (sparse_hd, 64, 100, "anne"),
     "encode-dense-64": (dense, 64, 100, "iforest"),
+    "encode-anne-dense-64": (dense, 64, 100, "anne"),
+    "encode-anne-sparse-hd-64": (sparse_hd, 64, 100, "anne"),
 }
 ENCODE_POINTS = 500
 # name: the labels and rows of a workload's LIBSVM file

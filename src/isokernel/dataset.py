@@ -192,7 +192,10 @@ def located(packed, cols):
     the sorted columns ``cols``, as ``(row, position in cols, value)``."""
     row, col, val = packed
     at = np.searchsorted(cols, col)
-    hit = np.append(cols, -1)[at] == col
+    if not cols.size:  # as for a forest with no split
+        return row[:0], at[:0], val[:0]
+    # a column past the last of ``cols`` is clipped onto the last, not it
+    hit = cols.take(at, mode="clip") == col
     return row[hit], at[hit], val[hit]
 
 

@@ -11,6 +11,8 @@ support set), the primal models count weight reads (constant per
 prediction).
 """
 
+import weakref
+
 import numpy as np
 
 from .dataset import (
@@ -53,7 +55,7 @@ class FeatureMatchKernel:
     name = "feature-match"
 
     def __init__(self, t):
-        self.t = self.dim = t  # a feature's largest attribute is at least t
+        self.t = t
 
     def row_norm(self, values):
         """Unused by the scorer; checks the length of a stored feature."""
@@ -174,14 +176,16 @@ class DualModel(_Model):
         # their store rows and alpha_i * c_i, the first len(self) entries
         self._ids, self._coeffs = np.empty(0, dtype=np.intp), np.empty(0)
         self._last = None  # the point last predicted, and its kernel row
+        self._dim = 0  # the largest dim of a point ``_update`` stored
 
     def __len__(self):
         return len(self._cs)
 
     @property
     def svs(self):
-        """``(point, c, alpha)`` of each support vector in arrival order."""
-        points = self._store.rows(self._ids[:len(self)], self.kernel.dim)
+        """``(point, c, alpha)`` of each support vector in arrival order,
+        every point at the largest dim of the points stored."""
+        points = self._store.rows(self._ids[:len(self)], self._dim)
         return list(zip(points, self._cs,
                         (self._coeffs[:len(self)] * self._cs).tolist()))
 
@@ -198,6 +202,7 @@ class DualModel(_Model):
         """Add ``point`` as a support vector with label c and weight alpha."""
         self._add(self._store.n, c, alpha)
         self._store.append(point.indices, point.values)
+        self._dim = max(self._dim, point.dim)
 
     def _scores_by(self, n, x, K=None):
         """Scores of the flat ragged rows x by the first n support vectors,
@@ -244,7 +249,7 @@ class DualModel(_Model):
         if not hasattr(self.kernel, "params"):  # make_kernel cannot rebuild it
             raise ParameterError(f"a dual model over a {self.kernel.name} "
                                  "kernel cannot be checkpointed")
-        rows = self._store.rows(self._ids[:len(self)], self.kernel.dim)
+        rows = self._store.rows(self._ids[:len(self)], self._dim)
         meta = {"kernel": self.kernel.params(), "dim": rows.dim,
                 "updates": self.updates}
         arrays = pack_ragged(rows)
@@ -344,10 +349,15 @@ class IKOGDModel(_Model):
         self.w = np.zeros((t, psi))
         # the flat offset in w of partitioning i's cell 0
         self._at = np.arange(t) * psi
+        # a weak reference to the feature array last predicted alone, and
+        # its cells' flat offsets, which ``_update`` takes of that same
+        # array; a strong one would keep alive the block it is a row of
+        self._last = None, None
 
-    def _scores(self, F):
-        """Score of a feature, or scores of an (n, t) feature matrix."""
-        F = np.asarray(F)
+    def _scores(self, features):
+        """Score of a feature, or scores of an (n, t) feature matrix. The
+        flat offsets of one feature's cells are kept for ``_update``."""
+        F = np.asarray(features)
         if F.dtype.kind not in "iu":  # a bool would read as cell 0 or 1
             raise ProvenanceError(f"features of dtype {F.dtype} are not "
                                   "integer cell ids")
@@ -356,10 +366,16 @@ class IKOGDModel(_Model):
                 f"feature length {F.shape[-1]} does not match model t={self.t}"
             )
         self._count(F.size // self.t, self.t)
-        return self.w.reshape(-1)[self._at + F].sum(-1) / self.t
+        at = self._at + F
+        if F.ndim == 1 and F is features:  # an array, so weakly referable
+            self._last = weakref.ref(F), at
+        return self.w.reshape(-1)[at].sum(-1) / self.t
 
     def _update(self, f, c, eta):
-        self.w.reshape(-1)[self._at + f] += eta * c
+        last, at = self._last
+        if last is None or last() is not f:
+            at = self._at + f
+        self.w.reshape(-1)[at] += eta * c
 
 
 class NOGDModel(_Model):

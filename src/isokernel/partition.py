@@ -34,14 +34,17 @@ all its partitionings:
   attributes are renumbered onto the sorted columns some split reads; it
   descends blocks of rows densified onto those columns.
 * ``VoronoiPartition.join`` — all ``t*psi`` centres as one scorer, which
-  takes the ``<x, z>`` of each row x with every centre z and an argmin
-  over ``(rows, t, psi)``. Where the centres fill at least ``DENSE_FILL``
-  of their dense matrix on the union of their supports, as dense data
-  does, the scorer is a ``CentreStack``: that matrix, scored with one
-  product per block of rows densified onto the union. Otherwise, as on
-  sparse high-dimensional data, whose partitionings share few columns, it
-  is a ``CentreIndex``: the centres' entries indexed by column, scored
-  from the products of row and centre entries that share a column.
+  takes twice the ``<x, z>`` of each row x with every centre z, subtracts
+  it from ``||z||^2`` and takes an argmin over ``(rows, t, psi)``. Where
+  the centres fill at least ``DENSE_FILL`` of their dense matrix on the
+  union of their supports, as dense data does, the scorer is a
+  ``CentreStack``: that matrix, scored with one product per block of rows
+  densified onto the union. Otherwise, as on sparse high-dimensional
+  data, whose partitionings share few columns, it is a ``CentreIndex``:
+  the centres' entries indexed by column, scored from the products of row
+  and centre entries that share a column. One sort of the centres'
+  entries by column (``by_column``) gives both the distinct columns that
+  choose the form and the index's order.
 """
 
 import numpy as np
@@ -354,11 +357,12 @@ class VoronoiPartition:
         their supports to at least ``DENSE_FILL``, a ``CentreIndex``
         otherwise."""
         packed = Rows.concat([part.rows for part in parts]).entries()
-        cols = _distinct(packed[1])
+        order, ptr = by_column(packed[1])
+        cols = packed[1][order[ptr[:-1]]]
         sq = np.concatenate([part.sq_norms for part in parts])
-        dense = packed[1].size >= DENSE_FILL * sq.size * cols.size
-        form = CentreStack if dense else CentreIndex
-        return form(packed, cols, sq, len(parts))
+        if packed[1].size >= DENSE_FILL * sq.size * cols.size:
+            return CentreStack(packed, cols, sq, len(parts))
+        return CentreIndex(packed, cols, sq, len(parts), order, ptr)
 
     @classmethod
     def pack(cls, parts):
@@ -439,7 +443,25 @@ class CentreStack:
     def assign_many(self, packed, n):
         """(n, k) cell ids of ``n`` rows packed by ``Rows.entries``."""
         X = dense_rows(packed, n, self.cols)
-        return _cells(X @ self.Z.T, self.sq, self.k)
+        twice = X @ self.Z.T
+        twice += twice
+        return _cells(twice, self.sq, self.k)
+
+
+def by_column(col):
+    """``(order, ptr)`` of the column numbers ``col``: the stable order
+    that sorts them, and the bounds of their runs of one column in
+    ``col[order]``, the j-th at ``ptr[j]:ptr[j + 1]``."""
+    # a stable argsort at the cost of one plain sort, as the keys (column,
+    # position) are distinct: 4x faster at t*psi = 6400. In place, since
+    # each int64 temporary is the size of the index (1 MB on sparse-hd)
+    n = col.size
+    order = col.astype(np.int64)
+    order *= n
+    order += np.arange(n)
+    order.sort()
+    order %= n
+    return order, np.append(_runs(col[order]), n)
 
 
 class CentreIndex:
@@ -447,16 +469,14 @@ class CentreIndex:
     centres' entries sorted by column (``centre``, ``value``), those in
     ``cols[j]`` at ``ptr[j]:ptr[j + 1]``, where ``cols`` are the distinct
     columns of the entries. A row's dot with every centre costs one
-    product per (row entry, centre entry) pair sharing a column."""
+    product per (row entry, centre entry) pair sharing a column. Built
+    from the centres packed as ``Rows.entries`` packs them and the
+    ``by_column`` order and runs of their columns."""
 
-    def __init__(self, packed, cols, sq, k):
-        row, col, val = packed
-        # a stable argsort by column at the cost of one plain sort, as the
-        # keys (column, position) are distinct: 4x faster at t*psi = 6400
-        n = col.size
-        order = np.sort(col.astype(np.int64) * n + np.arange(n)) % n
+    def __init__(self, packed, cols, sq, k, order, ptr):
+        row, _, val = packed
         self.cols = cols
-        self.ptr = np.append(_runs(col[order]), n)
+        self.ptr = ptr
         self.centre = row[order]
         self.value = val[order]
         self.sq = sq
@@ -471,23 +491,30 @@ class CentreIndex:
         # positions in ``centre`` of every centre entry in each row
         # entry's column, run after run
         pos = _spans(first, count)
-        dots = np.bincount(
+        terms = np.repeat(val, count) * self.value[pos]
+        # doubled terms sum to exactly twice the dots unless a partial sum
+        # overflows: none reaches 2^1023 while n terms are each below
+        # 2^1022 / n. Past that, sum undoubled, as the dots were summed
+        doubled = np.abs(terms).max(initial=0) < 2.0**1022 / max(terms.size, 1)
+        if doubled:
+            terms += terms
+        twice = np.bincount(
             np.repeat(row * np.intp(self.width), count) + self.centre[pos],
-            np.repeat(val, count) * self.value[pos],
-            minlength=n * self.width,
+            terms, minlength=n * self.width,
         ).astype(np.float64, copy=False)  # int64 when no column is shared
-        return _cells(dots.reshape(n, self.width), self.sq, self.k)
+        if not doubled:
+            twice += twice
+        return _cells(twice.reshape(n, self.width), self.sq, self.k)
 
 
-def _cells(dots, sq, k):
+def _cells(twice, sq, k):
     """Argmin over each row's ``k`` groups of centres of ||z||^2 - 2<x, z>,
-    from the dots ``<x, z>`` of every row x with every centre z, whose
-    squared norms are ``sq``: the squared distance less ||x||^2, which
-    cannot change a row's argmin but, if added, would round away the bits
-    that separate near ties."""
-    dots *= -2.0
-    dots += sq
-    return dots.reshape(dots.shape[0], k, -1).argmin(axis=2)
+    from twice the dots ``<x, z>`` of every row x with every centre z,
+    whose squared norms are ``sq``: the squared distance less ||x||^2,
+    which cannot change a row's argmin but, if added, would round away the
+    bits that separate near ties. ``twice`` is overwritten."""
+    np.subtract(sq, twice, out=twice)
+    return twice.reshape(twice.shape[0], k, -1).argmin(axis=2)
 
 
 SCHEMES = {"iforest": ITree, "anne": VoronoiPartition}

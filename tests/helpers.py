@@ -14,7 +14,9 @@ from isokernel.dataset import (
     from_dense,
 )
 from isokernel.featuremap import Mapper
-from isokernel.partition import CentreIndex, CentreStack, ITree, sample_rows
+from isokernel.partition import (
+    CentreIndex, CentreStack, ITree, by_column, sample_rows,
+)
 
 
 def rand_sparse(rng, dim, density=0.5, scale=1.0):
@@ -188,8 +190,8 @@ def centre_forms(parts):
     packed = Rows.of([c for part in parts for c in part.centers]).entries()
     cols = np.unique(packed[1])
     sq = np.concatenate([part.sq_norms for part in parts])
-    return [form(packed, cols, sq, len(parts))
-            for form in (CentreStack, CentreIndex)]
+    return [CentreStack(packed, cols, sq, len(parts)),
+            CentreIndex(packed, cols, sq, len(parts), *by_column(packed[1]))]
 
 
 def walk_tree(tree, x_dense):

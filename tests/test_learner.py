@@ -120,6 +120,18 @@ class TestDualModel:
             m.predict(short)
         assert m.predict(full) == 0.0
 
+    @pytest.mark.parametrize("kern, x", [
+        (FeatureMatchKernel(3), sparse_feature(np.array([1, 0, 2]), 8)),
+        (Laplacian(8, 10), SparseVector([2, 3], [1.0, -2.0], 4)),
+    ])
+    def test_support_vectors_read_back_as_the_points_stored(self, kern, x):
+        # a feature's largest attribute, 19 here, is not its dim, t*psi
+        m = DualModel(kern)
+        m.step(x, 1, eta=0.5)
+        [(p, c, alpha)] = m.svs
+        assert (p.dim, p.indices.tolist(), p.values.tolist(), c, alpha) == (
+            x.dim, x.indices.tolist(), x.values.tolist(), 1, 0.5)
+
 
 def scalar_score(model, x):
     """sum_i alpha_i c_i k(x, sv_i) through the scalar kernel."""
@@ -285,6 +297,43 @@ class TestIKOGD:
         m.step(f1, 1, eta=0.5)
         f2 = mapper.map_point(rand_sparse(rng, 5))
         assert m.predict(f2) == pytest.approx(0.5 * kernel(f1, f2), abs=1e-12)
+
+    def test_update_after_predicting_another_feature_updates_its_cells(self):
+        # ``predict`` keeps its feature's flat offsets for the ``_update``
+        # ``step`` makes of that feature; any other feature takes its own
+        m = IKOGDModel(3, 4)
+        f1, f2 = np.array([0, 1, 2]), np.array([3, 3, 0])
+        m.predict(f1)
+        m._update(f2, 1, 0.5)
+        want = np.zeros((3, 4))
+        want[np.arange(3), f2] = 0.5
+        assert np.array_equal(m.w, want)
+        m.predict(f2)
+        m._update(f1, -1, 0.5)
+        want[np.arange(3), f1] -= 0.5
+        assert np.array_equal(m.w, want)
+
+    def test_a_trained_model_keeps_no_reference_to_its_block(self):
+        # the last feature predicted is a row of the block: held strongly,
+        # it would keep the block alive while a test set is encoded
+        F = np.array([[0, 1, 2], [3, 3, 0]], dtype=np.int32)
+        alive = weakref.ref(F)
+        m = IKOGDModel(3, 4)
+        m.train_pass(F, [1, 1], eta=0.5)
+        del F
+        assert alive() is None
+        assert m.updates == 2
+
+    def test_a_model_from_state_updates_its_loaded_weights(self):
+        mapper, _ = self._mapper(t=3, psi=4)
+        w = np.arange(12.0).reshape(3, 4)
+        m = IKOGDModel.from_state({"updates": 2}, {"w": w.copy()}, mapper)
+        f = np.array([1, 2, 3])
+        # reads w[0, 1] + w[1, 2] + w[2, 3] = 18 of the loaded weights
+        assert m.step(f, -1, eta=0.5) == 6.0
+        w[np.arange(3), f] -= 0.5
+        assert np.array_equal(m.w, w)
+        assert (m.predict(f), m.updates) == (5.5, 3)
 
     def test_wrong_length_feature_rejected(self):
         m = IKOGDModel(10, 4)

@@ -251,6 +251,30 @@ class TestJoin:
             for j, part in enumerate(parts):
                 assert np.array_equal(cells[:, j], cells_of(part, X))
 
+    def test_dots_that_overflow_only_when_doubled_keep_their_cells(self):
+        # the row's terms with centre 1 are p, p, -p, for p = 5e307: the
+        # dot sums to p through 2p, but doubled terms would reach 4p, past
+        # the largest float. So both forms score it as ``_cells`` always
+        # has: ||z||^2 - 2 <x, z>, the dot summed undoubled
+        s = 0.5e154
+        x = SparseVector([1, 2, 3], [1e154] * 3, 3)
+        centres = [SparseVector([1], [s], 3),
+                   SparseVector([1, 2, 3], [s, s, -s], 3)]
+        part = VoronoiPartition.build(centres)
+        scores = []
+        for z in centres:
+            dot = 0.0
+            for a, b in zip(x.densify(3), z.densify(3)):
+                dot += a * b
+            scores.append(dot * -2.0 + float(z.values @ z.values))
+        assert np.isfinite(scores).all()
+        want = int(np.argmin(scores))
+        assert want == 0  # the doubled sum, inf, would make it 1
+        for form in centre_forms([part]):
+            assert form.assign_many(Rows.of([x]).entries(), 1).tolist() == [
+                [want]]
+        assert cell(part, x) == want
+
 
 class TestVoronoi:
     def test_center_maps_to_itself(self):

@@ -95,7 +95,7 @@ from isokernel.learner import (
     save_checkpoint,
 )
 from isokernel.nystrom import NystromMap, fit_nystrom
-from isokernel.partition import SCHEMES as BUILDERS
+from isokernel.partition import SCHEMES as BUILDERS, VoronoiPartition
 
 from helpers import (
     cell, centre_forms, one_row_laplacian, sample_psi, walk_tree,
@@ -325,6 +325,23 @@ class TestSaveLoad:
         )
 
 
+@st.composite
+def centres_and_rows(draw):
+    """(parts, rows): one to four Voronoi partitionings of one to six
+    centres each, and one to eight query rows, all on at most eight
+    columns with values k/4, so that a row shares several columns with
+    most centres."""
+    dim = draw(st.integers(1, 8))
+    points = st.lists(st.just(0.0) | VALUES, min_size=dim, max_size=dim).map(
+        lambda v: SparseVector(np.flatnonzero(v) + 1, [a for a in v if a],
+                               dim))
+    psi = draw(st.integers(1, 6))
+    parts = [VoronoiPartition.build(draw(
+                 st.lists(points, min_size=psi, max_size=psi)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return parts, draw(st.lists(points, min_size=1, max_size=8))
+
+
 class TestEncoding:
     @bounded
     @given(fitted_maps())
@@ -377,6 +394,21 @@ class TestEncoding:
             cells = stack.assign_many(rows, len(ds))
             assert np.array_equal(index.assign_many(rows, len(ds)), cells)
             assert np.array_equal(mapper.map_many(ds), cells)
+
+    @bounded
+    @given(centres_and_rows())
+    def test_both_centre_forms_give_the_dense_argmin(self, case):
+        # exact values, so every dot sums exactly in any order: both forms'
+        # doubled dots must give the dense oracle's cells, ties included
+        parts, rows = case
+        dim = rows[0].dim
+        Z = np.stack([z.densify(dim) for part in parts for z in part.centers])
+        X = np.stack([x.densify(dim) for x in rows])
+        sq = (Z * Z).sum(axis=1)
+        want = (sq - 2 * X @ Z.T).reshape(len(rows), len(parts), -1).argmin(2)
+        for form in centre_forms(parts):
+            got = form.assign_many(Rows.of(rows).entries(), len(rows))
+            assert np.array_equal(got, want)
 
 
 @st.composite
@@ -709,8 +741,9 @@ class TestStoreReadBack:
             store.append(x.indices, x.values)
         ids = data.draw(st.lists(st.integers(0, len(stored) - 1)
                                  if stored else st.nothing()))
-        rows = store.rows(np.array(ids, dtype=np.intp), kern.dim)
-        assert len(rows) == len(ids)
+        dim = max((x.dim for x in stored), default=0)
+        rows = store.rows(np.array(ids, dtype=np.intp), dim)
+        assert (len(rows), rows.dim) == (len(ids), dim)
         for i, x in zip(ids, rows):
             assert x.indices.tobytes() == stored[i].indices.tobytes()
             assert x.values.tobytes() == stored[i].values.tobytes()
