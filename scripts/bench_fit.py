@@ -39,9 +39,14 @@ head (the first 2000 of its 8000 a9a-shaped rows, seed 301, as
 ``run_online`` shuffles them), grid (16, 64, 256), 5 folds: the best of
 ``--repeats`` runs in s, and the traced peak of one more in MB. The
 ``cv-iforest`` and ``cv-anne`` shapes fit and score one map per psi and
-fold, the CV path that no benchmark workload runs. The package and the
-generators are imported from the checkout that holds this script, so a
-copy of it in another checkout times that checkout's code.
+fold, the CV path that no benchmark workload runs. A ``map-`` shape fits
+one t=2000 map, of iforest at psi=256 or of anne at psi=64, with seed 7
+on ``make_two_gaussians(10000, 20, 3.0, 1)`` (dense d=20), and reports
+the traced memory the map retains, the traced peak of its fit, both in
+MB, and the best of ``MAP_LOADS`` ``Mapper.load``s of its file in s.
+The package and the generators are imported from the checkout that holds
+this script, so a copy of it in another checkout times that checkout's
+code.
 
 The ``score-``, ``stream-`` and ``cv-`` figures depend on the process's
 memory layout as well as on the code: on identical code,
@@ -69,7 +74,9 @@ import gen  # noqa: E402
 from isokernel.dataset import (  # noqa: E402
     Dataset, LabeledPoint, SparseVector, load_libsvm, shuffle, split_head,
 )
-from isokernel.eval import ProtocolConfig, cv_select_psi  # noqa: E402
+from isokernel.eval import (  # noqa: E402
+    ProtocolConfig, cv_select_psi, make_two_gaussians,
+)
 from isokernel.featuremap import Mapper  # noqa: E402
 from isokernel.kernels import Laplacian  # noqa: E402
 from isokernel.learner import DualModel  # noqa: E402
@@ -140,6 +147,13 @@ CV_SHAPES = {
     "cv-iforest": "ik-ogd-iforest",
     "cv-anne": "ik-ogd-anne",
 }
+# name: (psi, scheme) of a t=MAP_T map
+MAP_SHAPES = {
+    "map-iforest-2000": (256, "iforest"),
+    "map-anne-2000": (64, "anne"),
+}
+MAP_T = 2000
+MAP_LOADS = 5
 
 
 def time_fit(ds, psi, t, scheme, repeats):
@@ -285,11 +299,27 @@ def time_cv(learner, repeats):
     return best, peak / 2**20
 
 
+def time_map(psi, scheme):
+    """``(retained MB, fit peak MB, load s)`` of a ``MAP_SHAPES`` shape:
+    the traced memory its map holds after the fit, the fit's traced peak,
+    and the best of ``MAP_LOADS`` loads of the map's file."""
+    ds = make_two_gaussians(10000, 20, 3.0, 1)
+    tracemalloc.start()
+    mapper = Mapper.fit(ds, psi, MAP_T, scheme, 7)
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.npz")
+        mapper.save(path)
+        load = best_wall(lambda: Mapper.load(path), MAP_LOADS)
+    return retained / 2**20, peak / 2**20, load
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--repeats", type=int, default=3)
     every = [*SHAPES, *PARSE_SHAPES, *SCORE_SHAPES, *STREAM_SHAPES,
-             *CV_SHAPES]
+             *CV_SHAPES, *MAP_SHAPES]
     ap.add_argument("--shapes", default=",".join(every),
                     help="comma list of " + ", ".join(every))
     args = ap.parse_args(argv)
@@ -335,6 +365,15 @@ def main(argv=None):
     for name in cv:
         s, mb = time_cv(CV_SHAPES[name], args.repeats)
         print(f"| {name} | 2000 | {s:.3f} | {mb:.2f} |", flush=True)
+    maps = [name for name in names if name in MAP_SHAPES]
+    if maps:
+        print("| shape | psi | t | retained MB | fit peak MB | load s |"
+              "\n|---|---|---|---|---|---|")
+    for name in maps:
+        psi, scheme = MAP_SHAPES[name]
+        kept, peak, load = time_map(psi, scheme)
+        print(f"| {name} | {psi} | {MAP_T} | {kept:.2f} | {peak:.2f} | "
+              f"{load:.4f} |", flush=True)
     return 0
 
 

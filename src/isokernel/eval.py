@@ -8,7 +8,6 @@ compared under one seed consume the same shuffled stream.
 """
 
 import csv
-import json
 import numbers
 import time
 import warnings
@@ -131,11 +130,6 @@ class Metrics:
 
     def to_dict(self):
         return asdict(self)
-
-    def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

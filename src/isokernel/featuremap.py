@@ -14,16 +14,16 @@ of t entries, independent of psi. ``kernel``, ``dense_feature``,
 ``sparse_feature`` and ``naive_dot`` are the reference forms that it is
 tested against.
 
-Encoding reads points as sparse rows and never builds an n x d matrix. The
-partitionings are joined once per map into one form, ``SCHEMES[scheme].join``
-(``ITree.join``: one flat ``Forest``; ``VoronoiPartition.join``: one scorer
-of all centres, a dense ``CentreStack`` where the centres fill their matrix
-on the union of their supports to at least ``DENSE_FILL``, a
-``CentreIndex`` by column otherwise). Every form gives a block of packed
-rows its cells through ``assign_many`` and bounds its widest array per row
-by ``width``. The forest and the stack read rows densified onto their own
-sorted columns; the index reads the sparse rows as they are. Rows go
-through the joined form in blocks; a block holds at most ``_BLOCK``
+Encoding reads points as sparse rows and never builds an n x d matrix. A
+map holds its partitionings as one object of its scheme, ``parts``: an
+``ITree``, one flat forest of all the trees, or a ``VoronoiPartition`` of
+all ``t*psi`` centres, scored by a dense ``CentreStack`` where the centres
+fill their matrix on the union of their supports to at least
+``DENSE_FILL``, by a ``CentreIndex`` by column otherwise. It gives a block
+of packed rows its cells through ``assign_many`` and bounds its widest
+array per row by ``width``. The forest and the stack read rows densified
+onto their own sorted columns; the index reads the sparse rows as they
+are. Rows go through ``parts`` in blocks; a block holds at most ``_BLOCK``
 elements of the widest array it creates, whether (row, tree) pairs, (row,
 centre) scores or densified (row, column) entries, or one row when a row
 has more. The index's products of row and centre entries that share a
@@ -57,7 +57,6 @@ class Mapper:
         self.seed = seed
         self.dim = dim
         self.encode_ops = 0  # partitioning assignments performed so far
-        self._joined = SCHEMES[scheme].join(parts)
 
     @classmethod
     def fit(cls, dataset, psi, t, scheme, seed):
@@ -109,19 +108,19 @@ class Mapper:
         out = np.empty((n, self.t), dtype=np.int32)
         # at most _BLOCK elements of a width-wide array per row in a
         # block, or one row when a row has more
-        step = max(1, _BLOCK // self._joined.width)
+        step = max(1, _BLOCK // self.parts.width)
         for lo, m, block in row_blocks(packed, n, step):
-            out[lo : lo + m] = self._joined.assign_many(block, m)
+            out[lo : lo + m] = self.parts.assign_many(block, m)
         self.encode_ops += out.size
         return out
 
     def cell_counts(self):
         """Number of occupied cells per partitioning."""
-        return [p.n_cells for p in self.parts]
+        return self.parts.n_cells.tolist()
 
     def state(self):
         """(meta, arrays) from which ``from_state`` rebuilds this map: the
-        arrays are the scheme's ``pack`` of all partitionings."""
+        arrays are the ``pack`` of its partitionings."""
         meta = {
             "scheme": self.scheme,
             "t": self.t,
@@ -129,7 +128,7 @@ class Mapper:
             "seed": self.seed,
             "dim": self.dim,
         }
-        return meta, SCHEMES[self.scheme].pack(self.parts)
+        return meta, self.parts.pack()
 
     @classmethod
     def from_state(cls, meta, arrays):
@@ -137,7 +136,7 @@ class Mapper:
         if len(parts) != meta["t"]:
             raise ValueError(f"{len(parts)} partitionings, not t={meta['t']}")
         # a cell id of psi or more reads the next partitioning's weight
-        if any(p.n_cells > meta["psi"] for p in parts):
+        if (parts.n_cells > meta["psi"]).any():
             raise ValueError(f"a partitioning of more than psi={meta['psi']} "
                              "cells")
         return cls(

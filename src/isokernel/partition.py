@@ -1,17 +1,33 @@
-"""Isolation mechanisms: build one partitioning from a small sample.
+"""Isolation mechanisms: build a map's partitionings from small samples.
 
 A partitioning covers all of R^d with at most ``psi`` cells, each carrying a
-stable id in [0, n_cells). Two constructions are provided:
+stable id in [0, n_cells). Each of the two schemes is a class, one object
+of which holds all of a map's partitionings and gives a block of rows its
+cells under all of them at once (``assign_many``):
 
-* ``ITree`` — a binary tree of random axis-parallel splits, grown until every
-  sample point is isolated (or points are indistinguishable). No height cap:
-  growth stops only at isolation. A tree stores only its breadth-first list
-  of splits and leaves; its links and its leaf ids, in node order, follow.
-  Map files of format 1 and checkpoints of format 2 numbered leaves
-  depth-first, and are rejected rather than read with other cells.
-* ``VoronoiPartition`` — the Voronoi diagram of the sample under Euclidean
-  distance; a query's cell is its nearest sample point (ties go to the
-  lowest center index).
+* ``ITree`` — binary trees of random axis-parallel splits, each grown until
+  every point of its sample is isolated (or points are indistinguishable).
+  No height cap: growth stops only at isolation. The trees are one flat
+  forest of their breadth-first lists of splits and leaves; their links
+  and leaf ids, in node order, follow. Split attributes are renumbered
+  onto the sorted columns some split reads, so a block of rows descends
+  densified onto those columns alone. Map files of format 1 and
+  checkpoints of format 2 numbered leaves depth-first, and are rejected
+  rather than read with other cells.
+* ``VoronoiPartition`` — the Voronoi diagrams of the samples under
+  Euclidean distance; a query's cell is its nearest sample point (ties go
+  to the lowest center index). All ``t*psi`` centres are scored at once:
+  twice the ``<x, z>`` of each row x with every centre z is subtracted
+  from ``||z||^2``, and the argmin taken over ``(rows, t, psi)``. Where
+  the centres fill at least ``DENSE_FILL`` of their dense matrix on the
+  union of their supports, as dense data does, the scorer is a
+  ``CentreStack``: that matrix, scored with one product per block of rows
+  densified onto the union. Otherwise, as on sparse high-dimensional
+  data, whose partitionings share few columns, it is a ``CentreIndex``:
+  the centres' entries indexed by column, scored from the products of row
+  and centre entries that share a column. One sort of the centres'
+  entries by column (``by_column``) gives both the distinct columns that
+  choose the form and the index's order.
 
 ``build_many`` builds one partitioning per ``(sample, rng)`` pair, each
 from its own generator; it takes the pairs as they come, so a fit need not
@@ -26,25 +42,8 @@ data does; otherwise, as on sparse high-dimensional data, they stay as
 their stored entries. Both forms grow the same trees, and a tree is the
 same whichever group it grows in.
 
-Built partitionings are immutable. A partitioning has no assignment path
-of its own: a fitted map encodes through one joined form built once from
-all its partitionings:
-
-* ``ITree.join`` — all trees as one ``Forest``, a flat forest whose split
-  attributes are renumbered onto the sorted columns some split reads; it
-  descends blocks of rows densified onto those columns.
-* ``VoronoiPartition.join`` — all ``t*psi`` centres as one scorer, which
-  takes twice the ``<x, z>`` of each row x with every centre z, subtracts
-  it from ``||z||^2`` and takes an argmin over ``(rows, t, psi)``. Where
-  the centres fill at least ``DENSE_FILL`` of their dense matrix on the
-  union of their supports, as dense data does, the scorer is a
-  ``CentreStack``: that matrix, scored with one product per block of rows
-  densified onto the union. Otherwise, as on sparse high-dimensional
-  data, whose partitionings share few columns, it is a ``CentreIndex``:
-  the centres' entries indexed by column, scored from the products of row
-  and centre entries that share a column. One sort of the centres'
-  entries by column (``by_column``) gives both the distinct columns that
-  choose the form and the index's order.
+Built partitionings are immutable. A scheme's object is the sequence of
+its partitionings: item i is partitioning i alone, as an object of one.
 """
 
 import numpy as np
@@ -56,7 +55,7 @@ from .dataset import (
 )
 
 # The least fill, stored centre entries over the cells of the dense
-# (t*psi, len(cols)) centre matrix, at which ``join`` scores centres as one
+# (t*psi, len(cols)) centre matrix, at which a map scores centres as one
 # dense stack rather than through a column index. Measured map_many cost at
 # t=100, psi=64, on rows of 20 nonzeros (us per point, one stack / index):
 # 71 / 244 at fill 0.10 (d=200), 191 / 54 at fill 0.04 (d=500).
@@ -100,36 +99,66 @@ def sample_rows(n, psi, rng):
 
 
 class ITree:
-    """Fully grown random axis-parallel splitting tree over a sample.
-
-    A tree stores only its breadth-first list of nodes from the root 0:
-    ``feature[i] >= 0`` marks a split of that attribute at
-    ``threshold[i]``, and ``feature[i] == -1`` a leaf. Counting in node
-    order from 0, the k-th split's children are ``left[i] = 2k + 1`` and
-    ``left[i] + 1``, and the k-th leaf is cell ``leaf_id[i] = k`` (-1 marks
-    the other nodes in both). Descent rule: go left iff x[feature] <
-    threshold. A map file holds the two stored arrays of all its trees as
-    one ragged set (``pack``).
+    """Fully grown random axis-parallel splitting trees over samples, as one
+    flat forest: the breadth-first lists of their nodes, tree i's at
+    ``offsets[i]:offsets[i + 1]``. ``feature[j] >= 0`` marks a split at
+    ``threshold[j]`` of attribute ``cols[feature[j]]``, ``cols`` being the
+    sorted attributes some split reads, and ``feature[j] == -1`` a leaf.
+    Counting in its tree's node order from 0, the k-th split's children
+    are its tree's nodes 2k + 1 (at ``left[j]``) and 2k + 2, and the k-th
+    leaf is cell ``leaf_id[j] = k`` (-1 marks the other nodes in both) of
+    the tree's ``n_cells[i]``. Descent rule: go left iff x[attribute] <
+    threshold. A map file holds the arrays ``pack`` gives.
     """
 
     scheme = "iforest"
 
-    def __init__(self, feature, threshold):
-        self.feature = np.asarray(feature, dtype=np.int32)
+    def __init__(self, feature, threshold, offsets):
+        """The trees of the arrays ``pack`` gives."""
+        feature = np.array(feature, dtype=np.int32)  # renumbered in place
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        split = self.feature >= 0
-        self.left = np.where(split, 2 * np.cumsum(split) - 1, -1).astype(
-            np.int32)
-        self.leaf_id = np.where(split, -1, np.cumsum(~split) - 1).astype(
-            np.int32)
-        self.n_cells = int(self.leaf_id.max()) + 1
+        self.offsets = np.asarray(offsets)
+        split = feature >= 0
+        attrs = feature[split]
+        self.cols = _distinct(attrs)
+        feature[split] = np.searchsorted(self.cols, attrs)
+        self.feature = feature
+        # splits up to each node, and splits and leaves before each root
+        ups = np.cumsum(split, dtype=np.int32)
+        before = np.append(0, ups)[self.offsets]
+        leaves = self.offsets - before
+        self.n_cells = np.diff(leaves)
+        sizes = np.diff(self.offsets)
+        # a tree's k-th split links to its node 2k + 1, and its k-th leaf
+        # is cell k; -1 marks the other nodes
+        self.left = np.repeat(
+            (self.offsets[:-1] - 2 * before[:-1]).astype(np.int32), sizes)
+        self.left += 2 * ups - 1
+        self.left[~split] = -1
+        self.leaf_id = np.arange(split.size, dtype=np.int32) - ups
+        self.leaf_id -= np.repeat(leaves[:-1].astype(np.int32), sizes)
+        self.leaf_id[split] = -1
+        self.width = max(len(self), self.cols.size)
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    def __getitem__(self, i):
+        """Tree i alone, as a one-tree ``ITree``."""
+        lo, hi = self.offsets[range(len(self))[i]:][:2].tolist()
+        return ITree(self._attributes()[self.feature[lo:hi]],
+                     self.threshold[lo:hi], [0, hi - lo])
+
+    def _attributes(self):
+        """Indexed by ``feature``: each split's attribute, -1 at a leaf."""
+        return np.append(self.cols, np.int32(-1))
 
     @classmethod
     def build(cls, sample, rng):
         """Grow a tree isolating every distinguishable point of ``sample``,
         a list of SparseVectors or their ``Rows``: ``build_many`` of one
         sample."""
-        return cls.build_many([(Rows.of(sample), rng)])[0]
+        return cls.build_many([(Rows.of(sample), rng)])
 
     @classmethod
     def build_many(cls, pairs):
@@ -147,32 +176,43 @@ class ITree:
         are read one at a time, so when ``pairs`` is an iterator the
         transient memory follows that budget, not the number of trees.
         """
-        trees, group, size = [], [], 0
+        grown, group, size = [], [], 0
         for sample, rng in pairs:
             cost = len(sample) + sample.nnz()
             if group and size + cost > _GROW_BUDGET:
-                trees += _grow(group)
+                grown.append(_grow(group))
                 group, size = [], 0
             group.append((sample, rng))
             size += cost
-        return trees + _grow(group)
+        grown.append(_grow(group))
+        feature, threshold, sizes = map(np.concatenate, zip(*grown))
+        return cls(feature, threshold, np.append(0, np.cumsum(sizes)))
 
-    @classmethod
-    def join(cls, trees):
-        """All ``trees`` as the one form a map encodes through: a
-        ``Forest``."""
-        return Forest(trees)
+    def assign_many(self, packed, n):
+        """(n, k) cell ids of ``n`` rows packed by ``Rows.entries``. All
+        (row, tree) pairs go down a level at a time, each to child
+        ``left + (x >= threshold)``, and a pair leaves the active set at a
+        leaf."""
+        X = dense_rows(packed, n, self.cols)
+        k = len(self)
+        # int32 node ids, as the links are: intp ids would descend one row
+        # about 20% faster, which waits until perfbench's peak memory no
+        # longer grows with the number of requests it serves
+        node = np.tile(self.offsets[:-1].astype(np.int32), n)
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            nd = node[live]
+            node[live] = self.left[nd] + (
+                X[live // k, self.feature[nd]] >= self.threshold[nd])
+            live = live[self.feature[node[live]] >= 0]
+        return self.leaf_id[node].reshape(n, k)
 
-    @classmethod
-    def pack(cls, trees):
-        """The arrays a map file holds of ``trees``: their ``feature`` and
-        ``threshold`` arrays each concatenated, tree i's nodes at
-        ``offsets[i]:offsets[i + 1]``."""
-        return {
-            "feature": np.concatenate([tree.feature for tree in trees]),
-            "threshold": np.concatenate([tree.threshold for tree in trees]),
-            "offsets": np.cumsum([0] + [tree.feature.size for tree in trees]),
-        }
+    def pack(self):
+        """The arrays a map file holds of these trees: ``feature``,
+        ``threshold`` and ``offsets``, with each split's attribute in
+        ``feature``."""
+        return {"feature": self._attributes()[self.feature],
+                "threshold": self.threshold, "offsets": self.offsets}
 
     @classmethod
     def unpack(cls, arrays, dim=2**31):
@@ -182,17 +222,20 @@ class ITree:
         threshold = _checked("threshold", arrays["threshold"])
         if threshold.shape != feature.shape:
             raise ValueError("not the node lists of full binary trees")
-        trees = [cls(feature[lo:hi], threshold[lo:hi])
-                 for lo, hi in ragged_runs(arrays["offsets"], feature.size)]
-        # one leaf more than splits, or the links run past the last node
-        if any(tree.feature.size != 2 * tree.n_cells - 1 for tree in trees):
+        ragged_runs(arrays["offsets"], feature.size)  # rise from 0 to size
+        trees = cls(feature, threshold, arrays["offsets"])
+        # one leaf more than splits in each tree, or its links run past
+        # its last node
+        if (np.diff(trees.offsets) != 2 * trees.n_cells - 1).any():
             raise ValueError("not the node list of a full binary tree")
         return trees
 
 
 def _grow(group):
-    """The trees of the ``(sample, rng)`` pairs in ``group``, grown a
-    level at a time.
+    """``(feature, threshold, sizes)`` of the trees of the ``(sample,
+    rng)`` pairs in ``group``, grown a level at a time: each tree's
+    breadth-first list of nodes in turn, as ``ITree`` takes them, and its
+    count of nodes.
 
     At each level, every node of every tree in the group takes the range
     of each column over its members in one segmented reduction, picks its
@@ -305,123 +348,85 @@ def _grow(group):
     # each tree's nodes in id order: level by level, in parent order, so
     # breadth-first from its root
     by_tree = np.argsort(tree_of[:hi], kind="stable")
-    bounds = np.searchsorted(tree_of[by_tree], np.arange(g + 1))
-    return [
-        ITree(feature[s], threshold[s])
-        for s in (by_tree[bounds[i] : bounds[i + 1]] for i in range(g))
-    ]
+    return (feature[by_tree], threshold[by_tree],
+            np.bincount(tree_of[:hi], minlength=g))
 
 
 class VoronoiPartition:
-    """Voronoi cells of a point sample: a point's cell is its nearest
-    center, ties to the lowest center index. The centres are held as
-    ``rows``, the ``Rows`` of the sample, with their squared norms
-    ``sq_norms`` for the scorer ``join`` builds."""
+    """Voronoi cells of ``k`` samples of psi points each: a point's cell in
+    partitioning i is its nearest of the i-th psi centres, ties to the
+    lowest center index. The centres are held as ``rows``, one ``Rows`` of
+    the samples in turn, with their squared norms ``sq_norms``, and scored
+    by ``scorer``: a ``CentreStack`` when they fill their dense matrix on
+    the union of their supports to at least ``DENSE_FILL``, a
+    ``CentreIndex`` otherwise."""
 
     scheme = "anne"
 
-    def __init__(self, centers):
-        """``centers``: a list of SparseVectors or their ``Rows``."""
+    def __init__(self, centers, k=1):
+        """``centers``: the ``k*psi`` centres, SparseVectors or ``Rows``."""
         self.rows = Rows.of(centers)
-        self.dim = self.rows.dim
-        self.sq_norms = self.rows.sq_norms()
-        self.n_cells = len(self.rows)
+        sq = self.sq_norms = self.rows.sq_norms()
+        self.n_cells = np.full(k, len(self.rows) // k)
+        packed = self.rows.entries()
+        order, ptr = by_column(packed[1])
+        cols = packed[1][order[ptr[:-1]]]
+        if packed[1].size >= DENSE_FILL * sq.size * cols.size:
+            self.scorer = CentreStack(packed, cols, sq, k)
+        else:
+            self.scorer = CentreIndex(packed, cols, sq, k, order, ptr)
+        self.width = self.scorer.width
 
-    @property
-    def centers(self):
-        """The centres as SparseVectors, built on every call."""
-        return self.rows.vectors()
+    def __len__(self):
+        return self.n_cells.size
+
+    def __getitem__(self, i):
+        """Partitioning i alone, as a ``VoronoiPartition`` of one."""
+        psi = len(self.rows) // len(self)
+        lo = range(len(self))[i] * psi
+        return VoronoiPartition(self.rows.take(np.arange(lo, lo + psi)))
 
     @classmethod
     def build(cls, sample, rng=None):
-        """Voronoi cells of ``sample``, a list of SparseVectors or their
-        ``Rows``; ``rng`` is unused."""
-        return cls(sample)
+        """The centres of the Voronoi cells of ``sample``, a list of
+        SparseVectors or their ``Rows``: its ``Rows``. ``rng`` is unused."""
+        return Rows.of(sample)
 
     @classmethod
     def build_many(cls, pairs):
-        """``build`` of each ``(sample, rng)`` pair."""
-        return [cls.build(sample, rng) for sample, rng in pairs]
+        """The cells of the sample of each ``(sample, rng)`` pair, whose
+        centres are its ``build``, as one ``VoronoiPartition``."""
+        centres = [cls.build(sample, rng) for sample, rng in pairs]
+        return cls(Rows.concat(centres), len(centres))
+
+    def assign_many(self, packed, n):
+        """(n, k) cell ids of ``n`` rows packed by ``Rows.entries``."""
+        return self.scorer.assign_many(packed, n)
 
     def dense_centers(self):
-        """Centers as a dense (psi, dim) matrix, built on every call. Only
+        """Centers as a dense (k*psi, dim) matrix, built on every call. Only
         the benchmark's tie check reads it (``perfbench/workloads.py``,
-        ``_both_nearest``): a map scores the centres that ``join`` joins."""
+        ``_both_nearest``), of one partitioning."""
         return dense_rows(
-            self.rows.entries(), self.n_cells, np.arange(self.dim))
+            self.rows.entries(), len(self.rows), np.arange(self.rows.dim))
 
-    @classmethod
-    def join(cls, parts):
-        """All centres of ``parts`` (of equal psi), in order, as one scorer:
-        a ``CentreStack`` when they fill their dense matrix on the union of
-        their supports to at least ``DENSE_FILL``, a ``CentreIndex``
-        otherwise."""
-        packed = Rows.concat([part.rows for part in parts]).entries()
-        order, ptr = by_column(packed[1])
-        cols = packed[1][order[ptr[:-1]]]
-        sq = np.concatenate([part.sq_norms for part in parts])
-        if packed[1].size >= DENSE_FILL * sq.size * cols.size:
-            return CentreStack(packed, cols, sq, len(parts))
-        return CentreIndex(packed, cols, sq, len(parts), order, ptr)
-
-    @classmethod
-    def pack(cls, parts):
-        """The arrays a map file holds of ``parts``, which have equal psi:
-        all their centres as one ragged set (``pack_ragged``), partitioning
-        i's the i-th run of psi, and each partitioning's ``dim``."""
-        return {
-            **pack_ragged(Rows.concat([part.rows for part in parts])),
-            "dim": np.array([part.dim for part in parts], dtype=np.int64),
-        }
+    def pack(self):
+        """The arrays a map file holds of these partitionings: all their
+        centres as one ragged set (``pack_ragged``), partitioning i's the
+        i-th run of psi, and each partitioning's ``dim``."""
+        return {**pack_ragged(self.rows),
+                "dim": np.full(len(self), self.rows.dim, dtype=np.int64)}
 
     @classmethod
     def unpack(cls, arrays, dim=None):
-        """The partitionings ``pack`` packed into ``arrays``, each holding
-        its run of the file's centres; each stores its own ``dim``."""
-        dims = arrays["dim"].tolist()
-        rows = unpack_ragged(arrays, max(dims))
-        psi, rest = divmod(len(rows), len(dims))
-        if rest:
-            raise ValueError(f"{len(rows)} centres in {len(dims)} parts")
-        return [cls(rows.take(np.arange(i * psi, (i + 1) * psi)).with_dim(dim))
-                for i, dim in enumerate(dims)]
-
-
-class Forest:
-    """Trees as one flat forest: their nodes concatenated, the root of each
-    at ``roots``, child links shifted by their tree's root and leaf ids
-    not. Split attributes are renumbered onto the sorted columns ``cols``
-    some split reads, so a block of rows descends densified onto ``cols``
-    alone."""
-
-    def __init__(self, trees):
-        sizes = [tree.feature.size for tree in trees]
-        self.roots = np.cumsum([0] + sizes[:-1], dtype=np.int32)
-        feature, self.threshold, left, self.leaf_id = map(np.concatenate, zip(
-            *[(tree.feature, tree.threshold, tree.left, tree.leaf_id)
-              for tree in trees]))
-        self.left = left + np.repeat(self.roots, sizes)
-        split = feature >= 0
-        self.cols = _distinct(feature[split])
-        feature[split] = np.searchsorted(self.cols, feature[split])
-        self.feature = feature
-        self.width = max(len(trees), self.cols.size)
-
-    def assign_many(self, packed, n):
-        """(n, k) cell ids of ``n`` rows packed by ``Rows.entries``. All
-        (row, tree) pairs go down a level at a time, each to child
-        ``left + (x >= threshold)``, and a pair leaves the active set at a
-        leaf."""
-        X = dense_rows(packed, n, self.cols)
-        k = self.roots.size
-        node = np.tile(self.roots, n)
-        live = np.flatnonzero(self.feature[node] >= 0)
-        while live.size:
-            nd = node[live]
-            node[live] = self.left[nd] + (
-                X[live // k, self.feature[nd]] >= self.threshold[nd])
-            live = live[self.feature[node[live]] >= 0]
-        return self.leaf_id[node].reshape(n, k)
+        """The partitionings ``pack`` packed into ``arrays``, at the one
+        ``dim`` they all store."""
+        dims = arrays["dim"]
+        rows = unpack_ragged(arrays, int(dims.max()))
+        if len(rows) % dims.size or (dims != dims[0]).any():
+            raise ValueError(f"{len(rows)} centres in {dims.size} parts, or "
+                             "parts of different dims")
+        return cls(rows, dims.size)
 
 
 class CentreStack:

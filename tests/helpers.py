@@ -9,7 +9,6 @@ import numpy as np
 from isokernel.dataset import (
     Dataset,
     LabeledPoint,
-    Rows,
     SparseVector,
     from_dense,
 )
@@ -111,16 +110,17 @@ def as_depth_first_release(path, version):
     trees = ITree.unpack({key: arrays.pop(stem + key)
                           for key in ("feature", "threshold", "offsets")})
     for i, tree in enumerate(trees):
-        leaf_id = np.full(tree.feature.size, -1, dtype=np.int32)
+        feature = tree.pack()["feature"]
+        leaf_id = np.full(feature.size, -1, dtype=np.int32)
         stack, seen = [0], 0
         while stack:
             node = stack.pop()
-            if tree.feature[node] < 0:
+            if feature[node] < 0:
                 leaf_id[node], seen = seen, seen + 1
             else:
                 stack += [tree.left[node] + 1, tree.left[node]]
         right = np.where(tree.left < 0, -1, tree.left + 1)
-        for key, arr in [("feature", tree.feature),
+        for key, arr in [("feature", feature),
                          ("threshold", tree.threshold), ("left", tree.left),
                          ("right", right), ("leaf_id", leaf_id)]:
             arrays[f"{stem}part{i}_{key}"] = arr
@@ -168,8 +168,8 @@ def one_row_laplacian(store, x):
 
 
 def cell(part, x):
-    """Cell id of SparseVector x under ``part``, through a one-partitioning
-    map: a partitioning has no assignment path of its own."""
+    """Cell id of SparseVector x under ``part``, one partitioning, through
+    the ``map_point`` of a one-partitioning map."""
     return int(_one_map(part, x.dim).map_point(x)[0])
 
 
@@ -181,24 +181,28 @@ def cells_of(part, X):
 
 
 def _one_map(part, dim):
-    return Mapper([part], part.n_cells, 1, part.scheme, 0, dim)
+    return Mapper(part, int(part.n_cells[0]), 1, part.scheme, 0, dim)
 
 
-def centre_forms(parts):
-    """A ``CentreStack`` and a ``CentreIndex`` of the centres of the
-    Voronoi partitionings ``parts``, whichever ``join`` would choose."""
-    packed = Rows.of([c for part in parts for c in part.centers]).entries()
+def centre_forms(part):
+    """A ``CentreStack`` and a ``CentreIndex`` of the centres of ``part``,
+    a ``VoronoiPartition``, whichever form it scores them by."""
+    packed = part.rows.entries()
     cols = np.unique(packed[1])
-    sq = np.concatenate([part.sq_norms for part in parts])
-    return [CentreStack(packed, cols, sq, len(parts)),
-            CentreIndex(packed, cols, sq, len(parts), *by_column(packed[1]))]
+    sq, k = part.sq_norms, len(part)
+    return [CentreStack(packed, cols, sq, k),
+            CentreIndex(packed, cols, sq, k, *by_column(packed[1]))]
 
 
 def walk_tree(tree, x_dense):
-    """Independent re-descent: follows the stored arrays with its own loop."""
+    """Independent re-descent of a one-tree ``ITree``: follows the split
+    attributes and thresholds of its ``pack`` and its links with its own
+    loop."""
+    state = tree.pack()
+    feature, threshold = state["feature"], state["threshold"]
     node = 0
-    while tree.feature[node] >= 0:
-        attr = tree.feature[node]
+    while feature[node] >= 0:
+        attr = feature[node]
         v = x_dense[attr] if attr < len(x_dense) else 0.0
-        node = tree.left[node] + (v >= tree.threshold[node])
+        node = tree.left[node] + (v >= threshold[node])
     return int(tree.leaf_id[node])

@@ -38,7 +38,9 @@ from isokernel.featuremap import (
 )
 from isokernel.learner import IKOGDModel
 
-from isokernel.partition import DENSE_FILL, CentreIndex, CentreStack, Forest
+from isokernel.partition import (
+    DENSE_FILL, SCHEMES, CentreIndex, CentreStack, ITree, sample_rows,
+)
 
 from helpers import (
     as_depth_first_release,
@@ -160,14 +162,35 @@ class TestMapPoint:
     def test_sample_points_get_distinct_ids_per_partitioning(self):
         ds, mapper = fit_small(scheme="anne", psi=8)
         for i, part in enumerate(mapper.parts):
-            ids = {mapper.map_point(z)[i] for z in part.centers}
-            assert len(ids) == len(part.centers)
+            ids = {mapper.map_point(z)[i] for z in part.rows.vectors()}
+            assert len(ids) == len(part.rows.vectors())
 
     def test_map_many_matches_map_point(self):
         ds, mapper = fit_small(scheme="iforest")
         F = mapper.map_many(ds)
         for row, p in zip(F, ds):
             assert np.array_equal(row, mapper.map_point(p.x))
+
+
+@pytest.mark.parametrize("scheme", ["iforest", "anne"])
+def test_parts_are_the_sequence_of_partitionings(scheme):
+    # as the benchmark's map check reads them: item i, at a numpy index,
+    # is partitioning i alone, as build_many builds it from pair i
+    ds, mapper = fit_small(scheme=scheme, t=5)
+    parts = mapper.parts
+    assert len(parts) == len(list(parts)) == 5
+    with pytest.raises(IndexError):
+        parts[5]
+    for i in range(5):
+        part = parts[np.int64(i)]
+        assert part.scheme == scheme
+        rng = np.random.default_rng((mapper.seed, i))
+        sample = ds.rows.take(sample_rows(len(ds), mapper.psi, rng))
+        alone = SCHEMES[scheme].build_many([(sample, rng)]).pack()
+        assert part.pack().keys() == alone.keys()
+        for key, arr in part.pack().items():
+            assert arr.dtype == alone[key].dtype
+            assert np.array_equal(arr, alone[key])
 
 
 class TestKernel:
@@ -431,9 +454,8 @@ class TestPersistence:
 
         clone = Mapper.from_state(meta, Counted())
         assert Counted.reads <= 2 * len(arrays)
-        for mine, theirs in zip(clone.parts, mapper.parts):
-            for key, arr in type(mine).pack([mine]).items():
-                assert np.array_equal(arr, type(theirs).pack([theirs])[key])
+        for key, arr in clone.parts.pack().items():
+            assert np.array_equal(arr, mapper.parts.pack()[key])
 
     def test_anne_load_builds_no_vector_per_centre(self, tmp_path):
         _, mapper = fit_small(scheme="anne", t=40)
@@ -442,7 +464,7 @@ class TestPersistence:
         with patch.object(Rows, "vectors", side_effect=AssertionError):
             clone = Mapper.load(path)
         for mine, theirs in zip(clone.parts, mapper.parts):
-            assert mine.centers == theirs.centers
+            assert mine.rows.vectors() == theirs.rows.vectors()
             assert np.array_equal(mine.sq_norms, theirs.sq_norms)
 
     @pytest.mark.parametrize("scheme", ["iforest", "anne"])
@@ -499,7 +521,7 @@ class TestPersistence:
         _, mapper = fit_small(scheme=scheme, t=3)
         arrays = {f"part{i}_{key}": arr
                   for i, part in enumerate(mapper.parts)
-                  for key, arr in type(part).pack([part]).items()}
+                  for key, arr in part.pack().items()}
         path = tmp_path / "map.npz"
         save_npz(path, 2, mapper.state()[0], arrays)
         with pytest.raises(DataError, match="unsupported map format 2"):
@@ -531,15 +553,15 @@ class TestBlocks:
         def spy_assign_many(self, packed, n):
             # the forest and the stack densify the block onto their
             # columns; the index reads the packed entries as they are
-            if isinstance(self, Forest):
-                per_row, columns = self.roots.size, self.cols.size
+            if isinstance(self, ITree):
+                per_row, columns = len(self), self.cols.size
             else:
                 per_row = self.sq.size
                 columns = self.Z.shape[1] if isinstance(self, CentreStack) else 0
             calls.append((n, per_row, columns))
             return forms[type(self)](self, packed, n)
 
-        for form in (Forest, CentreStack, CentreIndex):
+        for form in (ITree, CentreStack, CentreIndex):
             forms[form] = form.assign_many
             monkeypatch.setattr(form, "assign_many", spy_assign_many)
         # dense low-dimensional points, then sparse points at a high dim,
@@ -553,7 +575,7 @@ class TestBlocks:
             if scheme == "anne":
                 sparse = dim > 6 and t * psi * DENSE_FILL > 1
                 form = CentreIndex if sparse else CentreStack
-                assert type(mapper._joined) is form
+                assert type(mapper.parts.scorer) is form
             expected = mapper.map_many(ds)
             for block in (7, 100, 1 << 30):
                 calls.clear()

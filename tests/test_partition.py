@@ -16,7 +16,6 @@ from isokernel.partition import (
     DENSE_FILL,
     CentreIndex,
     CentreStack,
-    Forest,
     ITree,
     VoronoiPartition,
     sample_rows,
@@ -69,7 +68,7 @@ class TestITree:
         rng = np.random.default_rng(0)
         sample = [rand_sparse(rng, 6)]
         tree = ITree.build(sample, np.random.default_rng(1))
-        assert tree.n_cells == 1
+        assert tree.n_cells.tolist() == [1]
         for _ in range(10):
             assert cell(tree, rand_sparse(rng, 6)) == 0
 
@@ -77,15 +76,15 @@ class TestITree:
         a = SparseVector([1], [1.0], 2)
         b = SparseVector([1, 2], [1.0, 5.0], 2)  # differ only on attribute 2
         tree = ITree.build([a, b], np.random.default_rng(3))
-        assert tree.n_cells == 2
-        assert tree.feature[0] == 1  # 0-based: attribute 2
+        assert tree.n_cells.tolist() == [2]
+        assert tree.pack()["feature"][0] == 1  # 0-based: attribute 2
         assert cell(tree, a) != cell(tree, b)
 
     def test_full_isolation_of_distinct_points(self):
         rng = np.random.default_rng(5)
         sample = [rand_sparse(rng, 8, density=0.9) for _ in range(64)]
         tree = ITree.build(sample, np.random.default_rng(6))
-        assert tree.n_cells == 64
+        assert tree.n_cells.tolist() == [64]
         ids = {cell(tree, p) for p in sample}
         assert len(ids) == 64
         assert ids == set(range(64))
@@ -95,11 +94,12 @@ class TestITree:
         sample = [rand_sparse(rng, 5, density=1.0) for _ in range(32)]
         tree = ITree.build(sample, np.random.default_rng(12))
         S = np.stack([p.densify(5) for p in sample])
+        feature = tree.pack()["feature"]
 
         def check(node, rows):
-            if tree.feature[node] < 0:
+            if feature[node] < 0:
                 return
-            attr = tree.feature[node]
+            attr = feature[node]
             split = tree.threshold[node]
             vals = S[rows, attr]
             assert vals.min() < split < vals.max()
@@ -113,7 +113,7 @@ class TestITree:
         v = SparseVector([1], [2.0], 3)
         w = SparseVector([2], [1.0], 3)
         tree = ITree.build([v, v, w], np.random.default_rng(0))
-        assert tree.n_cells == 2
+        assert tree.n_cells.tolist() == [2]
         assert cell(tree, v) == cell(tree, v)
         assert cell(tree, v) != cell(tree, w)
         assert set(tree.leaf_id[tree.leaf_id >= 0]) == {0, 1}
@@ -123,7 +123,7 @@ class TestITree:
         sample = [rand_sparse(rng, 4, density=1.0) for _ in range(16)]
         tree = ITree.build(sample, np.random.default_rng(22))
         far = SparseVector([1, 2, 3, 4], [1e9, -1e9, 1e9, -1e9], 4)
-        assert 0 <= cell(tree, far) < tree.n_cells
+        assert 0 <= cell(tree, far) < tree.n_cells[0]
 
     def test_assign_matches_independent_walk(self):
         rng = np.random.default_rng(31)
@@ -166,38 +166,56 @@ class TestITree:
         rng = np.random.default_rng(51)
         sample = [rand_sparse(rng, 5) for _ in range(20)]
         tree = ITree.build(sample, np.random.default_rng(52))
-        [clone] = ITree.unpack(ITree.pack([tree]))
-        for key, arr in ITree.pack([tree]).items():
-            assert np.array_equal(arr, ITree.pack([clone])[key])
+        clone = ITree.unpack(tree.pack())
+        for key, arr in tree.pack().items():
+            assert np.array_equal(arr, clone.pack()[key])
+
+    def test_unpack_checks_each_tree_not_only_the_totals(self):
+        def unpack(feature, offsets):
+            return ITree.unpack({"feature": np.array(feature, dtype=np.int32),
+                                 "threshold": np.zeros(len(feature)),
+                                 "offsets": np.array(offsets)})
+
+        feature = [0, -1, -1, 0, 0, -1, -1, -1]  # trees of 3 and 5 nodes
+        assert unpack(feature, [0, 3, 8]).n_cells.tolist() == [2, 3]
+        # cut after 5 nodes, the first tree has two nodes too many and the
+        # second two too few; then an empty tree, before a tree of one
+        # split and three leaves
+        for feature, offsets in [(feature, [0, 5, 8]),
+                                 ([0, -1, -1, 0, -1, -1, -1], [0, 3, 3, 7])]:
+            # in total, one leaf more than splits per tree
+            assert len(feature) == 2 * feature.count(-1) - (len(offsets) - 1)
+            with pytest.raises(ValueError, match="full binary tree"):
+                unpack(feature, offsets)
 
 
 class TestJoin:
+    """A map's partitionings joined as one object: its flat forest, and
+    its centre scorers."""
+
     def test_forest_reads_only_its_split_columns(self):
         rng = np.random.default_rng(61)
-        trees = [
-            ITree.build([rand_sparse(rng, 40, density=0.1) for _ in range(6)],
-                        np.random.default_rng((62, i)))
+        forest = ITree.build_many(
+            (Rows.of([rand_sparse(rng, 40, density=0.1) for _ in range(6)]),
+             np.random.default_rng((62, i)))
             for i in range(5)
-        ]
-        forest = ITree.join(trees)
-        assert isinstance(forest, Forest)
-        splits = np.concatenate([tree.feature for tree in trees])
+        )
+        splits = forest.pack()["feature"]
         assert forest.cols.tolist() == sorted(
             set(splits[splits >= 0].tolist()))
         queries = [rand_sparse(rng, 40, density=0.5) for _ in range(50)]
         X = np.stack([q.densify(40) for q in queries])
         cells = forest.assign_many(Rows.of(queries).entries(), 50)
-        for i, tree in enumerate(trees):
+        for i, tree in enumerate(forest):
             assert np.array_equal(cells[:, i], cells_of(tree, X))
 
     def test_dense_centres_form_one_stack(self):
         rng = np.random.default_rng(71)
-        parts = [
-            VoronoiPartition.build(
-                [rand_sparse(rng, 6, density=0.9) for _ in range(8)])
+        parts = VoronoiPartition.build_many(
+            ([rand_sparse(rng, 6, density=0.9) for _ in range(8)], None)
             for _ in range(7)
-        ]
-        stack = VoronoiPartition.join(parts)
+        )
+        stack = parts.scorer
         assert isinstance(stack, CentreStack)
         assert (stack.k, stack.Z.shape) == (7, (56, 6))
 
@@ -209,14 +227,12 @@ class TestJoin:
             cols = np.sort(rng.choice(10, 3, replace=False)) + 10 * i
             return SparseVector(cols + 1, rng.uniform(1, 2, 3), 100)
 
-        parts = [
-            VoronoiPartition.build([centre(i) for _ in range(4)])
-            for i in range(10)
-        ]
-        index = VoronoiPartition.join(parts)
+        parts = VoronoiPartition.build_many(
+            ([centre(i) for _ in range(4)], None) for i in range(10))
+        index = parts.scorer
         assert isinstance(index, CentreIndex)
         support = np.unique(np.concatenate(
-            [c.indices for part in parts for c in part.centers])) - 1
+            [c.indices for c in parts.rows.vectors()])) - 1
         assert index.cols.tolist() == support.tolist()
         # 120 stored entries fill under DENSE_FILL of a 40 x len(support)
         # dense matrix
@@ -224,8 +240,8 @@ class TestJoin:
         # each column's run lists the centres stored in it, in order
         for j, c in enumerate(index.cols):
             run = slice(index.ptr[j], index.ptr[j + 1])
-            held = [g for g, z in enumerate(
-                z for part in parts for z in part.centers) if c + 1 in z.indices]
+            held = [g for g, z in enumerate(parts.rows.vectors())
+                    if c + 1 in z.indices]
             assert index.centre[run].tolist() == held
 
     def test_stacks_assign_like_each_partitioning(self):
@@ -238,10 +254,8 @@ class TestJoin:
             values = rng.normal(size=cols.size)
             return SparseVector(cols + 10 * i + 1, values, 60)
 
-        parts = [
-            VoronoiPartition.build([centre(i) for _ in range(5)])
-            for i in (0, 0, 0, 1, 2, 3)
-        ]
+        parts = VoronoiPartition.build_many(
+            ([centre(i) for _ in range(5)], None) for i in (0, 0, 0, 1, 2, 3))
         queries = [rand_sparse(rng, 60, density=0.4) for _ in range(40)]
         X = np.stack([q.densify(60) for q in queries])
         for scorer in centre_forms(parts):
@@ -260,7 +274,7 @@ class TestJoin:
         x = SparseVector([1, 2, 3], [1e154] * 3, 3)
         centres = [SparseVector([1], [s], 3),
                    SparseVector([1, 2, 3], [s, s, -s], 3)]
-        part = VoronoiPartition.build(centres)
+        part = VoronoiPartition(centres)
         scores = []
         for z in centres:
             dot = 0.0
@@ -270,7 +284,7 @@ class TestJoin:
         assert np.isfinite(scores).all()
         want = int(np.argmin(scores))
         assert want == 0  # the doubled sum, inf, would make it 1
-        for form in centre_forms([part]):
+        for form in centre_forms(part):
             assert form.assign_many(Rows.of([x]).entries(), 1).tolist() == [
                 [want]]
         assert cell(part, x) == want
@@ -280,7 +294,7 @@ class TestVoronoi:
     def test_center_maps_to_itself(self):
         rng = np.random.default_rng(1)
         centers = [rand_sparse(rng, 5, density=1.0) for _ in range(12)]
-        part = VoronoiPartition.build(centers)
+        part = VoronoiPartition(centers)
         for k, z in enumerate(centers):
             assert cell(part, z) == k
 
@@ -295,13 +309,13 @@ class TestVoronoi:
             SparseVector([1, 2], [2.0, -1.0], 2),
         ]
         x = SparseVector([1], [2.0], 2)  # distance 1 to centers 2 and 5
-        part = VoronoiPartition.build(centers)
+        part = VoronoiPartition(centers)
         assert cell(part, x) == 2
 
     def test_matches_brute_force_distance_scan(self):
         rng = np.random.default_rng(9)
         centers = [rand_sparse(rng, 6, density=0.8) for _ in range(32)]
-        part = VoronoiPartition.build(centers)
+        part = VoronoiPartition(centers)
         for _ in range(1000):
             x = rand_sparse(rng, 6, density=rng.uniform(0.1, 1.0))
             dists = [sq_distance(x, z) for z in centers]
@@ -310,7 +324,7 @@ class TestVoronoi:
     def test_batch_assign_matches_pointwise(self):
         rng = np.random.default_rng(29)
         centers = [rand_sparse(rng, 5, density=0.9) for _ in range(20)]
-        part = VoronoiPartition.build(centers)
+        part = VoronoiPartition(centers)
         queries = [rand_sparse(rng, 5, density=0.6) for _ in range(300)]
         X = np.stack([q.densify(5) for q in queries])
         batch = cells_of(part, X)
@@ -335,7 +349,7 @@ class TestVoronoi:
             unit(np.sort(rng.choice(20, 3, replace=False)) + 20)
             for _ in range(20)
         ]
-        part = VoronoiPartition.build(centers)
+        part = VoronoiPartition(centers)
         batch = cells_of(part, np.stack([q.densify() for q in queries]))
         point = np.array([cell(part, q) for q in queries])
         assert np.array_equal(batch, point)
@@ -343,24 +357,24 @@ class TestVoronoi:
     def test_totality(self):
         rng = np.random.default_rng(39)
         centers = [rand_sparse(rng, 4) for _ in range(8)]
-        part = VoronoiPartition.build(centers)
+        part = VoronoiPartition(centers)
         for scale in (1.0, 1e6, 1e-6):
             x = rand_sparse(rng, 4, density=1.0, scale=scale)
-            assert 0 <= cell(part, x) < part.n_cells
+            assert 0 <= cell(part, x) < part.n_cells[0]
 
     def test_distinct_points_get_distinct_cells(self):
         rng = np.random.default_rng(49)
         centers = [rand_sparse(rng, 6, density=1.0) for _ in range(24)]
-        part = VoronoiPartition.build(centers)
+        part = VoronoiPartition(centers)
         ids = {cell(part, z) for z in centers}
         assert len(ids) == 24
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(59)
         centers = [rand_sparse(rng, 5, density=0.4) for _ in range(10)]
-        part = VoronoiPartition.build(centers)
-        [clone] = VoronoiPartition.unpack(VoronoiPartition.pack([part]))
-        assert clone.n_cells == part.n_cells
+        part = VoronoiPartition(centers)
+        clone = VoronoiPartition.unpack(part.pack())
+        assert clone.n_cells.tolist() == part.n_cells.tolist() == [10]
         for _ in range(50):
             x = rand_sparse(rng, 5)
             assert cell(part, x) == cell(clone, x)

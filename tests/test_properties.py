@@ -252,12 +252,11 @@ class TestSaveLoad:
         assert (clone.scheme, clone.t, clone.psi, clone.dim) == (
             mapper.scheme, mapper.t, mapper.psi, mapper.dim,
         )
-        for part, copy in zip(mapper.parts, clone.parts):
-            state, copied = type(part).pack([part]), type(copy).pack([copy])
-            assert state.keys() == copied.keys()
-            for key, arr in state.items():
-                assert arr.dtype == copied[key].dtype
-                assert np.array_equal(arr, copied[key])
+        state, copied = mapper.parts.pack(), clone.parts.pack()
+        assert state.keys() == copied.keys()
+        for key, arr in state.items():
+            assert arr.dtype == copied[key].dtype
+            assert np.array_equal(arr, copied[key])
         assert np.array_equal(clone.map_many(ds), mapper.map_many(ds))
 
     @bounded
@@ -327,19 +326,19 @@ class TestSaveLoad:
 
 @st.composite
 def centres_and_rows(draw):
-    """(parts, rows): one to four Voronoi partitionings of one to six
-    centres each, and one to eight query rows, all on at most eight
-    columns with values k/4, so that a row shares several columns with
-    most centres."""
+    """(part, rows): a ``VoronoiPartition`` of one to four partitionings
+    of one to six centres each, and one to eight query rows, all on at
+    most eight columns with values k/4, so that a row shares several
+    columns with most centres."""
     dim = draw(st.integers(1, 8))
     points = st.lists(st.just(0.0) | VALUES, min_size=dim, max_size=dim).map(
         lambda v: SparseVector(np.flatnonzero(v) + 1, [a for a in v if a],
                                dim))
     psi = draw(st.integers(1, 6))
-    parts = [VoronoiPartition.build(draw(
-                 st.lists(points, min_size=psi, max_size=psi)))
-             for _ in range(draw(st.integers(1, 4)))]
-    return parts, draw(st.lists(points, min_size=1, max_size=8))
+    k = draw(st.integers(1, 4))
+    part = VoronoiPartition(
+        draw(st.lists(points, min_size=k * psi, max_size=k * psi)), k)
+    return part, draw(st.lists(points, min_size=1, max_size=8))
 
 
 class TestEncoding:
@@ -400,13 +399,13 @@ class TestEncoding:
     def test_both_centre_forms_give_the_dense_argmin(self, case):
         # exact values, so every dot sums exactly in any order: both forms'
         # doubled dots must give the dense oracle's cells, ties included
-        parts, rows = case
+        part, rows = case
         dim = rows[0].dim
-        Z = np.stack([z.densify(dim) for part in parts for z in part.centers])
+        Z = np.stack([z.densify(dim) for z in part.rows.vectors()])
         X = np.stack([x.densify(dim) for x in rows])
         sq = (Z * Z).sum(axis=1)
-        want = (sq - 2 * X @ Z.T).reshape(len(rows), len(parts), -1).argmin(2)
-        for form in centre_forms(parts):
+        want = (sq - 2 * X @ Z.T).reshape(len(rows), len(part), -1).argmin(2)
+        for form in centre_forms(part):
             got = form.assign_many(Rows.of(rows).entries(), len(rows))
             assert np.array_equal(got, want)
 
@@ -425,7 +424,7 @@ def iforest_fits(draw):
 
 
 def iforest_states(ds, psi, t, seed):
-    return [partition.ITree.pack([part])
+    return [part.pack()
             for part in Mapper.fit(ds, psi, t, "iforest", seed).parts]
 
 
@@ -474,7 +473,7 @@ class TestGrowth:
             points = [tuple(x) for x in S]
             # equal points share a leaf, and distinct ones never do
             assert (len(set(zip(points, leaves))) == len(set(points))
-                    == len(set(leaves)) == tree.n_cells)
+                    == len(set(leaves)) == tree.n_cells[0])
 
     @bounded
     @given(iforest_fits())
@@ -490,18 +489,20 @@ class TestGrowth:
                     stack += [tree.left[node], tree.left[node] + 1]
             assert sorted(met) == list(range(tree.feature.size))
             leaves = tree.feature < 0
-            assert tree.leaf_id[leaves].tolist() == list(range(tree.n_cells))
+            assert tree.leaf_id[leaves].tolist() == list(
+                range(tree.n_cells[0]))
 
     @bounded
     @given(iforest_fits())
     def test_thresholds_lie_strictly_inside_their_node_ranges(self, case):
         for tree, S in grown_trees(*case):
+            feature = tree.pack()["feature"]
             stack = [(0, np.arange(len(S)))]
             while stack:
                 node, members = stack.pop()
-                if tree.feature[node] < 0:
+                if feature[node] < 0:
                     continue
-                vals = S[members, tree.feature[node]]
+                vals = S[members, feature[node]]
                 assert vals.min() < tree.threshold[node] < vals.max()
                 go_left = vals < tree.threshold[node]
                 stack += [(tree.left[node], members[go_left]),
@@ -527,13 +528,13 @@ def packed_fits(draw, schemes=SCHEMES):
 def fit_forms(ds, psi, t, scheme, seed):
     """The forms a fit took: for iforest, "dense" if the grower densified
     a group's samples and "entries" if it grew one from stored entries;
-    for anne, the name of the scorer the map joined its centres into."""
+    for anne, the name of the scorer of the map's centres."""
     with patch.object(partition, "dense_rows", wraps=partition.dense_rows
                       ) as dense, patch.object(
             partition, "located", wraps=partition.located) as located:
         mapper = Mapper.fit(ds, psi, t, scheme, seed)
     if scheme == "anne":
-        return {type(mapper._joined).__name__}
+        return {type(mapper.parts.scorer).__name__}
     return {form for form, spy in (("dense", dense), ("entries", located))
             if spy.called}
 
@@ -547,12 +548,11 @@ class TestPackedFit:
         for i, part in enumerate(mapper.parts):
             rng = np.random.default_rng((seed, i))
             sample = sample_psi(ds, psi, rng)
-            built = BUILDERS[scheme].build(sample, rng)
+            built = BUILDERS[scheme].build_many([(Rows.of(sample), rng)])
+            assert_same_trees([part.pack()], [built.pack()])
             if scheme == "iforest":
-                assert_same_trees([partition.ITree.pack([part])],
-                                  [partition.ITree.pack([built])])
                 continue
-            assert part.centers == built.centers == sample
+            assert part.rows.vectors() == built.rows.vectors() == sample
             assert part.sq_norms.tolist() == built.sq_norms.tolist() == [
                 x.sq_norm() for x in sample]
 
